@@ -380,9 +380,17 @@ impl Aig {
     /// Iterates over the AND nodes in topological order as
     /// `(node, fanin0, fanin1)`.
     pub fn ands(&self) -> impl Iterator<Item = (NodeId, Edge, Edge)> + '_ {
-        (self.num_inputs + 1..self.fanins.len())
-            // panic-ok: `i` ranges over `fanins` indices by construction.
-            .map(move |i| (NodeId(i as u32), self.fanins[i][0], self.fanins[i][1]))
+        let first = self.num_inputs + 1;
+        self.and_fanins()
+            .iter()
+            .enumerate()
+            .map(move |(k, &[a, b])| (NodeId((first + k) as u32), a, b))
+    }
+
+    /// The fanin pairs of the AND nodes in topological order: entry `k`
+    /// belongs to node `num_inputs + 1 + k`.
+    pub(crate) fn and_fanins(&self) -> &[[Edge; 2]] {
+        self.fanins.get(self.num_inputs + 1..).unwrap_or_default()
     }
 
     /// Evaluates all outputs on a single input pattern given as a bit

@@ -112,6 +112,12 @@ impl Assignment {
         self.len == 0
     }
 
+    /// Returns the packed words: variable `i` is bit `i % 64` of word
+    /// `i / 64`, and bits past `len` are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Returns the value assigned to `var`.
     ///
     /// # Panics
@@ -315,6 +321,15 @@ mod tests {
         let b = a.with(Var::new(2), true);
         assert!(!a.get(Var::new(2)));
         assert!(b.get(Var::new(2)));
+    }
+
+    #[test]
+    fn words_pack_low_variables_first() {
+        let mut a = Assignment::zeros(70);
+        a.set(Var::new(1), true);
+        a.set(Var::new(65), true);
+        assert_eq!(a.words(), &[0b10, 0b10]);
+        assert_eq!(Assignment::ones(70).words(), &[!0, 0b11_1111]);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use rand::Rng;
 
-use crate::Assignment;
-
 /// A bit-parallel simulation value: one bit per simulated pattern,
 /// packed 64 patterns per word.
 ///
@@ -67,22 +65,14 @@ impl SimVector {
         v
     }
 
-    /// Collects the value of variable `var_index` across a slice of
-    /// assignments: pattern `k` of the result is
-    /// `assignments[k][var_index]`.
-    ///
-    /// This transposes row-major assignments into the column-major layout
-    /// simulation needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment is shorter than `var_index + 1`.
-    pub fn column(assignments: &[Assignment], var_index: u32) -> Self {
-        SimVector::from_bits(
-            assignments
-                .iter()
-                .map(|a| a.get(crate::Var::new(var_index))),
-        )
+    /// Creates a vector of `len` patterns from packed words, pattern `k`
+    /// at bit `k % 64` of word `k / 64`. Missing words read as zero,
+    /// extra words are dropped, and bits past `len` are cleared.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(len.div_ceil(64), 0);
+        let mut v = SimVector { words, len };
+        v.mask_tail();
+        v
     }
 
     /// Returns the number of patterns.
@@ -197,25 +187,6 @@ impl SimVector {
         self.mask_tail();
     }
 
-    /// Computes `a AND b` into a fresh vector, honoring per-operand
-    /// complement flags — the shape needed when simulating and-inverter
-    /// graphs with negated edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn and2(a: &SimVector, ca: bool, b: &SimVector, cb: bool) -> SimVector {
-        a.assert_same_len(b);
-        let mut out = SimVector::zeros(a.len);
-        for (o, (&x, &y)) in out.words.iter_mut().zip(a.words.iter().zip(&b.words)) {
-            let x = if ca { !x } else { x };
-            let y = if cb { !y } else { y };
-            *o = x & y;
-        }
-        out.mask_tail();
-        out
-    }
-
     /// Iterates over the pattern bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |k| self.bit(k))
@@ -249,7 +220,6 @@ impl FromIterator<bool> for SimVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Var;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -297,31 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn and2_with_complements() {
-        let a = SimVector::from_bits([true, true, false, false]);
-        let b = SimVector::from_bits([true, false, true, false]);
-        let nand_like = SimVector::and2(&a, true, &b, false); // !a & b
-        assert_eq!(
-            (0..4).map(|k| nand_like.bit(k)).collect::<Vec<_>>(),
-            vec![false, false, true, false]
-        );
-        // and2 with both complements masks the tail correctly.
-        let both = SimVector::and2(&a, true, &b, true); // !a & !b
-        assert_eq!(both.count_ones(), 1);
-        assert!(both.bit(3));
-    }
-
-    #[test]
-    fn column_transposes_assignments() {
-        let mut a0 = Assignment::zeros(3);
-        a0.set(Var::new(1), true);
-        let mut a1 = Assignment::zeros(3);
-        a1.set(Var::new(1), true);
-        a1.set(Var::new(2), true);
-        let col1 = SimVector::column(&[a0.clone(), a1.clone()], 1);
-        let col2 = SimVector::column(&[a0, a1], 2);
-        assert_eq!(col1.iter().collect::<Vec<_>>(), vec![true, true]);
-        assert_eq!(col2.iter().collect::<Vec<_>>(), vec![false, true]);
+    fn from_words_masks_and_resizes() {
+        let v = SimVector::from_words(vec![!0, !0, 7], 70);
+        assert_eq!(v.words().len(), 2);
+        assert_eq!(v.count_ones(), 70);
+        let short = SimVector::from_words(vec![1], 130);
+        assert_eq!(short.words(), &[1, 0, 0]);
+        assert_eq!(SimVector::from_words(Vec::new(), 0), SimVector::zeros(0));
     }
 
     #[test]

@@ -19,10 +19,11 @@ use crate::oracle::Oracle;
 /// attribution context (output scope, FBDT depth) the learner has set
 /// at the time they are served.
 ///
-/// Round-trip latency lands in the `oracle.query_ns` histogram
-/// (lock-free; the handle is resolved once at construction). Batch
-/// queries attribute the batch's mean per-item latency to each item,
-/// so the histogram's count matches the query counter.
+/// Latency lands in lock-free histograms whose handles are resolved
+/// once at construction: a single query's round trip in
+/// `oracle.query_ns`, and a batch call's round trip in
+/// `oracle.batch_ns`, with its pattern count in `oracle.batch_size`
+/// (one sample per call, so a batch's tail latency stays visible).
 ///
 /// # Examples
 ///
@@ -48,17 +49,34 @@ pub struct InstrumentedOracle<O> {
     inner: O,
     telemetry: Telemetry,
     latency: HistogramHandle,
+    batch_latency: HistogramHandle,
+    batch_size: HistogramHandle,
 }
 
 impl<O: Oracle> InstrumentedOracle<O> {
     /// Wraps `inner`, reporting its query traffic to `telemetry`.
     pub fn new(inner: O, telemetry: Telemetry) -> Self {
-        let latency = telemetry.histogram_handle(histograms::ORACLE_QUERY_NS);
         InstrumentedOracle {
+            latency: telemetry.histogram_handle(histograms::ORACLE_QUERY_NS),
+            batch_latency: telemetry.histogram_handle(histograms::ORACLE_BATCH_NS),
+            batch_size: telemetry.histogram_handle(histograms::ORACLE_BATCH_SIZE),
             inner,
             telemetry,
-            latency,
         }
+    }
+
+    /// Records one answered batch call of `n` patterns started at
+    /// `start`: one latency sample and one size sample. Returns the
+    /// call's elapsed nanoseconds (0 for an empty batch, which records
+    /// nothing).
+    fn record_batch(&self, start: Instant, n: usize) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.batch_latency.record(total);
+        self.batch_size.record(n as u64);
+        total
     }
 
     /// The wrapped oracle.
@@ -102,7 +120,7 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
     fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
         let start = Instant::now();
         let out = self.inner.query_batch(inputs);
-        let total = record_batch(&self.latency, start, inputs.len());
+        let total = self.record_batch(start, inputs.len());
         self.telemetry
             .record_oracle_queries(inputs.len() as u64, total);
         out
@@ -126,7 +144,7 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
     ) -> Result<Vec<Vec<bool>>, crate::oracle::OracleError> {
         let start = Instant::now();
         let out = self.inner.try_query_batch(inputs)?;
-        let total = record_batch(&self.latency, start, out.len());
+        let total = self.record_batch(start, out.len());
         self.telemetry
             .record_oracle_queries(out.len() as u64, total);
         Ok(out)
@@ -146,19 +164,6 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
     ) -> Result<(), crate::oracle::OracleError> {
         self.inner.restore_state(state)
     }
-}
-
-/// Attributes a batch's elapsed time across its items: `n` samples of
-/// the mean per-item latency, so per-batch and per-query transports
-/// yield comparable distributions. Returns the batch's total elapsed
-/// nanoseconds (0 for empty batches).
-fn record_batch(latency: &HistogramHandle, start: Instant, n: usize) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    latency.record_n(total / n as u64, n as u64);
-    total
 }
 
 impl<O: Oracle + ?Sized> Oracle for &mut O {
@@ -270,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_lands_in_the_query_histogram() {
+    fn single_and_batch_latency_land_in_separate_histograms() {
         use cirlearn_telemetry::histograms;
         let telemetry = Telemetry::recording();
         let mut o = InstrumentedOracle::new(sample(), telemetry.clone());
@@ -278,11 +283,19 @@ mod tests {
         o.query(&z);
         o.query_batch(&[z.clone(), z.clone(), z.clone()]);
         o.try_query(&z).expect("circuit oracle cannot fault");
+        o.try_query_batch(&[z.clone(), z.clone()])
+            .expect("circuit oracle cannot fault");
+        o.query_batch(&[]);
         let report = telemetry.report();
-        let h = &report.histograms[histograms::ORACLE_QUERY_NS];
-        // One sample per query, matching the counter.
-        assert_eq!(h.count, 5);
-        assert_eq!(h.count, report.counter(counters::ORACLE_QUERIES));
+        assert_eq!(report.counter(counters::ORACLE_QUERIES), 7);
+        // One sample per single query.
+        assert_eq!(report.histograms[histograms::ORACLE_QUERY_NS].count, 2);
+        // One sample per answered batch call; the empty batch records
+        // nothing.
+        assert_eq!(report.histograms[histograms::ORACLE_BATCH_NS].count, 2);
+        let sizes = &report.histograms[histograms::ORACLE_BATCH_SIZE];
+        assert_eq!(sizes.count, 2);
+        assert_eq!((sizes.min, sizes.max, sizes.sum), (2, 3, 5));
     }
 
     #[test]

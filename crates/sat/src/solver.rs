@@ -545,8 +545,11 @@ impl Solver {
                 self.heap_insert(l.var());
             }
         }
-        // Everything still on the trail was already propagated.
-        self.qhead = self.trail.len();
+        // Entries below the popped levels were propagated before the
+        // next decision was made, but a literal enqueued at the target
+        // level (a learned unit followed by a restart) may still be
+        // pending: never move the queue head forward here.
+        self.qhead = self.qhead.min(self.trail.len());
     }
 
     fn pick_branch_var(&mut self) -> Option<u32> {
@@ -857,5 +860,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A restart right after learning a unit backtracks to level 0 with
+    /// the unit enqueued but not yet propagated; it must stay queued.
+    #[test]
+    fn root_backtrack_keeps_a_pending_unit_queued() {
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        s.add_clause(&[!a, b]);
+        s.enqueue(a, NO_REASON); // a learned unit at level 0
+        s.backtrack_to(0); // the restart
+        assert_eq!(s.propagate(), None);
+        assert!(s.value(b), "the unit's consequence was never propagated");
     }
 }

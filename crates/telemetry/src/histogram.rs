@@ -141,8 +141,7 @@ impl<const N: usize> RawHistogram<N> {
         self.record_n(value, 1);
     }
 
-    /// Records `n` samples of the same value in O(1) — used for
-    /// attributing a batch's elapsed time across its items.
+    /// Records `n` samples of the same value in O(1).
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;

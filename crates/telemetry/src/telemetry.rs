@@ -90,13 +90,19 @@ pub mod counters {
     pub const FLIGHT_DUMPS: &str = "flight.dumps";
 }
 
-/// Well-known latency histogram names used across the pipeline. All
-/// record nanoseconds.
+/// Well-known histogram names used across the pipeline. All record
+/// nanoseconds except [`histograms::ORACLE_BATCH_SIZE`], which records
+/// patterns.
 pub mod histograms {
-    /// Per-query oracle round-trip latency, recorded at the source by
-    /// `InstrumentedOracle` (batch queries attribute the batch's mean
-    /// per-item latency to each item).
+    /// Single-query oracle round-trip latency, recorded at the source
+    /// by `InstrumentedOracle`.
     pub const ORACLE_QUERY_NS: &str = "oracle.query_ns";
+    /// Batch oracle round-trip latency: one sample per batch call,
+    /// recorded by `InstrumentedOracle`.
+    pub const ORACLE_BATCH_NS: &str = "oracle.batch_ns";
+    /// Patterns per batch oracle call: one sample per batch call, next
+    /// to [`ORACLE_BATCH_NS`].
+    pub const ORACLE_BATCH_SIZE: &str = "oracle.batch_size";
     /// Per-query latency through the fault-tolerant layer, including
     /// retries, backoff sleeps and respawns (`ResilientOracle`).
     pub const ORACLE_GUARDED_QUERY_NS: &str = "oracle.guarded_query_ns";
@@ -1206,13 +1212,6 @@ impl HistogramHandle {
         }
     }
 
-    /// Records `n` samples of the same value.
-    pub fn record_n(&self, value: u64, n: u64) {
-        if let Some(h) = &self.0 {
-            h.record_n(value, n);
-        }
-    }
-
     /// Records a duration as nanoseconds.
     pub fn record_duration(&self, elapsed: Duration) {
         if let Some(h) = &self.0 {
@@ -1505,7 +1504,9 @@ mod tests {
         let h = t.histogram_handle(crate::histograms::ORACLE_QUERY_NS);
         assert!(h.is_enabled());
         h.record(1_000);
-        h.record_n(2_000, 3);
+        for _ in 0..3 {
+            h.record(2_000);
+        }
         t.record_time(crate::histograms::SYNTH_PASS_NS, Duration::from_micros(7));
         let report = t.report();
         let oracle = &report.histograms[crate::histograms::ORACLE_QUERY_NS];
