@@ -103,13 +103,18 @@ fn sigkilled_run_resumes_to_the_reference_circuit() {
     let ref_out = dir.join("reference.aag");
     let chaos_out = dir.join("chaos.aag");
 
-    // Uninterrupted reference run (no checkpointing at all).
+    // Uninterrupted reference run (no checkpointing at all). Its wall
+    // time sets the scale of the kill delays, so they land mid-run on
+    // a fast host and a loaded one alike.
+    let ref_start = std::time::Instant::now();
     let ref_stdout = run_to_completion(&ref_out, None, None);
+    let ref_wall = ref_start.elapsed();
     let ref_queries = queries_of(&ref_stdout);
 
     // Chaos loop: SIGKILL at randomized points, then resume from the
-    // surviving checkpoint. Kill delays sweep the whole run length so
-    // kills land in support sampling, FBDT expansion and the tail.
+    // surviving checkpoint. Kill delays are drawn from 2% to 80% of the
+    // reference run's wall time, sweeping the whole run so kills land
+    // in support sampling, FBDT expansion and the tail.
     let mut rng = KillRng(0x5EED_CAFE);
     let mut segments = 0u32;
     let mut kills = 0u32;
@@ -118,7 +123,8 @@ fn sigkilled_run_resumes_to_the_reference_circuit() {
         assert!(segments <= 60, "chaos run failed to converge");
         let resume_from = ck.exists().then_some(ck.as_path());
         let mut child = spawn_learn(&chaos_out, Some(&ck), resume_from);
-        let delay = Duration::from_millis(20 + rng.next() % 700);
+        let fraction = (20 + rng.next() % 780) as f64 / 1000.0;
+        let delay = ref_wall.mul_f64(fraction);
         let deadline = std::time::Instant::now() + delay;
         let finished = loop {
             if let Some(status) = child.try_wait().expect("try_wait") {
@@ -153,7 +159,7 @@ fn sigkilled_run_resumes_to_the_reference_circuit() {
 
     assert!(
         kills >= 1,
-        "kill delays never landed mid-run; lower the delay range"
+        "kill delays never landed mid-run (reference run took {ref_wall:?})"
     );
     assert_eq!(
         queries_of(&final_stdout),

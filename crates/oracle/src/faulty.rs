@@ -47,9 +47,9 @@ pub enum FaultKind {
 
 /// A deterministic schedule mapping query slots to injected faults.
 ///
-/// Slots count every [`Oracle::try_query`] call served by the
-/// [`FaultyOracle`] (including calls that fault), so a schedule reads
-/// as "the N-th query the learner issues misbehaves".
+/// Slots count every pattern served by the [`FaultyOracle`], one per
+/// pattern of a batch (including patterns of batches that fault), so a
+/// schedule reads as "the N-th query the learner issues misbehaves".
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     faults: BTreeMap<u64, FaultKind>,
@@ -158,44 +158,61 @@ impl<O: Oracle> FaultyOracle<O> {
         &self.inner
     }
 
-    fn serve(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
+    /// Serves one batch the way a pipelined transport does: the batch
+    /// takes one query slot per pattern, in order. A crash or hang ends
+    /// the batch at its slot; a malformed answer fails the batch only
+    /// after the remaining slots are served, as the stream stays in
+    /// sync. The inner oracle answers only batches that are handed
+    /// back.
+    fn serve(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
         if self.crashed {
             return Err(OracleError::Died(
                 "injected crash: black box is down until respawn".into(),
             ));
         }
-        let slot = self.served;
-        self.served += 1;
-        match self.schedule.faults.get(&slot).copied() {
-            None => self.inner.try_query(input),
-            Some(FaultKind::Crash) => {
-                self.crashed = true;
-                self.injected.crashes += 1;
-                Err(OracleError::Died(format!(
-                    "injected crash at query slot {slot}"
-                )))
-            }
-            Some(FaultKind::Hang) => {
-                self.injected.hangs += 1;
-                Err(OracleError::Timeout(Duration::from_secs(0)))
-            }
-            Some(FaultKind::Malformed) => {
-                self.injected.malformed += 1;
-                Err(OracleError::Malformed(format!(
-                    "injected garbage at query slot {slot}"
-                )))
-            }
-            Some(FaultKind::BitFlip) => {
-                let mut bits = self.inner.try_query(input)?;
-                if !bits.is_empty() {
-                    let victim = (slot % bits.len() as u64) as usize;
-                    // panic-ok: `victim < bits.len()` by the modulo.
-                    bits[victim] = !bits[victim];
+        let first = self.served;
+        let end = first + inputs.len() as u64;
+        self.served = end;
+        let mut malformed = None;
+        let mut flips = Vec::new();
+        for (&slot, &kind) in self.schedule.faults.range(first..end) {
+            match kind {
+                FaultKind::Crash => {
+                    self.served = slot + 1;
+                    self.crashed = true;
+                    self.injected.crashes += 1;
+                    return Err(OracleError::Died(format!(
+                        "injected crash at query slot {slot}"
+                    )));
                 }
-                self.injected.bit_flips += 1;
-                Ok(bits)
+                FaultKind::Hang => {
+                    self.served = slot + 1;
+                    self.injected.hangs += 1;
+                    return Err(OracleError::Timeout(Duration::from_secs(0)));
+                }
+                FaultKind::Malformed => {
+                    self.injected.malformed += 1;
+                    malformed.get_or_insert(slot);
+                }
+                FaultKind::BitFlip => flips.push(slot),
             }
         }
+        if let Some(slot) = malformed {
+            return Err(OracleError::Malformed(format!(
+                "injected garbage at query slot {slot}"
+            )));
+        }
+        let mut rows = self.inner.try_query_batch(inputs)?;
+        for slot in flips {
+            let row = rows.get_mut((slot - first) as usize);
+            if let Some(bits) = row.filter(|bits| !bits.is_empty()) {
+                let victim = (slot % bits.len() as u64) as usize;
+                // panic-ok: `victim < bits.len()` by the modulo.
+                bits[victim] = !bits[victim];
+            }
+            self.injected.bit_flips += 1;
+        }
+        Ok(rows)
     }
 }
 
@@ -222,7 +239,7 @@ impl<O: Oracle> Oracle for FaultyOracle<O> {
     /// [`Oracle::try_query`] path (directly or via a
     /// [`ResilientOracle`](crate::ResilientOracle)).
     fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        self.serve(input)
+        self.try_query(input)
             // panic-ok: documented `# Panics` contract — the infallible
             // entry point cannot swallow an injected fault; chaos tests
             // drive `try_query` instead.
@@ -230,7 +247,13 @@ impl<O: Oracle> Oracle for FaultyOracle<O> {
     }
 
     fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
-        self.serve(input)
+        self.serve(std::slice::from_ref(input))?
+            .pop()
+            .ok_or_else(|| OracleError::Malformed("no answer to a single query".into()))
+    }
+
+    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
+        self.serve(inputs)
     }
 
     fn queries(&self) -> u64 {
@@ -402,6 +425,44 @@ mod tests {
         ));
         // A failed restore leaves the oracle usable.
         assert!(o.try_query(&Assignment::zeros(8)).is_ok());
+    }
+
+    #[test]
+    fn batches_fault_like_a_pipelined_transport() {
+        let z = Assignment::zeros(8);
+        let batch = vec![z.clone(); 4];
+        // A malformed answer fails the batch after all four slots are
+        // served; a bit flip lands on its own row.
+        let schedule = FaultSchedule::new()
+            .at(1, FaultKind::Malformed)
+            .at(6, FaultKind::BitFlip);
+        let mut o = FaultyOracle::new(generate::eco_case(8, 1, 9), schedule);
+        assert!(matches!(
+            o.try_query_batch(&batch),
+            Err(OracleError::Malformed(_))
+        ));
+        assert_eq!(o.queries(), 0, "a failed batch never reaches the circuit");
+        let rows = o.try_query_batch(&batch).expect("slots 4-7");
+        let truth = generate::eco_case(8, 1, 9).query(&z);
+        assert_eq!(rows[0], truth);
+        assert_ne!(rows[2], truth, "slot 6 is row 2 of the batch");
+        assert_eq!(o.queries(), 4);
+        // A crash ends the batch at its slot: the next query is slot 10.
+        let schedule = FaultSchedule::new()
+            .at(9, FaultKind::Crash)
+            .at(10, FaultKind::Hang);
+        let mut o = FaultyOracle::new(generate::eco_case(8, 1, 9), schedule);
+        o.try_query_batch(&[z.clone(), z.clone()])
+            .expect("slots 0-1");
+        let batch = vec![z.clone(); 10];
+        assert!(matches!(
+            o.try_query_batch(&batch),
+            Err(OracleError::Died(_))
+        ));
+        o.respawn().expect("circuit oracle respawn is a no-op");
+        assert!(matches!(o.try_query(&z), Err(OracleError::Timeout(_))));
+        assert_eq!(o.injected().crashes, 1);
+        assert_eq!(o.injected().hangs, 1);
     }
 
     #[test]

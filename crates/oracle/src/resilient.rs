@@ -206,9 +206,10 @@ pub struct ResilientOracle<O> {
     inner: O,
     policy: RetryPolicy,
     telemetry: Telemetry,
-    /// End-to-end latency per guarded query, including backoff sleeps,
-    /// respawns and replay probes — the latency the learner actually
-    /// experiences, as opposed to `oracle.query_ns` transport time.
+    /// End-to-end latency per guarded call (a single query or a whole
+    /// batch), including backoff sleeps, respawns and replay probes —
+    /// the latency the learner actually experiences, as opposed to
+    /// `oracle.query_ns` transport time.
     latency: HistogramHandle,
     stats: FaultStats,
     /// First few successful (pattern, answer) pairs, replayed after a
@@ -321,34 +322,48 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
         self.check_probes()
     }
 
-    /// One fully guarded query: retry loop with backoff, respawn and
-    /// deadline awareness. The end-to-end time (retries included)
-    /// lands in the `oracle.guarded_query_ns` histogram; the fail-fast
-    /// dead path is not recorded, as no transport work happens.
-    fn query_guarded(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
+    /// Fills the probe set with the first distinct answered patterns,
+    /// in pattern order.
+    fn remember_probes(&mut self, inputs: &[Assignment], answers: &[Vec<bool>]) {
+        for (pattern, bits) in inputs.iter().zip(answers) {
+            if self.probes.len() >= PROBE_SET_SIZE {
+                break;
+            }
+            if !self.probes.iter().any(|(p, _)| p == pattern) {
+                self.probes.push((pattern.clone(), bits.clone()));
+            }
+        }
+    }
+
+    /// One fully guarded batch: retry loop with backoff, respawn and
+    /// deadline awareness. A faulted batch is retried whole. The
+    /// end-to-end time of the call (retries included) is one sample of
+    /// the `oracle.guarded_query_ns` histogram, however many patterns
+    /// it carries; the fail-fast dead path is not recorded, as no
+    /// transport work happens.
+    fn query_guarded(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
         if self.dead {
             return Err(OracleError::Died(
                 "oracle marked dead after an earlier fatal fault".into(),
             ));
         }
         let start = Instant::now();
-        let out = self.query_guarded_inner(input);
+        let out = self.query_guarded_inner(inputs);
         self.latency.record_duration(start.elapsed());
         out
     }
 
-    fn query_guarded_inner(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
+    fn query_guarded_inner(
+        &mut self,
+        inputs: &[Assignment],
+    ) -> Result<Vec<Vec<bool>>, OracleError> {
         let salt = self.fault_seq;
         let mut attempt: u32 = 0;
         loop {
-            match self.inner.try_query(input) {
-                Ok(bits) => {
-                    if self.probes.len() < PROBE_SET_SIZE
-                        && !self.probes.iter().any(|(p, _)| p == input)
-                    {
-                        self.probes.push((input.clone(), bits.clone()));
-                    }
-                    return Ok(bits);
+            match self.inner.try_query_batch(inputs) {
+                Ok(answers) => {
+                    self.remember_probes(inputs, &answers);
+                    return Ok(answers);
                 }
                 Err(e) => {
                     self.fault_seq += 1;
@@ -420,15 +435,33 @@ impl<O: Oracle + Respawn> Oracle for ResilientOracle<O> {
     /// Panics when the fault budget is exhausted; use
     /// [`Oracle::try_query`] for the fallible path.
     fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        self.query_guarded(input)
+        self.try_query(input)
             // panic-ok: documented `# Panics` contract — the infallible
             // entry point surfaces an exhausted fault budget; fallible
             // callers use `try_query`.
             .unwrap_or_else(|e| panic!("oracle failed beyond recovery: {e}"))
     }
 
+    /// # Panics
+    ///
+    /// Panics when the fault budget is exhausted; use
+    /// [`Oracle::try_query_batch`] for the fallible path.
+    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
+        self.query_guarded(inputs)
+            // panic-ok: documented `# Panics` contract — the infallible
+            // entry point surfaces an exhausted fault budget; fallible
+            // callers use `try_query_batch`.
+            .unwrap_or_else(|e| panic!("oracle failed beyond recovery: {e}"))
+    }
+
     fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
-        self.query_guarded(input)
+        self.query_guarded(std::slice::from_ref(input))?
+            .pop()
+            .ok_or_else(|| OracleError::Malformed("no answer to a single query".into()))
+    }
+
+    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
+        self.query_guarded(inputs)
     }
 
     fn queries(&self) -> u64 {
@@ -571,9 +604,13 @@ mod tests {
         );
         o.try_query(&Assignment::zeros(6)).expect("recovers");
         o.try_query(&Assignment::zeros(6)).expect("healthy");
+        // A batch call is one guarded call: one sample, not one per
+        // pattern.
+        let batch = vec![Assignment::zeros(6); 5];
+        o.try_query_batch(&batch).expect("healthy");
         let report = telemetry.report();
         let h = &report.histograms[histograms::ORACLE_GUARDED_QUERY_NS];
-        assert_eq!(h.count, 2);
+        assert_eq!(h.count, 3);
         // The retried query slept through at least the 5 ms backoff.
         assert!(h.max >= 5_000_000, "max {} ns misses the backoff", h.max);
         // The fault reached the trace stream as a dedicated event.
@@ -582,6 +619,56 @@ mod tests {
             text.lines().any(|l| l.contains("\"fault\"")),
             "no fault event in trace: {text}"
         );
+    }
+
+    /// Eight patterns over 8 inputs; position 1 repeats position 0.
+    fn batch_with_a_repeat() -> Vec<Assignment> {
+        let mut batch: Vec<Assignment> = (0..8u32)
+            .map(|m| Assignment::from_bits((0..8).map(|k| m >> k & 1 == 1)))
+            .collect();
+        batch[1] = batch[0].clone();
+        batch
+    }
+
+    #[test]
+    fn faulted_batch_is_retried_whole() {
+        // Slot 2 answers garbage and slot 5 crashes: both faults land
+        // in the first attempt at the batch, which fails at the crash.
+        let schedule = FaultSchedule::new()
+            .at(2, FaultKind::Malformed)
+            .at(5, FaultKind::Crash);
+        let inner = FaultyOracle::new(generate::eco_case(8, 2, 5), schedule);
+        let mut o = ResilientOracle::new(inner, fast_policy());
+        let batch = batch_with_a_repeat();
+        let answers = o
+            .try_query_batch(&batch)
+            .expect("faults are retried through");
+        assert_eq!(answers, generate::eco_case(8, 2, 5).query_batch(&batch));
+        // Only the retry that succeeded reached the circuit.
+        assert_eq!(o.inner().queries(), batch.len() as u64);
+        assert_eq!(o.fault_stats().retries, 1);
+        assert_eq!(o.fault_stats().respawns, 1);
+        assert!(!o.is_dead());
+        // The probe set holds the batch's first distinct patterns.
+        let probes: Vec<&Assignment> = o.probes.iter().map(|(p, _)| p).collect();
+        let want: Vec<&Assignment> = [0, 2, 3, 4].iter().map(|&k| &batch[k]).collect();
+        assert_eq!(probes, want);
+        for (p, bits) in &o.probes {
+            assert_eq!(bits, &generate::eco_case(8, 2, 5).query(p));
+        }
+    }
+
+    #[test]
+    fn malformed_batch_retries_without_respawn() {
+        let schedule = FaultSchedule::new().at(3, FaultKind::Malformed);
+        let inner = FaultyOracle::new(generate::eco_case(8, 2, 5), schedule);
+        let mut o = ResilientOracle::new(inner, fast_policy());
+        let batch = batch_with_a_repeat();
+        let answers = o.try_query_batch(&batch).expect("retried through");
+        assert_eq!(answers, generate::eco_case(8, 2, 5).query_batch(&batch));
+        assert_eq!(o.inner().queries(), batch.len() as u64);
+        assert_eq!(o.fault_stats().retries, 1);
+        assert_eq!(o.fault_stats().respawns, 0);
     }
 
     #[test]

@@ -103,8 +103,9 @@ pub mod histograms {
     /// Patterns per batch oracle call: one sample per batch call, next
     /// to [`ORACLE_BATCH_NS`].
     pub const ORACLE_BATCH_SIZE: &str = "oracle.batch_size";
-    /// Per-query latency through the fault-tolerant layer, including
-    /// retries, backoff sleeps and respawns (`ResilientOracle`).
+    /// Latency of one guarded call through the fault-tolerant layer
+    /// (`ResilientOracle`), including retries, backoff sleeps and
+    /// respawns: one sample per call, a single query or a whole batch.
     pub const ORACLE_GUARDED_QUERY_NS: &str = "oracle.guarded_query_ns";
     /// Per-node FBDT expansion cost (one pattern-sampling round).
     pub const FBDT_NODE_NS: &str = "fbdt.node_ns";

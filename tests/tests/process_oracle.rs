@@ -1,8 +1,10 @@
 //! End-to-end learning against an external process black box — the
 //! contest's actual deployment shape (opaque executables).
 
+use std::time::Duration;
+
 use cirlearn::{Learner, LearnerConfig};
-use cirlearn_oracle::{Oracle, ProcessOracle};
+use cirlearn_oracle::{Oracle, ProcessOracle, ResilientOracle, RetryPolicy};
 
 /// A shell black box: y = (a AND b) OR c over named inputs.
 fn spawn_blackbox() -> ProcessOracle {
@@ -31,7 +33,7 @@ fn spawn_blackbox() -> ProcessOracle {
 fn learner_recovers_a_process_black_box() {
     let mut oracle = spawn_blackbox();
     let mut cfg = LearnerConfig::fast();
-    // Keep query volume small: each query is a pipe round-trip.
+    // Keep query volume small: the shell box forks per answer line.
     cfg.support_sampling.rounds = 64;
     let result = Learner::new(cfg).learn(&mut oracle);
     assert_eq!(result.circuit.num_inputs(), 4);
@@ -48,4 +50,45 @@ fn learner_recovers_a_process_black_box() {
         assert_eq!(result.circuit.eval_bits(&bits), want, "m={m}");
     }
     assert!(result.queries > 0);
+}
+
+/// The same function as `spawn_blackbox`, answering every `flake`-th
+/// line it reads with garbage (`flake` 0: never).
+fn spawn_flaky_blackbox(flake: u32) -> ProcessOracle {
+    let script = format!(
+        r#"n=0; while read line; do
+               n=$((n+1))
+               if [ {flake} -gt 0 ] && [ $((n % {flake})) -eq 0 ]; then echo '?'; continue; fi
+               case $line in 11*|??1*) echo 1;; *) echo 0;; esac
+           done"#
+    );
+    ProcessOracle::spawn(
+        "sh",
+        &["-c", &script],
+        vec!["a".into(), "b".into(), "c".into(), "noise".into()],
+        vec!["y".into()],
+    )
+    .expect("sh is available")
+}
+
+#[test]
+fn retried_batches_learn_what_a_clean_box_teaches() {
+    // Every 7th line is garbage, so nearly every learner batch faults
+    // at least once; retries must still hand the learner the clean
+    // box's answers, in the same order, and count each pattern once.
+    let mut cfg = LearnerConfig::fast();
+    cfg.support_sampling.rounds = 64;
+    let mut clean = spawn_flaky_blackbox(0);
+    let want = Learner::new(cfg.clone()).learn(&mut clean);
+    let policy = RetryPolicy {
+        backoff_base: Duration::ZERO,
+        ..RetryPolicy::default()
+    };
+    let mut flaky = ResilientOracle::new(spawn_flaky_blackbox(7), policy);
+    let got = Learner::new(cfg).learn(&mut flaky);
+    assert!(got.degraded.is_empty(), "retries must absorb every fault");
+    assert!(flaky.fault_stats().retries > 0, "the box never flaked");
+    assert_eq!(got.queries, want.queries);
+    assert_eq!(flaky.queries(), clean.queries());
+    assert_eq!(got.circuit.to_aiger_ascii(), want.circuit.to_aiger_ascii());
 }
