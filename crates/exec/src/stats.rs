@@ -10,7 +10,7 @@
 //! model-checks is unchanged.
 //!
 //! [`DequeStats::publish`] folds the block into a
-//! [`Telemetry`](cirlearn_telemetry::Telemetry) handle under the
+//! [`Telemetry`] handle under the
 //! `exec.*` counter names (depth as a max-merge so concurrent workers
 //! keep the true high-water mark) and emits one `exec` trace event so
 //! the flight recorder and trace stream see the totals too.

@@ -1,7 +1,10 @@
-//! Tseitin encoding of AIGs and equivalence checking.
+//! Tseitin encoding of AIGs and SAT-sweeping equivalence checking.
 
-use cirlearn_aig::{Aig, Edge};
-use cirlearn_logic::Assignment;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+use cirlearn_aig::{Aig, Edge, NodeId};
+use cirlearn_logic::{Assignment, SimVector};
 
 use crate::{Lit, SolveResult, Solver};
 
@@ -42,12 +45,27 @@ impl AigCnf {
     pub fn new(aig: &Aig) -> Self {
         let mut solver = Solver::new();
         let input_lits: Vec<Lit> = (0..aig.num_inputs()).map(|_| solver.new_var()).collect();
-        let node_lits = encode(&mut solver, aig, &input_lits);
-        AigCnf {
+        // Constant node: a fresh variable pinned to false.
+        let const_lit = solver.new_var();
+        solver.add_clause(&[!const_lit]);
+        let mut node_lits = Vec::with_capacity(aig.node_count());
+        node_lits.push(const_lit);
+        node_lits.extend(input_lits);
+        let mut cnf = AigCnf {
             solver,
             node_lits,
             num_inputs: aig.num_inputs(),
+        };
+        for (_, a, b) in aig.ands() {
+            let n = cnf.solver.new_var();
+            let (la, lb) = (cnf.lit(a), cnf.lit(b));
+            // n <-> la & lb
+            cnf.solver.add_clause(&[!n, la]);
+            cnf.solver.add_clause(&[!n, lb]);
+            cnf.solver.add_clause(&[n, !la, !lb]);
+            cnf.node_lits.push(n);
         }
+        cnf
     }
 
     /// Returns the solver literal corresponding to an AIG edge.
@@ -115,42 +133,6 @@ impl AigCnf {
     }
 }
 
-/// Encodes `aig` into `solver`, mapping primary input `k` to
-/// `input_lits[k]`. Returns the literal of every node.
-fn encode(solver: &mut Solver, aig: &Aig, input_lits: &[Lit]) -> Vec<Lit> {
-    assert_eq!(
-        input_lits.len(),
-        aig.num_inputs(),
-        "wrong input literal count"
-    );
-    let mut node_lits: Vec<Lit> = Vec::with_capacity(aig.node_count());
-    // Constant node: a fresh variable pinned to false.
-    let const_lit = solver.new_var();
-    solver.add_clause(&[!const_lit]);
-    node_lits.push(const_lit);
-    node_lits.extend_from_slice(input_lits);
-    for (_, a, b) in aig.ands() {
-        let n = solver.new_var();
-        let la = lit_of(&node_lits, a);
-        let lb = lit_of(&node_lits, b);
-        // n <-> la & lb
-        solver.add_clause(&[!n, la]);
-        solver.add_clause(&[!n, lb]);
-        solver.add_clause(&[n, !la, !lb]);
-        node_lits.push(n);
-    }
-    node_lits
-}
-
-fn lit_of(node_lits: &[Lit], e: Edge) -> Lit {
-    let base = node_lits[e.node().index()];
-    if e.is_complemented() {
-        !base
-    } else {
-        base
-    }
-}
-
 /// A concrete witness that two circuits differ: an input assignment and
 /// the position of an output that disagrees under it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,10 +173,34 @@ impl Equivalence {
     }
 }
 
+/// Patterns in the simulation block that [`check_equivalence`] classes
+/// miter nodes by: a multiple of 64, so no signature word is partial.
+const SIM_PATTERNS: usize = 1024;
+
+/// Seed of the splitmix64 stream the simulation patterns are drawn from.
+const SIM_SEED: u64 = 0x5EED_CEC0;
+
 /// Checks combinational equivalence of two AIGs over the same inputs by
-/// solving their miter.
+/// SAT sweeping, the way ABC's `cec` does:
 ///
-/// Inputs are matched by position, outputs by position.
+/// 1. **strash** — the output cones of both circuits are imported into
+///    one structurally hashed miter over shared inputs, so identical
+///    substructure collapses; an output pair that hashes to one edge is
+///    proven without a SAT call;
+/// 2. **simulate** — a fixed block of 1,024 pseudo-random patterns runs
+///    through the miter, and an output pair that differs on one of
+///    them returns that pattern as the counterexample;
+/// 3. **sweep** — in topological order, each AND node whose simulation
+///    signature matches an earlier node's (up to complement) is proven
+///    equal to that representative by one query on an incremental CNF,
+///    and each proven equality is pinned with two binary clauses, so
+///    later queries are mostly propagation;
+/// 4. **outputs** — each remaining output pair is solved under its own
+///    selector, and the first satisfiable one yields the counterexample.
+///
+/// Inputs are matched by position, outputs by position. Every
+/// counterexample is re-simulated on `left` and `right`, and its
+/// `output` is the first position at which they differ.
 ///
 /// # Panics
 ///
@@ -210,39 +216,145 @@ pub fn check_equivalence(left: &Aig, right: &Aig) -> Equivalence {
         right.num_outputs(),
         "circuits have different output counts"
     );
-    let mut solver = Solver::new();
-    let input_lits: Vec<Lit> = (0..left.num_inputs()).map(|_| solver.new_var()).collect();
-    let l_nodes = encode(&mut solver, left, &input_lits);
-    let r_nodes = encode(&mut solver, right, &input_lits);
-
-    // Miter: OR over per-output XORs must be 1.
-    let mut xors = Vec::with_capacity(left.num_outputs());
-    for (lo, ro) in left.outputs().iter().zip(right.outputs()) {
-        let a = lit_of(&l_nodes, lo.0);
-        let b = lit_of(&r_nodes, ro.0);
-        let x = solver.new_var();
-        solver.add_clause(&[!x, a, b]);
-        solver.add_clause(&[!x, !a, !b]);
-        solver.add_clause(&[x, !a, b]);
-        solver.add_clause(&[x, a, !b]);
-        xors.push(x);
+    let mut miter = Aig::new();
+    let _ = miter.add_inputs("x", left.num_inputs());
+    let left_outputs = import_into(&mut miter, &left.cleanup());
+    let right_outputs = import_into(&mut miter, &right.cleanup());
+    let pairs: Vec<(Edge, Edge)> = left_outputs
+        .into_iter()
+        .zip(right_outputs)
+        .filter(|(a, b)| a != b)
+        .collect();
+    if pairs.is_empty() {
+        return Equivalence::Equivalent;
     }
-    solver.add_clause(&xors);
 
-    match solver.solve() {
-        SolveResult::Unsat => Equivalence::Equivalent,
-        SolveResult::Sat => {
-            let inputs = Assignment::from_bits(input_lits.iter().map(|&l| solver.value(l)));
-            let bits: Vec<bool> = inputs.iter().collect();
-            let (lo, ro) = (left.eval_bits(&bits), right.eval_bits(&bits));
-            let output = lo
-                .iter()
-                .zip(&ro)
-                .position(|(a, b)| a != b)
-                .expect("SAT model of the miter must distinguish some output");
-            Equivalence::Counterexample(Counterexample { inputs, output })
+    let patterns = sim_patterns(miter.num_inputs());
+    let signatures = miter.simulate_nodes(&patterns);
+    for &(a, b) in &pairs {
+        if let Some(k) = first_difference(&signatures, a, b) {
+            let inputs = Assignment::from_bits(patterns.iter().map(|p| p.bit(k)));
+            return counterexample(left, right, inputs);
         }
     }
+
+    let mut cnf = AigCnf::new(&miter);
+    sweep(&miter, &signatures, &mut cnf);
+    for (a, b) in pairs {
+        if !prove_equal(&mut cnf, a, b) {
+            return counterexample(left, right, cnf.model_inputs());
+        }
+    }
+    Equivalence::Equivalent
+}
+
+/// Imports `aig` into `miter`, whose inputs are `aig`'s by position,
+/// and returns the miter edge of each of `aig`'s outputs.
+fn import_into(miter: &mut Aig, aig: &Aig) -> Vec<Edge> {
+    let mut map: Vec<Edge> = (0..=aig.num_inputs())
+        .map(|i| Edge::from_code(i as u32 * 2))
+        .collect();
+    let edge = |map: &[Edge], e: Edge| map[e.node().index()].complement_if(e.is_complemented());
+    for (_, a, b) in aig.ands() {
+        let (na, nb) = (edge(&map, a), edge(&map, b));
+        map.push(miter.and(na, nb));
+    }
+    aig.outputs().iter().map(|(e, _)| edge(&map, *e)).collect()
+}
+
+/// The fixed simulation block: one column of [`SIM_PATTERNS`] bits per
+/// input, drawn from a splitmix64 stream seeded with [`SIM_SEED`].
+fn sim_patterns(inputs: usize) -> Vec<SimVector> {
+    let mut state = SIM_SEED;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..inputs)
+        .map(|_| {
+            let words = (0..SIM_PATTERNS / 64).map(|_| next()).collect();
+            SimVector::from_words(words, SIM_PATTERNS)
+        })
+        .collect()
+}
+
+/// The first pattern on which edges `a` and `b` of the simulated miter
+/// differ.
+fn first_difference(signatures: &[SimVector], a: Edge, b: Edge) -> Option<usize> {
+    let flip = if a.is_complemented() == b.is_complemented() {
+        0
+    } else {
+        u64::MAX
+    };
+    let (wa, wb) = (
+        signatures[a.node().index()].words(),
+        signatures[b.node().index()].words(),
+    );
+    wa.iter().zip(wb).enumerate().find_map(|(k, (x, y))| {
+        let diff = x ^ y ^ flip;
+        (diff != 0).then(|| k * 64 + diff.trailing_zeros() as usize)
+    })
+}
+
+/// Proves every miter AND node that shares its simulation signature (up
+/// to complement) with an earlier node equal to the first such node,
+/// pinning each proven equality in `cnf`.
+fn sweep(miter: &Aig, signatures: &[SimVector], cnf: &mut AigCnf) {
+    // Canonical signature (first pattern's bit cleared) -> the class
+    // representative's edge in that phase.
+    let mut classes: HashMap<Vec<u64>, Edge> = HashMap::new();
+    let canonical = |node: usize| {
+        let words = signatures[node].words();
+        let phase = words.first().is_some_and(|w| w & 1 == 1);
+        let key: Vec<u64> = words.iter().map(|w| if phase { !w } else { *w }).collect();
+        (key, Edge::new(NodeId::from_index(node), phase))
+    };
+    for node in 0..=miter.num_inputs() {
+        let (key, edge) = canonical(node);
+        classes.entry(key).or_insert(edge);
+    }
+    for (n, _, _) in miter.ands() {
+        let (key, edge) = canonical(n.index());
+        match classes.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(edge);
+            }
+            Entry::Occupied(rep) => {
+                prove_equal(cnf, edge, *rep.get());
+            }
+        }
+    }
+}
+
+/// Asks whether `a` and `b` can differ. On `Unsat` pins `a == b` with
+/// two binary clauses and returns `true`; on `Sat` returns `false` with
+/// the distinguishing model still readable through
+/// [`AigCnf::model_inputs`].
+fn prove_equal(cnf: &mut AigCnf, a: Edge, b: Edge) -> bool {
+    let selector = cnf.add_difference_selector(a, b);
+    if cnf.solve_with_assumptions(&[selector]) == SolveResult::Sat {
+        return false;
+    }
+    let (la, lb) = (cnf.lit(a), cnf.lit(b));
+    cnf.solver.add_clause(&[!la, lb]);
+    cnf.solver.add_clause(&[la, !lb]);
+    true
+}
+
+/// The counterexample `inputs` witnesses: the first output at which
+/// `left` and `right` differ under it, found by re-simulating both.
+fn counterexample(left: &Aig, right: &Aig, inputs: Assignment) -> Equivalence {
+    let bits: Vec<bool> = inputs.iter().collect();
+    let output = left
+        .eval_bits(&bits)
+        .iter()
+        .zip(&right.eval_bits(&bits))
+        .position(|(a, b)| a != b)
+        .expect("counterexample of the miter must distinguish some output");
+    Equivalence::Counterexample(Counterexample { inputs, output })
 }
 
 #[cfg(test)]

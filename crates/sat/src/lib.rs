@@ -10,9 +10,11 @@
 //! * [`AigCnf`] — an incremental Tseitin encoding of an
 //!   [`Aig`](cirlearn_aig::Aig) suitable for repeated equivalence
 //!   queries (as fraiging issues),
-//! * [`check_equivalence`] — a miter-based combinational equivalence
-//!   check between two AIGs, returning a counterexample when they
-//!   differ.
+//! * [`check_equivalence`] — a SAT-sweeping combinational equivalence
+//!   check between two AIGs: strash both into one miter, simulate a
+//!   fixed pattern block, prove simulation-equal node pairs bottom-up
+//!   on one incremental [`AigCnf`], then solve each remaining output
+//!   pair on its own; returns a counterexample when they differ.
 //!
 //! # Examples
 //!

@@ -65,7 +65,7 @@ impl StatusAttr {
     }
 }
 
-/// The live run-status snapshot (see the [module docs](self)).
+/// The live run-status snapshot (see the `status` module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatusSnapshot {
     /// The writing process's pid (so `top` can tell whether the run is
