@@ -6,7 +6,7 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 use crate::{Cube, Error, Result, Sop, Var};
 
 /// Bit masks selecting the positions where variable `i < 6` is 1.
-const VAR_MASKS: [u64; 6] = [
+pub(crate) const VAR_MASKS: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,
@@ -73,7 +73,7 @@ impl TruthTable {
 
     /// Mask of the valid minterm bits in the (single) word of a table
     /// with fewer than 6 variables.
-    fn tail_mask(num_vars: usize) -> u64 {
+    pub(crate) fn tail_mask(num_vars: usize) -> u64 {
         if num_vars >= 6 {
             !0
         } else {
@@ -132,6 +132,16 @@ impl TruthTable {
                 .collect()
         };
         Ok(TruthTable { num_vars, words })
+    }
+
+    /// Wraps one word holding the whole table of a function over
+    /// `num_vars ≤ 6` variables.
+    pub(crate) fn from_word(num_vars: usize, word: u64) -> Self {
+        debug_assert!(num_vars <= 6 && word & !Self::tail_mask(num_vars) == 0);
+        TruthTable {
+            num_vars,
+            words: vec![word],
+        }
     }
 
     /// Builds a table by evaluating `f` on every minterm.

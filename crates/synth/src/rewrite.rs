@@ -1,13 +1,24 @@
 //! DAG-aware cut rewriting.
 //!
-//! For every AND node the pass enumerates 4-feasible cuts, computes the
-//! cut function (a ≤ 4-variable truth table), and resynthesizes it from
-//! an irredundant SOP, accepting the replacement when it adds fewer
-//! nodes to the rebuilt graph than copying the node would — counting
-//! the node's maximum fanout-free cone (MFFC) as reclaimable. This is
-//! the rewriting discipline of ABC's `rewrite`, with the precomputed
-//! NPN subgraph library replaced by on-the-fly ISOP + factoring (the
-//! deviation is recorded in DESIGN.md).
+//! For every AND node the pass enumerates 4-feasible cuts on fixed-size
+//! leaf arrays, gives each kept cut its function — a ≤ 16-bit truth
+//! table — during enumeration, and resynthesizes it from an irredundant
+//! SOP, accepting the replacement when it adds fewer nodes to the
+//! rebuilt graph than copying the node would — counting the node's
+//! maximum fanout-free cone (MFFC) as reclaimable. This is the rewriting
+//! discipline of ABC's `rewrite`, with the precomputed NPN subgraph
+//! library replaced by on-the-fly ISOP + factoring of the NPN-canonical
+//! representative (the deviation is recorded in DESIGN.md). The library
+//! is keyed by the exact cut function, so each distinct function is
+//! canonized and factored once per pass and every repeat is one hash
+//! lookup.
+//!
+//! A cut's table comes from walking the root's cone down to the first
+//! leaf on every path, with per-node buffers reused across cuts. ABC
+//! instead merges the fanin cuts' tables over the merged leaf set; that
+//! differs when one leaf lies inside the cone of a fanin cut (the merge
+//! expands that leaf's cone, the walk stops at it), and on such cuts it
+//! would pick other replacements.
 //!
 //! The pass is conservative: the rebuilt graph is compared against the
 //! input and the smaller one is returned, so `rewrite` never increases
@@ -16,7 +27,7 @@
 use std::collections::HashMap;
 
 use cirlearn_aig::{Aig, Edge, NodeId};
-use cirlearn_logic::{TruthTable, Var};
+use cirlearn_logic::{NpnTransform, TruthTable};
 
 use crate::factor;
 
@@ -24,6 +35,14 @@ use crate::factor;
 const CUT_SIZE: usize = 4;
 /// Maximum cuts stored per node.
 const CUTS_PER_NODE: usize = 8;
+/// Bit masks selecting the minterms where variable `i` is 1, over
+/// [`CUT_SIZE`] variables.
+const VAR_MASKS: [u16; CUT_SIZE] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+
+/// Resynthesis per exact cut function `(num_vars, truth)`: the factored
+/// expression of its NPN-canonical representative and the transform
+/// mapping the function onto that representative.
+type Library = HashMap<(usize, u16), (factor::Expr, NpnTransform)>;
 
 /// Rewrites the AIG with 4-input cut resynthesis. The result computes
 /// the same functions and never has more gates than the input.
@@ -46,9 +65,7 @@ const CUTS_PER_NODE: usize = 8;
 pub fn rewrite(aig: &Aig) -> Aig {
     let cuts = enumerate_cuts(aig);
     let fanouts = fanout_lists(aig);
-    // One resynthesis per NPN class: the factored expression of the
-    // canonical representative serves every equivalent cut function.
-    let mut library: HashMap<(usize, Vec<u64>), factor::Expr> = HashMap::new();
+    let mut library = Library::new();
 
     let mut out = Aig::with_inputs_like(aig);
     let mut map: Vec<Edge> = vec![Edge::FALSE; aig.node_count()];
@@ -67,18 +84,15 @@ pub fn rewrite(aig: &Aig) -> Aig {
         let mut best_edge = copy_edge;
         let mut best_score = copy_delta as isize;
 
-        for cut in &cuts[n.index()] {
-            if cut.len() < 2 || (cut.len() == 1 && cut[0] == n) {
-                continue;
+        for cut in cuts.of(n) {
+            let leaves = cut.leaves();
+            if leaves.len() < 2 {
+                continue; // the trivial cut {n}
             }
-            if cut.contains(&n) {
-                continue; // trivial cut
-            }
-            let tt = cut_function(aig, n, cut);
-            let reclaim = mffc_size(aig, n, cut, &fanouts) as isize;
+            let reclaim = mffc_size(aig, n, leaves, &fanouts) as isize;
             let before = out.node_count();
-            let leaf_edges: Vec<Edge> = cut.iter().map(|l| map[l.index()]).collect();
-            let cand = build_from_tt(&tt, &mut out, &leaf_edges, &mut library);
+            let leaf_edges: Vec<Edge> = leaves.iter().map(|l| map[l.index()]).collect();
+            let cand = build_from_tt(cut.function(), &mut out, &leaf_edges, &mut library);
             let delta = (out.node_count() - before) as isize;
             let score = delta - reclaim;
             if score < best_score {
@@ -100,81 +114,187 @@ pub fn rewrite(aig: &Aig) -> Aig {
     }
 }
 
-/// Enumerates up to [`CUTS_PER_NODE`] cuts of width ≤ [`CUT_SIZE`] per
-/// node, bottom-up. Each cut is a sorted list of leaf nodes; the
-/// trivial cut `{n}` is always included.
-fn enumerate_cuts(aig: &Aig) -> Vec<Vec<Vec<NodeId>>> {
-    let mut cuts: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); aig.node_count()];
-    cuts[NodeId::CONST.index()] = vec![vec![NodeId::CONST]];
-    for pos in 0..aig.num_inputs() {
-        let node = aig.input_edge(pos).node();
-        cuts[node.index()] = vec![vec![node]];
+/// A cut: up to [`CUT_SIZE`] sorted leaves and the root's function over
+/// them (leaf `k` ↦ variable `x_k`).
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    leaves: [NodeId; CUT_SIZE],
+    len: usize,
+    /// The function as a [`CUT_SIZE`]-variable table; it does not
+    /// depend on the variables at or above `len`.
+    truth: u16,
+}
+
+impl Cut {
+    /// The trivial cut `{node}`: the function is the leaf itself.
+    fn trivial(node: NodeId) -> Cut {
+        Cut {
+            leaves: [node; CUT_SIZE],
+            len: 1,
+            truth: VAR_MASKS[0],
+        }
     }
+
+    fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..self.len]
+    }
+
+    /// The cut function as `(num_vars, truth)`, the truth table over
+    /// exactly the cut's leaves.
+    fn function(&self) -> (usize, u16) {
+        let minterms = 1u32 << self.len;
+        (self.len, self.truth & ((1u32 << minterms) - 1) as u16)
+    }
+
+    /// The sorted union of two cuts' leaves, or `None` if it is wider
+    /// than [`CUT_SIZE`]. The truth table is left for the caller.
+    fn merge_leaves(&self, other: &Cut) -> Option<Cut> {
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut merged = Cut::trivial(NodeId::CONST);
+        let (mut i, mut j, mut len) = (0, 0, 0);
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    x
+                }
+                (Some(&x), Some(&y)) if x < y => {
+                    i += 1;
+                    x
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
+            if len == CUT_SIZE {
+                return None;
+            }
+            merged.leaves[len] = next;
+            len += 1;
+        }
+        merged.len = len;
+        Some(merged)
+    }
+}
+
+/// Up to [`CUTS_PER_NODE`] cuts of width ≤ [`CUT_SIZE`] per node, stored
+/// flat in node order.
+struct CutSets {
+    cuts: Vec<Cut>,
+    /// Cuts of node `i` are `cuts[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+}
+
+impl CutSets {
+    fn of(&self, node: NodeId) -> &[Cut] {
+        &self.cuts[self.start[node.index()]..self.start[node.index() + 1]]
+    }
+}
+
+/// Enumerates cuts bottom-up. Each cut's leaves are sorted; the trivial
+/// cut `{n}` is always included and comes first. Merged cuts keep the
+/// order in which the fanin cut pairs produce them, then are stably
+/// sorted by width and truncated; the kept ones get their truth tables.
+fn enumerate_cuts(aig: &Aig) -> CutSets {
+    let mut sets = CutSets {
+        cuts: Vec::with_capacity(aig.node_count() * CUTS_PER_NODE),
+        start: Vec::with_capacity(aig.node_count() + 1),
+    };
+    sets.start.push(0);
+    // Constant and inputs, in node order: only the trivial cut.
+    for i in 0..=aig.num_inputs() {
+        sets.cuts
+            .push(Cut::trivial(Edge::from_code(i as u32 * 2).node()));
+        sets.start.push(sets.cuts.len());
+    }
+    let mut cone = ConeEval::new(aig);
+    let mut set: Vec<Cut> = Vec::new();
     for (n, a, b) in aig.ands() {
-        let mut set: Vec<Vec<NodeId>> = vec![vec![n]];
-        for ca in &cuts[a.node().index()] {
-            for cb in &cuts[b.node().index()] {
-                let mut merged: Vec<NodeId> = ca.iter().chain(cb).copied().collect();
-                merged.sort_unstable();
-                merged.dedup();
-                if merged.len() <= CUT_SIZE && !set.contains(&merged) {
-                    set.push(merged);
+        debug_assert_eq!(sets.start.len(), n.index() + 1, "AND nodes follow in order");
+        set.clear();
+        set.push(Cut::trivial(n));
+        for ca in sets.of(a.node()) {
+            for cb in sets.of(b.node()) {
+                if let Some(merged) = ca.merge_leaves(cb) {
+                    if !set.iter().any(|c| c.leaves() == merged.leaves()) {
+                        set.push(merged);
+                    }
                 }
             }
         }
-        set.sort_by_key(Vec::len);
+        set.sort_by_key(|c| c.len);
         set.truncate(CUTS_PER_NODE);
-        cuts[n.index()] = set;
+        for cut in &mut set[1..] {
+            cut.truth = cone.cut_truth(aig, n, cut.leaves());
+        }
+        sets.cuts.extend_from_slice(&set);
+        sets.start.push(sets.cuts.len());
     }
-    cuts
+    sets
 }
 
-/// Computes the function of node `root` over the cut leaves
-/// (leaf `k` ↦ variable `x_k`).
-fn cut_function(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> TruthTable {
-    let mut memo: HashMap<NodeId, TruthTable> = HashMap::new();
-    for (k, &l) in leaves.iter().enumerate() {
-        memo.insert(
-            l,
-            TruthTable::var(leaves.len(), Var::new(k as u32)).expect("cut is small"),
-        );
-    }
-    eval_tt(aig, root, leaves.len(), &mut memo)
+/// Evaluates a node's function over a cut by walking its cone down to
+/// the leaves, memoising per node in buffers reused across cuts.
+struct ConeEval {
+    truth: Vec<u16>,
+    /// `truth[i]` is valid for the current walk iff `stamp[i] == walk`.
+    stamp: Vec<u32>,
+    walk: u32,
 }
 
-fn eval_tt(
-    aig: &Aig,
-    node: NodeId,
-    num_vars: usize,
-    memo: &mut HashMap<NodeId, TruthTable>,
-) -> TruthTable {
-    if let Some(t) = memo.get(&node) {
-        return t.clone();
-    }
-    if node == NodeId::CONST {
-        return TruthTable::zeros(num_vars).expect("cut is small");
-    }
-    debug_assert!(aig.is_and(node), "cut leaves must cover all inputs");
-    let [a, b] = aig.fanins(node);
-    let ta = {
-        let t = eval_tt(aig, a.node(), num_vars, memo);
-        if a.is_complemented() {
-            !t
-        } else {
-            t
+impl ConeEval {
+    fn new(aig: &Aig) -> ConeEval {
+        ConeEval {
+            truth: vec![0; aig.node_count()],
+            stamp: vec![0; aig.node_count()],
+            walk: 0,
         }
-    };
-    let tb = {
-        let t = eval_tt(aig, b.node(), num_vars, memo);
-        if b.is_complemented() {
-            !t
-        } else {
-            t
+    }
+
+    /// The function of `root` over `leaves` (leaf `k` ↦ `x_k`). The walk
+    /// stops at the first leaf on every path, so a leaf inside another
+    /// leaf's cone hides the nodes below it.
+    fn cut_truth(&mut self, aig: &Aig, root: NodeId, leaves: &[NodeId]) -> u16 {
+        self.walk += 1;
+        for (k, &leaf) in leaves.iter().enumerate() {
+            self.truth[leaf.index()] = VAR_MASKS[k];
+            self.stamp[leaf.index()] = self.walk;
         }
-    };
-    let t = ta & tb;
-    memo.insert(node, t.clone());
-    t
+        self.node_truth(aig, root)
+    }
+
+    fn node_truth(&mut self, aig: &Aig, node: NodeId) -> u16 {
+        if self.stamp[node.index()] == self.walk {
+            return self.truth[node.index()];
+        }
+        if node == NodeId::CONST {
+            return 0;
+        }
+        debug_assert!(aig.is_and(node), "cut leaves must cover all inputs");
+        let [a, b] = aig.fanins(node);
+        let t = (self.node_truth(aig, a.node()) ^ complement_mask(a))
+            & (self.node_truth(aig, b.node()) ^ complement_mask(b));
+        self.truth[node.index()] = t;
+        self.stamp[node.index()] = self.walk;
+        t
+    }
+}
+
+/// All-ones when the edge is complemented, so `truth ^ mask` is the
+/// edge's function.
+fn complement_mask(e: Edge) -> u16 {
+    if e.is_complemented() {
+        !0
+    } else {
+        0
+    }
 }
 
 /// Number of AND nodes in the cone of `root` above `leaves` whose every
@@ -207,26 +327,26 @@ fn fanout_lists(aig: &Aig) -> Vec<Vec<NodeId>> {
     lists
 }
 
-/// Builds a ≤4-variable function over the given leaf edges, reusing one
-/// factored resynthesis per NPN class.
+/// Builds the cut function `(num_vars, truth)` over the given leaf
+/// edges from the library, resynthesizing it on first sight.
 ///
-/// The cut function is canonized; the library maps the canonical truth
-/// table to a factored expression of the *canonical* function. The
-/// instance is then recovered through the transform: with
-/// `canon(x) = oneg ⊕ f(y)`, `y[perm[i]] = x[i] ⊕ ineg[i]`, building
-/// `canon` over the remapped/complemented leaf edges and complementing
-/// the result yields exactly `f` over the original leaves.
+/// The library holds a factored expression of the *canonical* function
+/// and the transform to it. The instance is recovered through the
+/// transform: with `canon(x) = oneg ⊕ f(y)`, `y[perm[i]] = x[i] ⊕
+/// ineg[i]`, building `canon` over the remapped/complemented leaf edges
+/// and complementing the result yields exactly `f` over the original
+/// leaves.
 fn build_from_tt(
-    tt: &TruthTable,
+    (num_vars, truth): (usize, u16),
     out: &mut Aig,
     leaf_edges: &[Edge],
-    library: &mut HashMap<(usize, Vec<u64>), factor::Expr>,
+    library: &mut Library,
 ) -> Edge {
-    let (canon, t) = tt.npn_canonical().expect("cut width is within NPN limits");
-    let expr = library
-        .entry((canon.num_vars(), canon.words().to_vec()))
-        .or_insert_with(|| factor::factor(&canon.isop()))
-        .clone();
+    let (expr, t) = library.entry((num_vars, truth)).or_insert_with(|| {
+        let tt = TruthTable::from_fn(num_vars, |m| truth >> m & 1 == 1);
+        let (canon, t) = tt.npn_canonical().expect("cut width is within NPN limits");
+        (factor::factor(&canon.isop()), t)
+    });
     // canon's variable i reads leaf perm[i], complemented per ineg.
     let var_map: Vec<Edge> = t
         .perm
@@ -307,6 +427,65 @@ mod tests {
         let r = rewrite(&g);
         assert!(check_equivalence(&g, &r).is_equivalent());
     }
+
+    #[test]
+    fn cut_function_stops_at_the_first_leaf() {
+        // n = (p & z) & p with p = x & y. The cut {x, y, z, p} holds p
+        // inside the cone of p & z; the walk stops at p, so the function
+        // is p & z, not the p & x & y & z a merge of the fanin cuts'
+        // tables would give.
+        let mut g = Aig::new();
+        let [x, y, z] = [0, 1, 2].map(|i| g.add_input(format!("x{i}")));
+        let p = g.and(x, y);
+        let a = g.and(p, z);
+        let n = g.and(a, p);
+        g.add_output(n, "y");
+        let cuts = enumerate_cuts(&g);
+        let leaves = [x, y, z, p].map(|e| e.node());
+        let cut = cuts
+            .of(n.node())
+            .iter()
+            .find(|c| c.leaves() == leaves)
+            .expect("the four-leaf cut is enumerated");
+        assert_eq!(cut.function(), (4, VAR_MASKS[2] & VAR_MASKS[3]));
+    }
+
+    #[test]
+    fn cut_functions_match_simulation() {
+        // Every non-trivial cut of an XOR/MUX chain: evaluate the root
+        // under each leaf assignment by simulating the cone directly.
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 4);
+        let t = g.xor(xs[0], xs[1]);
+        let u = g.mux(t, xs[2], !xs[3]);
+        let v = g.xor(u, xs[0]);
+        g.add_output(v, "y");
+        let cuts = enumerate_cuts(&g);
+        for (n, _, _) in g.ands() {
+            for cut in &cuts.of(n)[1..] {
+                let (num_vars, truth) = cut.function();
+                for m in 0..1u16 << num_vars {
+                    let mut value = vec![None; g.node_count()];
+                    for (k, l) in cut.leaves().iter().enumerate() {
+                        value[l.index()] = Some(m >> k & 1 == 1);
+                    }
+                    for (node, a, b) in g.ands() {
+                        if value[node.index()].is_none() {
+                            let get =
+                                |e: Edge| value[e.node().index()].map(|v| v != e.is_complemented());
+                            value[node.index()] = get(a).zip(get(b)).map(|(a, b)| a && b);
+                        }
+                    }
+                    assert_eq!(
+                        value[n.index()],
+                        Some(truth >> m & 1 == 1),
+                        "node {n:?} cut {:?}",
+                        cut.leaves()
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -318,20 +497,25 @@ mod npn_build_tests {
     fn npn_library_build_matches_function() {
         let mut state = 12345u64;
         for trial in 0..50 {
-            let tt = TruthTable::from_fn(4, |m| {
+            let mut truth = 0u16;
+            for m in 0..16 {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(m + trial);
-                state >> 33 & 1 == 1
-            });
+                truth |= ((state >> 33 & 1) as u16) << m;
+            }
             let mut g = Aig::new();
             let leaves = g.add_inputs("x", 4);
-            let mut lib = HashMap::new();
-            let e = build_from_tt(&tt, &mut g, &leaves, &mut lib);
+            let mut lib = Library::new();
+            let e = build_from_tt((4, truth), &mut g, &leaves, &mut lib);
             g.add_output(e, "y");
             for m in 0..16u64 {
                 let bits: Vec<bool> = (0..4).map(|k| m >> k & 1 == 1).collect();
-                assert_eq!(g.eval_bits(&bits)[0], tt.get(m), "trial {trial} m={m}");
+                assert_eq!(
+                    g.eval_bits(&bits)[0],
+                    truth >> m & 1 == 1,
+                    "trial {trial} m={m}"
+                );
             }
         }
     }
