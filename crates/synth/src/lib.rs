@@ -17,7 +17,8 @@
 //!   guarded by support size like ABC's practice,
 //! * [`rewrite`] — DAG-aware cut rewriting with NPN-canonical library
 //!   lookup,
-//! * [`refactor`] — large-cone resynthesis through BDD covers,
+//! * [`refactor`] — large-cone resynthesis from the irredundant cover of
+//!   the cone's word truth table,
 //! * [`redundancy_removal`] — SAT-proven removal of unobservable
 //!   connections (the don't-care-based `dc2`/`mfs` role),
 //! * [`optimize`] — a `compress2rs`-style script combining the above
@@ -50,9 +51,11 @@
 
 mod balance;
 mod collapse;
+mod cone;
 pub mod espresso;
 pub mod factor;
 mod fraig;
+mod isop;
 pub mod map;
 mod redundancy;
 mod refactor;

@@ -3,21 +3,22 @@
 //! Where [`rewrite`](crate::rewrite) works on 4-input cuts, `refactor`
 //! (ABC's pass of the same name) takes one *large* cut per node — grown
 //! from the node's fanins until a leaf bound is hit — computes its
-//! global function with a BDD, and resynthesizes it from a factored
-//! irredundant cover. Replacements are accepted when they add fewer
-//! nodes than the cone's reclaimable volume.
-
-use std::collections::HashSet;
+//! global function as a word truth table by walking the cone, and
+//! resynthesizes it from a factored irredundant cover: the cover a
+//! BDD's bounded ISOP gives, computed on the table. Replacements are
+//! accepted when they add fewer nodes than the cone's reclaimable
+//! volume.
 
 use cirlearn_aig::{Aig, Edge, NodeId};
-use cirlearn_bdd::Bdd;
 
+use crate::cone::ConeEval;
 use crate::factor;
+use crate::isop::{self, leaf_table, MAX_LEAVES};
 
 /// Configuration for [`refactor`].
 #[derive(Debug, Clone)]
 pub struct RefactorConfig {
-    /// Maximum leaves of the refactoring cut.
+    /// Maximum leaves of the refactoring cut; values above 10 act as 10.
     pub max_leaves: usize,
     /// Cube bound for the extracted cover (arithmetic cones explode).
     pub max_cubes: usize,
@@ -69,6 +70,9 @@ pub fn refactor(aig: &Aig, config: &RefactorConfig) -> Aig {
     for (e, _) in aig.outputs() {
         fanout[e.node().index()] += 1;
     }
+    let max_leaves = config.max_leaves.min(MAX_LEAVES);
+    let mut leaves = Vec::with_capacity(max_leaves + 1);
+    let mut cone = ConeEval::new(aig);
 
     for (n, a, b) in aig.ands() {
         let before = out.node_count();
@@ -79,17 +83,19 @@ pub fn refactor(aig: &Aig, config: &RefactorConfig) -> Aig {
 
         let mut best_edge = copy_edge;
 
-        if let Some((leaves, volume)) = grow_cut(aig, n, config.max_leaves, &fanout) {
-            if leaves.len() >= 3 {
-                if let Some(sop) = cone_cover(aig, n, &leaves, config.max_cubes) {
-                    let expr = factor::factor(&sop);
-                    let leaf_edges: Vec<Edge> = leaves.iter().map(|l| map[l.index()]).collect();
-                    let before = out.node_count();
-                    let cand = expr.to_aig(&mut out, &leaf_edges);
-                    let delta = (out.node_count() - before) as isize;
-                    if delta - (volume as isize) < copy_delta {
-                        best_edge = cand;
-                    }
+        let volume = grow_cut(aig, n, max_leaves, &fanout, &mut leaves);
+        if leaves.len() >= 3 {
+            let num_leaves = leaves.len();
+            let leaf_tables = (0..num_leaves).map(|k| leaf_table(k, num_leaves));
+            let f = cone.cone_table(aig, n, leaves.iter().copied().zip(leaf_tables));
+            if let Some(sop) = isop::cover(&f, num_leaves, config.max_cubes) {
+                let expr = factor::factor(&sop);
+                let leaf_edges: Vec<Edge> = leaves.iter().map(|l| map[l.index()]).collect();
+                let before = out.node_count();
+                let cand = expr.to_aig(&mut out, &leaf_edges);
+                let delta = (out.node_count() - before) as isize;
+                if delta - (volume as isize) < copy_delta {
+                    best_edge = cand;
                 }
             }
         }
@@ -107,87 +113,153 @@ pub fn refactor(aig: &Aig, config: &RefactorConfig) -> Aig {
     }
 }
 
-/// Grows a cut from `root`'s fanins, expanding the single-fanout node
-/// with the largest id (deepest) first, until `max_leaves` would be
-/// exceeded. Returns the sorted leaves and the number of single-fanout
-/// AND nodes inside the cone (the reclaimable volume).
+/// Grows a cut from `root`'s fanins into `leaves`, each step expanding
+/// the AND leaf with the largest id (deepest) whose fanins keep the cut
+/// within `max_leaves`, until no leaf can be expanded. Leaves the cut
+/// sorted and returns the number of single-fanout AND nodes inside the
+/// cone, the root included (the reclaimable volume).
 fn grow_cut(
     aig: &Aig,
     root: NodeId,
     max_leaves: usize,
     fanout: &[usize],
-) -> Option<(Vec<NodeId>, usize)> {
-    let mut leaves: HashSet<NodeId> = HashSet::new();
+    leaves: &mut Vec<NodeId>,
+) -> usize {
+    let insert = |leaves: &mut Vec<NodeId>, node: NodeId| {
+        if let Err(pos) = leaves.binary_search(&node) {
+            leaves.insert(pos, node);
+        }
+    };
+    leaves.clear();
     let [a, b] = aig.fanins(root);
-    leaves.insert(a.node());
-    leaves.insert(b.node());
-    let mut volume = 1usize;
-    loop {
-        // Expand the deepest expandable leaf whose expansion keeps the
-        // cut within bounds. Prefer single-fanout nodes (their logic is
-        // reclaimable) but allow shared ones when the bound permits.
-        let mut candidates: Vec<NodeId> =
-            leaves.iter().copied().filter(|&l| aig.is_and(l)).collect();
-        candidates.sort_by_key(|l| std::cmp::Reverse(l.index()));
-        let mut expanded = false;
-        for l in candidates {
-            let [fa, fb] = aig.fanins(l);
-            let mut next = leaves.clone();
-            next.remove(&l);
-            next.insert(fa.node());
-            next.insert(fb.node());
-            if next.len() <= max_leaves {
-                if fanout[l.index()] == 1 {
-                    volume += 1;
-                }
-                leaves = next;
-                expanded = true;
-                break;
-            }
+    insert(leaves, a.node());
+    insert(leaves, b.node());
+    let mut volume = 1;
+    // Shared leaves are expanded too when the bound permits; only
+    // single-fanout ones add to the volume.
+    while let Some(i) = (0..leaves.len()).rev().find(|&i| {
+        let l = leaves[i];
+        if !aig.is_and(l) {
+            return false;
         }
-        if !expanded {
-            break;
+        let [fa, fb] = aig.fanins(l).map(Edge::node);
+        let new_a = leaves.binary_search(&fa).is_err();
+        let new_b = fb != fa && leaves.binary_search(&fb).is_err();
+        leaves.len() - 1 + new_a as usize + new_b as usize <= max_leaves
+    }) {
+        let l = leaves.remove(i);
+        if fanout[l.index()] == 1 {
+            volume += 1;
         }
+        let [fa, fb] = aig.fanins(l);
+        insert(leaves, fa.node());
+        insert(leaves, fb.node());
     }
-    let mut sorted: Vec<NodeId> = leaves.into_iter().collect();
-    sorted.sort_unstable();
-    Some((sorted, volume))
-}
-
-/// Computes the cover of `root` over the cut leaves via a BDD and a
-/// bounded ISOP; `None` when the cover exceeds `max_cubes`.
-fn cone_cover(
-    aig: &Aig,
-    root: NodeId,
-    leaves: &[NodeId],
-    max_cubes: usize,
-) -> Option<cirlearn_logic::Sop> {
-    let mut bdd = Bdd::new(leaves.len());
-    let mut values: Vec<Option<cirlearn_bdd::BddRef>> = vec![None; aig.node_count()];
-    values[NodeId::CONST.index()] = Some(cirlearn_bdd::BddRef::FALSE);
-    for (k, &l) in leaves.iter().enumerate() {
-        values[l.index()] = Some(bdd.var(k as u32));
-    }
-    // Evaluate the cone between leaves and root in topological order.
-    for (n, a, b) in aig.ands() {
-        if values[n.index()].is_some() || n.index() > root.index() {
-            continue;
-        }
-        let (Some(va), Some(vb)) = (values[a.node().index()], values[b.node().index()]) else {
-            continue;
-        };
-        let fa = if a.is_complemented() { bdd.not(va) } else { va };
-        let fb = if b.is_complemented() { bdd.not(vb) } else { vb };
-        values[n.index()] = Some(bdd.and(fa, fb));
-    }
-    let f = values[root.index()]?;
-    bdd.isop_bounded(f, max_cubes)
+    volume
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cirlearn_sat::check_equivalence;
+    use std::collections::HashSet;
+
+    /// The set-based cut growth `grow_cut` replaced: each step clones the
+    /// leaf set per candidate, in the same deepest-first order.
+    fn grow_cut_with_sets(
+        aig: &Aig,
+        root: NodeId,
+        max_leaves: usize,
+        fanout: &[usize],
+    ) -> (Vec<NodeId>, usize) {
+        let mut leaves: HashSet<NodeId> = HashSet::new();
+        let [a, b] = aig.fanins(root);
+        leaves.insert(a.node());
+        leaves.insert(b.node());
+        let mut volume = 1usize;
+        loop {
+            let mut candidates: Vec<NodeId> =
+                leaves.iter().copied().filter(|&l| aig.is_and(l)).collect();
+            candidates.sort_by_key(|l| std::cmp::Reverse(l.index()));
+            let mut expanded = false;
+            for l in candidates {
+                let [fa, fb] = aig.fanins(l);
+                let mut next = leaves.clone();
+                next.remove(&l);
+                next.insert(fa.node());
+                next.insert(fb.node());
+                if next.len() <= max_leaves {
+                    if fanout[l.index()] == 1 {
+                        volume += 1;
+                    }
+                    leaves = next;
+                    expanded = true;
+                    break;
+                }
+            }
+            if !expanded {
+                break;
+            }
+        }
+        let mut sorted: Vec<NodeId> = leaves.into_iter().collect();
+        sorted.sort_unstable();
+        (sorted, volume)
+    }
+
+    #[test]
+    fn grow_cut_matches_the_set_based_growth() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut checked, mut constant_leaf) = (0, 0);
+        for round in 0..40 {
+            // Fanins mostly from the last few nodes, so cones reconverge.
+            let mut g = Aig::new();
+            let mut pool: Vec<Edge> = g.add_inputs("x", rng.gen_range(3..14));
+            for _ in 0..rng.gen_range(20..120) {
+                let mut pick = || {
+                    let back = rng.gen_range(1..=pool.len().min(6));
+                    pool[pool.len() - back].complement_if(rng.gen_bool(0.4))
+                };
+                let (a, b) = (pick(), pick());
+                let n = if rng.gen_bool(0.3) {
+                    g.xor(a, b)
+                } else {
+                    g.and(a, b)
+                };
+                if g.is_and(n.node()) {
+                    pool.push(n);
+                }
+            }
+            g.add_output(*pool.last().expect("nonempty"), "y");
+            // Tie a few fanins to constants, so the constant node is a leaf.
+            let ands: Vec<NodeId> = g.ands().map(|(n, _, _)| n).collect();
+            for _ in 0..round % 4 {
+                let n = ands[rng.gen_range(0..ands.len())];
+                g.set_fanin_unchecked(n, rng.gen_range(0..2), Edge::TRUE);
+            }
+            let mut fanout = vec![0usize; g.node_count()];
+            for (_, a, b) in g.ands() {
+                fanout[a.node().index()] += 1;
+                fanout[b.node().index()] += 1;
+            }
+            let mut leaves = Vec::new();
+            for max_leaves in [6, 10] {
+                for &n in &ands {
+                    let volume = grow_cut(&g, n, max_leaves, &fanout, &mut leaves);
+                    assert_eq!(
+                        (leaves.clone(), volume),
+                        grow_cut_with_sets(&g, n, max_leaves, &fanout),
+                        "round {round}, node {n:?}, max_leaves {max_leaves}"
+                    );
+                    checked += 1;
+                    constant_leaf += leaves.contains(&NodeId::CONST) as usize;
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} cuts compared");
+        assert!(constant_leaf > 0, "no cut had the constant node as a leaf");
+    }
 
     #[test]
     fn refactors_duplicated_logic() {

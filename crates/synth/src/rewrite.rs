@@ -14,7 +14,8 @@
 //! lookup.
 //!
 //! A cut's table comes from walking the root's cone down to the first
-//! leaf on every path, with per-node buffers reused across cuts. ABC
+//! leaf on every path, with per-node buffers reused across cuts (the
+//! walk `refactor` uses too, on wider tables). ABC
 //! instead merges the fanin cuts' tables over the merged leaf set; that
 //! differs when one leaf lies inside the cone of a fanin cut (the merge
 //! expands that leaf's cone, the walk stops at it), and on such cuts it
@@ -29,6 +30,7 @@ use std::collections::HashMap;
 use cirlearn_aig::{Aig, Edge, NodeId};
 use cirlearn_logic::{NpnTransform, TruthTable};
 
+use crate::cone::ConeEval;
 use crate::factor;
 
 /// Maximum cut width.
@@ -232,69 +234,13 @@ fn enumerate_cuts(aig: &Aig) -> CutSets {
         set.sort_by_key(|c| c.len);
         set.truncate(CUTS_PER_NODE);
         for cut in &mut set[1..] {
-            cut.truth = cone.cut_truth(aig, n, cut.leaves());
+            let leaves = cut.leaves().iter().copied().zip(VAR_MASKS);
+            cut.truth = cone.cone_table(aig, n, leaves);
         }
         sets.cuts.extend_from_slice(&set);
         sets.start.push(sets.cuts.len());
     }
     sets
-}
-
-/// Evaluates a node's function over a cut by walking its cone down to
-/// the leaves, memoising per node in buffers reused across cuts.
-struct ConeEval {
-    truth: Vec<u16>,
-    /// `truth[i]` is valid for the current walk iff `stamp[i] == walk`.
-    stamp: Vec<u32>,
-    walk: u32,
-}
-
-impl ConeEval {
-    fn new(aig: &Aig) -> ConeEval {
-        ConeEval {
-            truth: vec![0; aig.node_count()],
-            stamp: vec![0; aig.node_count()],
-            walk: 0,
-        }
-    }
-
-    /// The function of `root` over `leaves` (leaf `k` ↦ `x_k`). The walk
-    /// stops at the first leaf on every path, so a leaf inside another
-    /// leaf's cone hides the nodes below it.
-    fn cut_truth(&mut self, aig: &Aig, root: NodeId, leaves: &[NodeId]) -> u16 {
-        self.walk += 1;
-        for (k, &leaf) in leaves.iter().enumerate() {
-            self.truth[leaf.index()] = VAR_MASKS[k];
-            self.stamp[leaf.index()] = self.walk;
-        }
-        self.node_truth(aig, root)
-    }
-
-    fn node_truth(&mut self, aig: &Aig, node: NodeId) -> u16 {
-        if self.stamp[node.index()] == self.walk {
-            return self.truth[node.index()];
-        }
-        if node == NodeId::CONST {
-            return 0;
-        }
-        debug_assert!(aig.is_and(node), "cut leaves must cover all inputs");
-        let [a, b] = aig.fanins(node);
-        let t = (self.node_truth(aig, a.node()) ^ complement_mask(a))
-            & (self.node_truth(aig, b.node()) ^ complement_mask(b));
-        self.truth[node.index()] = t;
-        self.stamp[node.index()] = self.walk;
-        t
-    }
-}
-
-/// All-ones when the edge is complemented, so `truth ^ mask` is the
-/// edge's function.
-fn complement_mask(e: Edge) -> u16 {
-    if e.is_complemented() {
-        !0
-    } else {
-        0
-    }
 }
 
 /// Number of AND nodes in the cone of `root` above `leaves` whose every
