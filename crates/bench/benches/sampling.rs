@@ -20,8 +20,17 @@ fn bench_pattern_sampling(c: &mut Criterion) {
                 ratios: vec![0.5, 0.25, 0.75],
             };
             let mut rng = seeded_rng(1);
+            let mut block = Vec::new();
             b.iter(|| {
-                let stats = pattern_sampling(&mut oracle, 0, &Cube::top(), &probe, &cfg, &mut rng);
+                let stats = pattern_sampling(
+                    &mut oracle,
+                    0,
+                    &Cube::top(),
+                    &probe,
+                    &cfg,
+                    &mut rng,
+                    &mut block,
+                );
                 black_box(stats.truth_ratio)
             });
         });

@@ -119,11 +119,12 @@ impl GreedyDtLearner {
         // Depth-first: a stack, not the paper's levelized queue.
         let mut stack: Vec<Cube> = vec![Cube::top()];
         let mut nodes = 0usize;
+        let mut block = Vec::new();
         while let Some(cube) = stack.pop() {
             let free: Vec<usize> = (0..n)
                 .filter(|&i| !cube.contains_var(Var::new(i as u32)))
                 .collect();
-            let node = pattern_sampling(oracle, output, &cube, &free, cfg, rng);
+            let node = pattern_sampling(oracle, output, &cube, &free, cfg, rng, &mut block);
             if node.truth_ratio >= 1.0 {
                 onset.push(cube);
                 continue;
@@ -203,7 +204,15 @@ impl SampleSopLearner {
                 rounds: self.support_rounds,
                 ratios: vec![0.5],
             };
-            let sup_stats = pattern_sampling(oracle, o, &Cube::top(), &probe, &cfg, &mut rng);
+            let sup_stats = pattern_sampling(
+                oracle,
+                o,
+                &Cube::top(),
+                &probe,
+                &cfg,
+                &mut rng,
+                &mut Vec::new(),
+            );
             let support: Vec<usize> = sup_stats.support();
             let support_vars: Vec<Var> = support.iter().map(|&i| Var::new(i as u32)).collect();
 

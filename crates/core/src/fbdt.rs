@@ -202,6 +202,9 @@ pub struct FbdtBuilder {
     offset: Vec<Cube>,
     queue: VecDeque<Cube>,
     stats: FbdtStats,
+    /// Pattern storage reused by every node's sampling; scratch only,
+    /// so it is not part of [`FbdtSnapshot`].
+    block: Vec<Assignment>,
 }
 
 impl FbdtBuilder {
@@ -228,6 +231,7 @@ impl FbdtBuilder {
             offset: Vec::new(),
             queue,
             stats: FbdtStats::default(),
+            block: Vec::new(),
         }
     }
 
@@ -252,6 +256,7 @@ impl FbdtBuilder {
                 forced_leaves: snapshot.forced_leaves,
                 queries: snapshot.queries,
             },
+            block: Vec::new(),
         }
     }
 
@@ -327,6 +332,7 @@ impl FbdtBuilder {
             &free,
             &self.config.node_sampling,
             rng,
+            &mut self.block,
         );
         self.stats.queries += node.queries;
 

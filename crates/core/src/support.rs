@@ -44,7 +44,16 @@ pub fn identify_support<O: Oracle + ?Sized>(
     rng: &mut StdRng,
 ) -> SupportInfo {
     let probe: Vec<usize> = (0..oracle.num_inputs()).collect();
-    let stats: SampleStats = pattern_sampling(oracle, output, &Cube::top(), &probe, config, rng);
+    let mut block = Vec::new();
+    let stats: SampleStats = pattern_sampling(
+        oracle,
+        output,
+        &Cube::top(),
+        &probe,
+        config,
+        rng,
+        &mut block,
+    );
     SupportInfo {
         support: stats.support(),
         truth_ratio: stats.truth_ratio,

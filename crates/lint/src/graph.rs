@@ -103,7 +103,6 @@ pub fn default_roots() -> Vec<RootSpec> {
         RootSpec::new("Oracle::query_batch", "oracle", 5),
         RootSpec::new("Oracle::try_query_batch", "oracle", 5),
         RootSpec::new("pattern_sampling", "support", 4),
-        RootSpec::new("sample_output", "support", 4),
         RootSpec::new("FbdtBuilder::step", "fbdt", 3),
         RootSpec::new("Aig::simulate_nodes", "sim", 2),
         RootSpec::new("Aig::simulate", "sim", 2),

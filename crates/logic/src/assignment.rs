@@ -24,10 +24,28 @@ use crate::{Cube, Var};
 /// assert!(a.get(Var::new(3)));
 /// assert_eq!(a.count_ones(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Assignment {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for Assignment {
+    #[inline]
+    fn clone(&self) -> Self {
+        Assignment {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s word storage — how
+    /// sampling refills a reused pattern block without allocating.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl Assignment {
@@ -67,12 +85,20 @@ impl Assignment {
 
     /// Creates a uniformly random assignment over `len` variables.
     pub fn random<R: Rng + ?Sized>(len: usize, rng: &mut R) -> Self {
-        let mut a = Assignment {
-            words: (0..len.div_ceil(64)).map(|_| rng.gen()).collect(),
-            len,
-        };
-        a.mask_tail();
+        let mut a = Assignment::zeros(len);
+        a.redraw(rng);
         a
+    }
+
+    /// Redraws every variable uniformly at random in place, one `u64`
+    /// draw per word: the same draws and bits as
+    /// [`Assignment::random`] over `self.len()` variables, without
+    /// allocating.
+    pub fn redraw<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        for w in &mut self.words {
+            *w = rng.gen();
+        }
+        self.mask_tail();
     }
 
     /// Creates a random assignment where each variable is 1 independently
@@ -83,23 +109,52 @@ impl Assignment {
     /// distributions, so support identification mixes even and uneven
     /// ratios.
     ///
+    /// Variable `i` takes the value `rng.gen_bool(ratio)` would give on
+    /// the `i`-th draw, but each `u64` word is built from 64 consecutive
+    /// draws with an integer threshold: the vendored `gen_bool(p)` tests
+    /// `(x >> 11) as f64 · 2⁻⁵³ < p` on one draw `x`, and since scaling
+    /// by 2⁵³ is exact that is the same test as `(x >> 11) < ceil(p · 2⁵³)`.
+    /// So the bits, the number of draws and the generator's position
+    /// afterwards all match a per-bit `gen_bool` loop; the
+    /// `biased_draws_match_per_bit_gen_bool` test guards this.
+    ///
     /// # Panics
     ///
     /// Panics if `ratio` is not in `[0, 1]`.
     pub fn random_biased<R: Rng + ?Sized>(len: usize, ratio: f64, rng: &mut R) -> Self {
+        let mut a = Assignment::zeros(len);
+        a.redraw_biased(ratio, rng);
+        a
+    }
+
+    /// Redraws every variable in place, each 1 independently with
+    /// probability `ratio`: the same draws and bits as
+    /// [`Assignment::random_biased`] over `self.len()` variables, without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ratio` is not in `[0, 1]`.
+    pub fn redraw_biased<R: Rng + ?Sized>(&mut self, ratio: f64, rng: &mut R) {
         // panic-ok: documented `# Panics` contract guard, once per
         // assignment draw.
         assert!(
             (0.0..=1.0).contains(&ratio),
             "bias ratio {ratio} outside [0, 1]"
         );
-        let mut a = Assignment::zeros(len);
-        for i in 0..len {
-            if rng.gen_bool(ratio) {
-                a.set(Var::new(i as u32), true);
+        // At most 2^53, so the cast is exact.
+        let threshold = (ratio * (1u64 << 53) as f64).ceil() as u64;
+        let mut left = self.len;
+        for w in &mut self.words {
+            let bits = left.min(64);
+            left -= bits;
+            let mut word = 0u64;
+            for b in 0..bits {
+                let x: u64 = rng.gen();
+                word |= u64::from(x >> 11 < threshold) << b;
             }
+            *w = word;
         }
-        a
     }
 
     /// Returns the number of variables in this assignment.
@@ -377,6 +432,55 @@ mod tests {
             Assignment::random_biased(64, 1.0, &mut rng).count_ones(),
             64
         );
+    }
+
+    /// The per-bit draw `random_biased` replaced: one `gen_bool` and
+    /// one `set` per variable.
+    fn per_bit_biased(len: usize, ratio: f64, rng: &mut StdRng) -> Assignment {
+        let mut a = Assignment::zeros(len);
+        for i in 0..len {
+            if rng.gen_bool(ratio) {
+                a.set(Var::new(i as u32), true);
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn biased_draws_match_per_bit_gen_bool() {
+        use rand::RngCore;
+        let ratios = [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.9, 1.0];
+        let widths = [1, 63, 64, 65, 102, 173];
+        for seed in 0..50 {
+            for &ratio in &ratios {
+                for &len in &widths {
+                    let mut by_word = StdRng::seed_from_u64(seed);
+                    let mut by_bit = StdRng::seed_from_u64(seed);
+                    let a = Assignment::random_biased(len, ratio, &mut by_word);
+                    let b = per_bit_biased(len, ratio, &mut by_bit);
+                    assert_eq!(a, b, "seed {seed}, ratio {ratio}, width {len}");
+                    assert_eq!(
+                        by_word.next_u64(),
+                        by_bit.next_u64(),
+                        "stream position differs: seed {seed}, ratio {ratio}, width {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn redraw_reuses_storage_and_matches_constructors() {
+        let mut r1 = StdRng::seed_from_u64(9);
+        let mut r2 = StdRng::seed_from_u64(9);
+        let mut a = Assignment::ones(130);
+        a.redraw(&mut r1);
+        assert_eq!(a, Assignment::random(130, &mut r2));
+        a.redraw_biased(0.25, &mut r1);
+        assert_eq!(a, Assignment::random_biased(130, 0.25, &mut r2));
+        let mut c = Assignment::zeros(3);
+        c.clone_from(&a);
+        assert_eq!(c, a);
     }
 
     #[test]
