@@ -344,11 +344,6 @@ impl Learner {
         Learner { config, telemetry }
     }
 
-    /// Convenience constructor with the paper's default settings.
-    pub fn with_defaults() -> Self {
-        Learner::new(LearnerConfig::default())
-    }
-
     /// Returns the configuration.
     pub fn config(&self) -> &LearnerConfig {
         &self.config

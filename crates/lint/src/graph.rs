@@ -24,9 +24,9 @@
 //!    runtime binaries.
 //!
 //! Reachability is computed from declared hot-path roots (the oracle
-//! query surface, FBDT node expansion, packed simulation, the
-//! work-stealing deque, `PatternSampling`), and three rule families are
-//! enforced on reachable function bodies only:
+//! query surface, FBDT node expansion, packed simulation,
+//! `PatternSampling`), and three rule families are enforced on
+//! reachable function bodies only:
 //!
 //! - **hot-panic** (deny) — `unwrap`/`expect`, `panic!`-family macros,
 //!   `assert!`-family macros, and slice indexing `x[i]`. Opt-out per
@@ -36,10 +36,8 @@
 //!   `Box::new`, `format!`, `to_vec`/`to_string`/`to_owned`, `clone`,
 //!   `collect`, `push`. Opt-out with `// alloc-ok: <reason>`.
 //! - **hot-blocking** (deny) — `Mutex::lock`, file/process I/O,
-//!   channel `recv`, `thread::sleep`, `println!`/`eprintln!`. Enforced
-//!   in hot functions *and* in every function of `crates/exec/src`
-//!   (executor code must never block, hot or not). Opt-out with
-//!   `// blocking-ok: <reason>`.
+//!   channel `recv`, `thread::sleep`, `println!`/`eprintln!`. Opt-out
+//!   with `// blocking-ok: <reason>`.
 //!
 //! Each root carries the attribution-ledger *stage* its traffic lands
 //! on, with weights taken from the committed `BENCH_table2.json`
@@ -86,16 +84,14 @@ impl RootSpec {
     }
 }
 
-/// The default root set: the query/FBDT/simulation/executor/sampling
-/// hot paths named by ROADMAP item 1.
+/// The default root set: the oracle query, sampling, FBDT and
+/// simulation hot paths.
 ///
 /// Stage weights follow the committed attribution baseline
 /// (`BENCH_table2.json`): the oracle query surface dominates wall
 /// clock (~89% on case_1), support-identification sampling issues the
-/// bulk of those queries, FBDT expansion drives the learning loop,
-/// packed simulation underlies the in-process oracle, and the deque is
-/// the executor substrate the parallelism PR will put under all of
-/// them.
+/// bulk of those queries, FBDT expansion drives the learning loop, and
+/// packed simulation underlies the in-process oracle.
 pub fn default_roots() -> Vec<RootSpec> {
     vec![
         RootSpec::new("Oracle::query", "oracle", 5),
@@ -107,12 +103,6 @@ pub fn default_roots() -> Vec<RootSpec> {
         RootSpec::new("Aig::simulate_nodes", "sim", 2),
         RootSpec::new("Aig::simulate", "sim", 2),
         RootSpec::new("Aig::eval_batch", "sim", 2),
-        RootSpec::new("Worker::push", "exec", 1),
-        RootSpec::new("Worker::pop", "exec", 1),
-        RootSpec::new("Stealer::steal", "exec", 1),
-        RootSpec::new("RawDeque::push", "exec", 1),
-        RootSpec::new("RawDeque::pop", "exec", 1),
-        RootSpec::new("RawDeque::steal", "exec", 1),
     ]
 }
 
@@ -375,32 +365,27 @@ pub fn analyze_sources(sources: &[(String, String)], roots: Vec<RootSpec>) -> Gr
     }
 
     // Enforce the hot-path rules over the owned lines of each hot
-    // function (plus the blocking rule everywhere in crates/exec/src).
+    // function.
     let mut violations = Vec::new();
     let mut sites = vec![SiteCounts::default(); functions.len()];
     for (path, lines, owners) in &file_lines {
-        let in_exec = path.starts_with("crates/exec/src");
         for (idx, l) in lines.iter().enumerate() {
             let Some(owner) = owners.get(idx).copied().flatten() else {
                 continue;
             };
-            let info = hot[owner].as_ref();
-            if info.is_none() && !in_exec {
+            let Some(info) = hot[owner].as_ref() else {
                 continue;
-            }
+            };
             let ctx = RuleCtx {
                 path,
                 lines,
                 idx,
                 code: l.code.as_str(),
                 owner: &functions[owner],
-                info,
             };
-            if let Some(h) = info {
-                scan_panic_rule(&ctx, h, &mut violations, &mut sites[owner]);
-                scan_alloc_rule(&ctx, h, &mut violations, &mut sites[owner]);
-            }
-            scan_blocking_rule(&ctx, in_exec, &mut violations, &mut sites[owner]);
+            scan_panic_rule(&ctx, info, &mut violations, &mut sites[owner]);
+            scan_alloc_rule(&ctx, info, &mut violations, &mut sites[owner]);
+            scan_blocking_rule(&ctx, info, &mut violations, &mut sites[owner]);
         }
     }
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
@@ -1171,7 +1156,6 @@ struct RuleCtx<'a> {
     idx: usize,
     code: &'a str,
     owner: &'a FnDef,
-    info: Option<&'a HotInfo>,
 }
 
 /// Panic-capable macros (matched as `name!`; word-bounding keeps
@@ -1352,7 +1336,7 @@ const BLOCKING_METHODS: &[&str] = &[
 
 fn scan_blocking_rule(
     ctx: &RuleCtx<'_>,
-    in_exec: bool,
+    info: &HotInfo,
     out: &mut Vec<Violation>,
     sites: &mut SiteCounts,
 ) {
@@ -1368,22 +1352,14 @@ fn scan_blocking_rule(
         return;
     }
     sites.deny += 1;
-    let place = match ctx.info {
-        Some(info) => hot_suffix(ctx.owner, info),
-        None if in_exec => format!(
-            "in executor function `{}` (everything in crates/exec/src \
-             must be non-blocking)",
-            ctx.owner.qualified()
-        ),
-        None => format!("in function `{}`", ctx.owner.qualified()),
-    };
     out.push(Violation {
         path: ctx.path.to_string(),
         line: ctx.idx + 1,
         rule: Rule::HotBlocking,
         message: format!(
-            "blocking call {place}; hot/executor code must not block or \
-             must justify with `// blocking-ok: <reason>`"
+            "blocking call {}; hot code must not block or must justify \
+             with `// blocking-ok: <reason>`",
+            hot_suffix(ctx.owner, info)
         ),
     });
 }
@@ -1603,22 +1579,13 @@ mod tests {
     }
 
     #[test]
-    fn blocking_rule_fires_in_hot_code_and_everywhere_in_exec() {
+    fn blocking_rule_fires_in_hot_code_only() {
         let hot = "fn root_fn() { let g = m.lock(); }";
         let a = analyze(hot, vec![RootSpec::new("root_fn", "custom", 1)]);
         assert_eq!(a.violations.len(), 1);
         assert_eq!(a.violations[0].rule, Rule::HotBlocking);
 
-        // In crates/exec/src even a cold function may not block.
-        let sources = vec![(
-            "crates/exec/src/z.rs".to_string(),
-            "fn cold_exec() { println!(\"dbg\"); }".to_string(),
-        )];
-        let a = analyze_sources(&sources, vec![]);
-        assert_eq!(a.violations.len(), 1);
-        assert_eq!(a.violations[0].rule, Rule::HotBlocking);
-
-        // Outside exec, a cold blocking call is fine.
+        // A cold blocking call is fine.
         let cold = "fn cold_fn() { let g = m.lock(); }";
         let a = analyze(cold, vec![RootSpec::new("absent", "custom", 1)]);
         assert!(a.violations.is_empty());
@@ -1652,7 +1619,7 @@ fn aaa_cool() { q[0]; }
 fn zzz_hot() { q[0]; }
 ";
         let roots = vec![
-            RootSpec::new("aaa_cool", "exec", 1),
+            RootSpec::new("aaa_cool", "custom", 1),
             RootSpec::new("zzz_hot", "oracle", 5),
         ];
         let a = analyze(src, roots);

@@ -21,8 +21,8 @@
 //!   compare-exchange *failure* orderings are exempt: the failure
 //!   ordering governs a load. Applies to `src/` trees only — litmus
 //!   tests and seeded-bug tests legitimately use `Relaxed` everywhere.
-//! - **atomic-alias** — concurrency-touched crates (`crates/telemetry`,
-//!   `crates/exec`) must route atomics through their cfg-switchable
+//! - **atomic-alias** — the concurrency-touched crate
+//!   (`crates/telemetry`) must route atomics through its cfg-switchable
 //!   `sync` alias rather than naming `std::sync::atomic`,
 //!   `loom::sync::`, or `tsan::sync::` directly; a direct use silently
 //!   escapes the model checker and the race detector. The alias module
@@ -46,7 +46,7 @@ pub mod graph;
 /// How severe a violated rule is.
 ///
 /// `Deny` rules gate exit codes (a panic or a blocking call in a hot
-/// loop is a correctness hazard for the parallel executor); `Warn`
+/// loop is a correctness hazard on the query path); `Warn`
 /// rules are advisory (an allocation in a hot loop costs throughput,
 /// not safety) and never fail a build on their own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,8 +87,7 @@ pub enum Rule {
     /// `// alloc-ok:` justification.
     HotAlloc,
     /// A blocking call (`Mutex::lock`, file/process I/O, `println!`)
-    /// in a hot function or anywhere in `crates/exec/src`, without a
-    /// `// blocking-ok:` justification.
+    /// in a hot function, without a `// blocking-ok:` justification.
     HotBlocking,
 }
 
@@ -405,7 +404,7 @@ const STORE_CALLS: &[&str] = &[
 
 /// Crate source trees that must route atomics through their `sync`
 /// alias (relative, `/`-separated paths).
-const ALIAS_ENFORCED: &[&str] = &["crates/telemetry/src", "crates/exec/src"];
+const ALIAS_ENFORCED: &[&str] = &["crates/telemetry/src"];
 
 /// File marker opting an alias module itself out of the atomic-alias
 /// rule.
@@ -670,10 +669,6 @@ mod tests {
         let src = "use std::sync::atomic::AtomicU64;\n";
         assert_eq!(
             rules("crates/telemetry/src/evil.rs", src),
-            vec![Rule::AtomicAlias]
-        );
-        assert_eq!(
-            rules("crates/exec/src/evil.rs", src),
             vec![Rule::AtomicAlias]
         );
         // Unenforced crates may talk to std atomics directly.

@@ -12,8 +12,8 @@
 //! reachable from the hot roots, and prints the "hottest
 //! panic-reachable functions" table. Plain `--graph` is advisory
 //! (exit 0 unless the scan itself fails); `--graph --deny` exits 1 on
-//! any deny-severity finding (hot-panic, hot-blocking) — warnings
-//! (hot-alloc) never gate.
+//! any deny-severity finding (hot-panic, hot-blocking) or on any root
+//! that matches no function — warnings (hot-alloc) never gate.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -136,13 +136,22 @@ fn graph_mode(args: &[String]) -> ExitCode {
     }
     let deny = analysis.deny_violations().count();
     let warn = analysis.warn_violations().count();
-    let matched_roots: usize = analysis.root_matches.iter().map(|m| m.len()).sum();
+    let unmatched: Vec<&str> = analysis
+        .roots
+        .iter()
+        .zip(&analysis.root_matches)
+        .filter(|(_, m)| m.is_empty())
+        .map(|(spec, _)| spec.pattern.as_str())
+        .collect();
+    let matched_fns: usize = analysis.root_matches.iter().map(|m| m.len()).sum();
     eprintln!(
-        "cirlearn-lint: graph over {} files: {} functions, {} edges, {} roots matched, {} hot; {} deny, {} warn finding(s)",
+        "cirlearn-lint: graph over {} files: {} functions, {} edges, {}/{} roots matched ({} functions), {} hot; {} deny, {} warn finding(s)",
         analysis.files,
         analysis.functions.len(),
         analysis.edges.len(),
-        matched_roots,
+        analysis.roots.len() - unmatched.len(),
+        analysis.roots.len(),
+        matched_fns,
         analysis.hot_count(),
         deny,
         warn
@@ -158,14 +167,12 @@ fn graph_mode(args: &[String]) -> ExitCode {
         }
         eprintln!("cirlearn-lint: graph written to {out}");
     }
-    // Sanity: an analysis where no root matched certifies nothing.
-    if matched_roots == 0 {
-        eprintln!("cirlearn-lint: warning: no root pattern matched any function");
-        if parsed.deny {
-            return ExitCode::FAILURE;
-        }
+    // A root that matches nothing certifies nothing: it was renamed,
+    // moved or deleted, and its hot path went unchecked.
+    for pattern in &unmatched {
+        eprintln!("cirlearn-lint: warning: root `{pattern}` matched no function");
     }
-    if parsed.deny && deny > 0 {
+    if parsed.deny && (deny > 0 || !unmatched.is_empty()) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

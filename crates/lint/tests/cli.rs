@@ -54,7 +54,7 @@ fn seeded_violations_of_every_rule_exit_nonzero() {
         "fn f(a: &AtomicU64) {\n    a.store(1, Ordering::Relaxed);\n}\n",
     );
     tree.write(
-        "crates/exec/src/bad_alias.rs",
+        "crates/telemetry/src/bad_alias.rs",
         "use std::sync::atomic::AtomicU64;\n",
     );
     let (code, stdout) = run_lint(&tree.0);
@@ -198,6 +198,35 @@ fn graph_warnings_do_not_gate_deny() {
 }
 
 #[test]
+fn graph_deny_fails_when_any_root_matches_nothing() {
+    let tree = TempTree::new("graph-unmatched");
+    tree.write("crates/x/src/lib.rs", "pub fn hot_entry() {}\n");
+    let roots = "hot_entry@custom:5,absent_fn@custom:1";
+    // Advisory mode names the root but does not gate on it.
+    let (code, _, stderr) = run_graph(&tree.0, &["--roots", roots]);
+    assert_eq!(code, Some(0), "plain --graph is advisory:\n{stderr}");
+    assert!(
+        stderr.contains("`absent_fn`"),
+        "unmatched root unnamed:\n{stderr}"
+    );
+    assert!(stderr.contains("1/2 roots matched"), "{stderr}");
+    let (code, stdout, stderr) = run_graph(&tree.0, &["--roots", roots, "--deny"]);
+    assert_eq!(
+        code,
+        Some(1),
+        "--deny must fail while one root matches nothing:\n{stdout}{stderr}"
+    );
+    assert!(
+        stderr.contains("`absent_fn`"),
+        "the unmatched root must be named:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("`hot_entry`"),
+        "a matched root was reported unmatched:\n{stderr}"
+    );
+}
+
+#[test]
 fn graph_out_emits_json() {
     let tree = seeded_hot_tree("graph-json");
     let out_path = tree.0.join("graph.json");
@@ -233,5 +262,9 @@ fn the_real_workspace_certifies_under_graph_deny() {
     assert!(
         stderr.contains("0 deny"),
         "summary should report zero deny findings:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("matched no function"),
+        "every default root must match:\n{stderr}"
     );
 }

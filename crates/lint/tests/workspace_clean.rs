@@ -7,11 +7,11 @@
 //! an atomic backend directly.
 //!
 //! The call-graph pins live here too: the hot paths (oracle query
-//! surface, FBDT expansion, packed simulation, the deque, pattern
-//! sampling) certify panic-free and non-blocking — every surviving
-//! site carries a written `panic-ok:` / `blocking-ok:` justification —
-//! and known call chains stay resolvable so a resolver regression
-//! cannot silently shrink the certified set.
+//! surface, FBDT expansion, packed simulation, pattern sampling)
+//! certify panic-free and non-blocking — every surviving site carries
+//! a written `panic-ok:` / `blocking-ok:` justification — and known
+//! call chains stay resolvable so a resolver regression cannot
+//! silently shrink the certified set.
 
 use std::fs;
 use std::path::{Path, PathBuf};

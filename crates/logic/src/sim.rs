@@ -106,25 +106,6 @@ impl SimVector {
         self.words[k / 64] >> (k % 64) & 1 == 1
     }
 
-    /// Sets the bit of pattern `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k ≥ len`.
-    pub fn set_bit(&mut self, k: usize, value: bool) {
-        assert!(
-            k < self.len,
-            "pattern {k} out of range ({} patterns)",
-            self.len
-        );
-        let mask = 1u64 << (k % 64);
-        if value {
-            self.words[k / 64] |= mask;
-        } else {
-            self.words[k / 64] &= !mask;
-        }
-    }
-
     /// Appends one pattern bit.
     pub fn push(&mut self, bit: bool) {
         if self.len.is_multiple_of(64) {

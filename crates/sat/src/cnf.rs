@@ -126,11 +126,6 @@ impl AigCnf {
                 .map(|&l| self.solver.value(l)),
         )
     }
-
-    /// Gives access to the underlying solver.
-    pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
-    }
 }
 
 /// A concrete witness that two circuits differ: an input assignment and

@@ -54,11 +54,6 @@ impl Json {
         }
     }
 
-    /// The value as usize, if a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
     /// The value as bool, if a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

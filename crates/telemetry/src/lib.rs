@@ -64,8 +64,8 @@ pub use crate::flight::{FlightRecorder, FlightRing, DEFAULT_RING_BYTES};
 pub use crate::histogram::{Histogram, HistogramSummary, RawHistogram};
 pub use crate::persist::write_atomic;
 pub use crate::report::{
-    AttributionRecord, CheckpointReport, ExecReport, FaultsReport, OutputReport, PassReport,
-    RunReport, StageReport, SCHEMA_VERSION,
+    AttributionRecord, CheckpointReport, FaultsReport, OutputReport, PassReport, RunReport,
+    StageReport, SCHEMA_VERSION,
 };
 pub use crate::reporter::{BufferReporter, Level, NullReporter, Reporter, StderrReporter};
 pub use crate::status::{StatusAttr, StatusSnapshot, STATUS_SCHEMA_VERSION};

@@ -36,9 +36,6 @@
 //!                  "gates_after_opt": <u64> } ],
 //!   "faults": { "retries": <u64>, "timeouts": <u64>,
 //!               "respawns": <u64>, "degraded_outputs": <u64> },
-//!   "exec":   { "pushes": <u64>, "pops": <u64>, "steals": <u64>,
-//!               "steal_empty": <u64>, "steal_retry": <u64>,
-//!               "depth_max": <u64>, "workers": <u64> },
 //!   "attribution": [ { "stage": "fbdt", "output": <u64> | null,
 //!                      "queries": <u64>, "query_ns": <u64>,
 //!                      "gates": <u64>,
@@ -167,70 +164,6 @@ impl FaultsReport {
     }
 }
 
-/// Executor (work-stealing runtime) summary of one run.
-///
-/// Mirrors the `exec.*` counters the instrumented Chase–Lev deques
-/// publish: the counts also appear in the flat counter map, but the
-/// dedicated section keeps utilization dashboards independent of
-/// counter naming. Runs that never started the executor report all
-/// zeros, and reports written before the executor was instrumented
-/// lack the section entirely; parsing tolerates its absence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecReport {
-    /// Tasks pushed onto worker deques (owner side).
-    pub pushes: u64,
-    /// Tasks popped from the owner end.
-    pub pops: u64,
-    /// Tasks successfully stolen from other workers.
-    pub steals: u64,
-    /// Steal attempts that found the victim empty.
-    pub steal_empty: u64,
-    /// Steal attempts that lost a race and retried.
-    pub steal_retry: u64,
-    /// High-water mark of any single deque's queue depth.
-    pub depth_max: u64,
-    /// Worker observers that published statistics.
-    pub workers: u64,
-}
-
-impl ExecReport {
-    /// Whether the executor ran at all.
-    pub fn any(&self) -> bool {
-        self.pushes > 0
-            || self.pops > 0
-            || self.steals > 0
-            || self.steal_empty > 0
-            || self.steal_retry > 0
-            || self.depth_max > 0
-            || self.workers > 0
-    }
-
-    /// Fraction of owner-side pops that were lost to thieves instead:
-    /// `steals / (pops + steals)`, the load-balance indicator.
-    pub fn steal_ratio(&self) -> f64 {
-        let taken = self.pops + self.steals;
-        if taken == 0 {
-            0.0
-        } else {
-            self.steals as f64 / taken as f64
-        }
-    }
-
-    /// Derives the summary from a counter map.
-    pub fn from_counters(counters: &BTreeMap<String, u64>) -> Self {
-        let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-        ExecReport {
-            pushes: get(crate::counters::EXEC_PUSHES),
-            pops: get(crate::counters::EXEC_POPS),
-            steals: get(crate::counters::EXEC_STEALS),
-            steal_empty: get(crate::counters::EXEC_STEAL_EMPTY),
-            steal_retry: get(crate::counters::EXEC_STEAL_RETRY),
-            depth_max: get(crate::counters::EXEC_DEPTH_MAX),
-            workers: get(crate::counters::EXEC_WORKERS),
-        }
-    }
-}
-
 /// One cost-ledger cell: the resources attributed to a `(top-level
 /// stage, output)` pair.
 ///
@@ -277,8 +210,6 @@ pub struct RunReport {
     pub outputs: Vec<OutputReport>,
     /// Fault-tolerance summary (all zeros for fault-free runs).
     pub faults: FaultsReport,
-    /// Executor summary (all zeros for single-threaded runs).
-    pub exec: ExecReport,
     /// The per-(stage, output) cost ledger, sorted by stage then
     /// output (empty for runs without oracle activity).
     pub attribution: Vec<AttributionRecord>,
@@ -441,18 +372,6 @@ impl RunReport {
                     ("timeouts", Json::from(self.faults.timeouts)),
                     ("respawns", Json::from(self.faults.respawns)),
                     ("degraded_outputs", Json::from(self.faults.degraded_outputs)),
-                ]),
-            ),
-            (
-                "exec",
-                Json::object([
-                    ("pushes", Json::from(self.exec.pushes)),
-                    ("pops", Json::from(self.exec.pops)),
-                    ("steals", Json::from(self.exec.steals)),
-                    ("steal_empty", Json::from(self.exec.steal_empty)),
-                    ("steal_retry", Json::from(self.exec.steal_retry)),
-                    ("depth_max", Json::from(self.exec.depth_max)),
-                    ("workers", Json::from(self.exec.workers)),
                 ]),
             ),
             (
@@ -654,21 +573,6 @@ impl RunReport {
             },
         };
 
-        // Absent in reports written before the executor was
-        // instrumented; treat as all-zero rather than rejecting.
-        let exec = match json.get("exec") {
-            None | Some(Json::Null) => ExecReport::default(),
-            Some(e) => ExecReport {
-                pushes: u64_of(e.get("pushes"), "exec.pushes")?,
-                pops: u64_of(e.get("pops"), "exec.pops")?,
-                steals: u64_of(e.get("steals"), "exec.steals")?,
-                steal_empty: u64_of(e.get("steal_empty"), "exec.steal_empty")?,
-                steal_retry: u64_of(e.get("steal_retry"), "exec.steal_retry")?,
-                depth_max: u64_of(e.get("depth_max"), "exec.depth_max")?,
-                workers: u64_of(e.get("workers"), "exec.workers")?,
-            },
-        };
-
         // Absent in reports written before the cost-attribution layer
         // existed; treat as empty rather than rejecting.
         let attribution = match json.get("attribution") {
@@ -720,7 +624,6 @@ impl RunReport {
             checkpoints,
             outputs,
             faults,
-            exec,
             attribution,
         })
     }
@@ -838,15 +741,6 @@ mod tests {
                 respawns: 2,
                 degraded_outputs: 1,
             },
-            exec: ExecReport {
-                pushes: 5_000,
-                pops: 4_200,
-                steals: 800,
-                steal_empty: 90,
-                steal_retry: 12,
-                depth_max: 64,
-                workers: 4,
-            },
             attribution: vec![
                 AttributionRecord {
                     stage: "support".to_owned(),
@@ -946,34 +840,34 @@ mod tests {
     }
 
     #[test]
-    fn from_json_tolerates_missing_exec_section() {
-        // Reports from before the executor was instrumented lack
-        // "exec"; they must still parse, defaulting to all zeros.
-        let mut json = sample_report().to_json();
+    fn from_json_ignores_a_legacy_exec_section() {
+        // Older reports carry an "exec" section of executor counters;
+        // they must still parse, with the section ignored.
+        let report = sample_report();
+        let mut json = report.to_json();
         if let Json::Object(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "exec");
+            let at = pairs
+                .iter()
+                .position(|(k, _)| k == "attribution")
+                .expect("the sample report has an attribution section");
+            pairs.insert(
+                at,
+                (
+                    "exec".to_owned(),
+                    Json::object([
+                        ("pushes", Json::from(5_000u64)),
+                        ("pops", Json::from(4_200u64)),
+                        ("steals", Json::from(800u64)),
+                        ("steal_empty", Json::from(90u64)),
+                        ("steal_retry", Json::from(12u64)),
+                        ("depth_max", Json::from(64u64)),
+                        ("workers", Json::from(4u64)),
+                    ]),
+                ),
+            );
         }
         let back = RunReport::from_json(&json).expect("tolerant schema");
-        assert_eq!(back.exec, ExecReport::default());
-        assert!(!back.exec.any());
-        assert_eq!(back.exec.steal_ratio(), 0.0);
-    }
-
-    #[test]
-    fn exec_derives_from_counters_and_computes_steal_ratio() {
-        let counters = BTreeMap::from([
-            (crate::counters::EXEC_PUSHES.to_owned(), 100),
-            (crate::counters::EXEC_POPS.to_owned(), 75),
-            (crate::counters::EXEC_STEALS.to_owned(), 25),
-            (crate::counters::EXEC_DEPTH_MAX.to_owned(), 10),
-            (crate::counters::EXEC_WORKERS.to_owned(), 2),
-        ]);
-        let exec = ExecReport::from_counters(&counters);
-        assert!(exec.any());
-        assert_eq!(exec.pushes, 100);
-        assert_eq!(exec.steals, 25);
-        assert_eq!(exec.steal_empty, 0);
-        assert!((exec.steal_ratio() - 0.25).abs() < 1e-12);
+        assert_eq!(back, report);
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod backend {
 
     /// Atomic types and fences (std backend).
     pub mod atomic {
-        pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        pub use std::sync::atomic::{fence, AtomicU64, Ordering};
     }
 }
 
@@ -46,7 +46,7 @@ mod backend {
 
     /// Atomic types and fences (loom weak-memory model backend).
     pub mod atomic {
-        pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        pub use loom::sync::atomic::{fence, AtomicU64, Ordering};
     }
 }
 
@@ -56,7 +56,7 @@ mod backend {
 
     /// Atomic types and fences (race-detector backend).
     pub mod atomic {
-        pub use tsan::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        pub use tsan::sync::atomic::{fence, AtomicU64, Ordering};
     }
 }
 

@@ -72,20 +72,6 @@ pub mod counters {
     /// expired mid-FBDT (deadline-aware degradation, step above the
     /// majority-constant fallback).
     pub const CKPT_DEADLINE_PARTIAL_OUTPUTS: &str = "ckpt.deadline_partial_outputs";
-    /// Tasks pushed onto work-stealing deques (owner side).
-    pub const EXEC_PUSHES: &str = "exec.pushes";
-    /// Tasks popped from the owner end of work-stealing deques.
-    pub const EXEC_POPS: &str = "exec.pops";
-    /// Tasks successfully stolen from other workers' deques.
-    pub const EXEC_STEALS: &str = "exec.steals";
-    /// Steal attempts that found the victim's deque empty.
-    pub const EXEC_STEAL_EMPTY: &str = "exec.steal_empty";
-    /// Steal attempts that lost a race and had to retry.
-    pub const EXEC_STEAL_RETRY: &str = "exec.steal_retry";
-    /// High-water mark of any single deque's queue depth.
-    pub const EXEC_DEPTH_MAX: &str = "exec.depth_max";
-    /// Worker observers that published executor statistics.
-    pub const EXEC_WORKERS: &str = "exec.workers";
     /// Flight-recorder dumps written (by any trigger).
     pub const FLIGHT_DUMPS: &str = "flight.dumps";
 }
@@ -113,10 +99,6 @@ pub mod histograms {
     pub const SYNTH_PASS_NS: &str = "synth.pass_ns";
     /// Per-pass static-analysis audit time (the pre-SAT gate).
     pub const ANALYZE_AUDIT_NS: &str = "analyze.audit_ns";
-    /// Per-task busy time on executor workers (task execution spans).
-    pub const EXEC_BUSY_NS: &str = "exec.busy_ns";
-    /// Per-gap idle time on executor workers (empty pop/steal spans).
-    pub const EXEC_IDLE_NS: &str = "exec.idle_ns";
 }
 
 struct ActiveSpan {
@@ -493,11 +475,6 @@ impl Telemetry {
         }
     }
 
-    /// A collecting handle printing events to stderr up to `level`.
-    pub fn to_stderr(level: Level) -> Self {
-        Telemetry::new(Box::new(crate::reporter::StderrReporter::new(level)))
-    }
-
     /// A collecting handle that discards events (counters and spans
     /// are still recorded).
     pub fn recording() -> Self {
@@ -679,25 +656,6 @@ impl Telemetry {
         }
     }
 
-    /// Raises `counter` to at least `value` — for high-water-mark
-    /// gauges (for example the executor's maximum queue depth) that
-    /// several workers publish independently.
-    pub fn set_counter_max(&self, counter: &str, value: u64) {
-        if value == 0 {
-            return;
-        }
-        // blocking-ok: `Telemetry::lock` — uncontended telemetry
-        // mutex, justified at its definition.
-        if let Some(mut inner) = self.lock() {
-            match inner.counters.get_mut(counter) {
-                Some(v) => *v = (*v).max(value),
-                None => {
-                    inner.counters.insert(counter.to_owned(), value);
-                }
-            }
-        }
-    }
-
     /// Points the live status channel at `path` (or detaches it with
     /// `None`): the run then atomically rewrites a compact JSON
     /// [`StatusSnapshot`](crate::StatusSnapshot) there, at most once
@@ -725,8 +683,8 @@ impl Telemetry {
         }
     }
 
-    /// The flight recorder handle, if recording (tests and executor
-    /// instrumentation use it directly).
+    /// The flight recorder handle, if recording (tests use it
+    /// directly).
     pub fn flight(&self) -> Option<FlightRecorder> {
         self.lock().and_then(|inner| inner.flight.clone())
     }
@@ -967,17 +925,6 @@ impl Telemetry {
         self.histogram_handle(name).record_duration(elapsed);
     }
 
-    /// Merges a locally collected histogram into the named shared one
-    /// — used by stages that aggregate privately and publish at the
-    /// end (e.g. FBDT stats).
-    pub fn merge_histogram(&self, name: &str, histogram: &Histogram) {
-        if histogram.count() > 0 {
-            if let HistogramHandle(Some(shared)) = self.histogram_handle(name) {
-                shared.merge(histogram);
-            }
-        }
-    }
-
     /// A per-thread recorder for the named histogram: samples land in
     /// a private histogram and merge into the shared one when the
     /// recorder drops (the join point). Worker threads use this to
@@ -1158,7 +1105,6 @@ impl Telemetry {
                 meta: inner.meta.clone(),
                 elapsed: inner.start.elapsed(),
                 faults: crate::report::FaultsReport::from_counters(&inner.counters),
-                exec: crate::report::ExecReport::from_counters(&inner.counters),
                 counters: inner.counters.clone(),
                 histograms: fold_histograms(&inner.histograms, &inner.local_recorders),
                 stages: inner.stages.values().cloned().collect(),
@@ -1535,17 +1481,6 @@ mod tests {
         t.trace("custom", &[]);
         t.flush_trace();
         assert!(t.report().histograms.is_empty());
-    }
-
-    #[test]
-    fn merge_histogram_publishes_local_samples() {
-        let t = Telemetry::recording();
-        let local = crate::Histogram::new();
-        local.record(10);
-        local.record(20);
-        t.merge_histogram(crate::histograms::FBDT_NODE_NS, &local);
-        let report = t.report();
-        assert_eq!(report.histograms[crate::histograms::FBDT_NODE_NS].count, 2);
     }
 
     #[test]

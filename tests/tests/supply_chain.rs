@@ -75,10 +75,10 @@ fn every_locked_package_is_in_tree() {
 #[test]
 fn the_concurrency_toolkit_stays_in_the_graph() {
     // The weak-memory model checker, the race detector, the lint
-    // binary, and the executor they verify must remain workspace
-    // members — dropping any of them silently disables a CI gate.
+    // binary and the property-test shim must remain workspace members
+    // — dropping any of them silently disables a CI gate.
     let lock = lockfile();
-    for member in ["cirlearn-exec", "cirlearn-lint", "loom", "tsan", "proptest"] {
+    for member in ["cirlearn-lint", "loom", "tsan", "proptest"] {
         assert!(
             lock.contains(&format!("name = \"{member}\"")),
             "`{member}` left the dependency graph; the concurrency \
