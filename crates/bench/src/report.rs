@@ -24,7 +24,7 @@
 //!       "gates": 210,
 //!       "accuracy": 99.998,       // percent, 0-100
 //!       "histograms": {           // name -> HistogramSummary JSON
-//!         "oracle.query_ns": { "count": ..., "p50": ..., ... }
+//!         "oracle.batch_ns": { "count": ..., "p50": ..., ... }
 //!       },
 //!       "attribution": {          // version 2: per-stage cost ledger
 //!         "support": { "queries": 9600, "query_ns": 812345, "gates": 0 },
@@ -486,7 +486,7 @@ mod tests {
     fn sample_record(name: &str) -> BenchRecord {
         let mut histograms = BTreeMap::new();
         histograms.insert(
-            cirlearn_telemetry::histograms::ORACLE_QUERY_NS.to_owned(),
+            cirlearn_telemetry::histograms::ORACLE_BATCH_NS.to_owned(),
             HistogramSummary {
                 count: 1000,
                 sum: 2_000_000,
@@ -729,6 +729,19 @@ mod tests {
             .map(|r| r.metric)
             .collect();
         assert_eq!(metrics, ["accuracy"], "collapses still trip when tagged");
+    }
+
+    #[test]
+    fn records_with_the_retired_single_query_histogram_still_parse() {
+        // Baselines written before single queries were recorded as
+        // batches of one carry `oracle.query_ns`.
+        let mut record = sample_record("case_a");
+        let summary = *record.histograms.values().next().expect("sample");
+        record
+            .histograms
+            .insert("oracle.query_ns".to_owned(), summary);
+        let back = BenchRecord::from_json(&record.to_json()).expect("parses");
+        assert_eq!(back.histograms, record.histograms);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! writing *witness values* onto the underlying buses.
 
 use cirlearn_logic::{Assignment, Var};
-use cirlearn_oracle::Oracle;
+use cirlearn_oracle::{Oracle, OracleError};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -281,14 +281,9 @@ impl<O: Oracle + ?Sized> Oracle for DelegateOracle<'_, O> {
         &self.output_names
     }
 
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        let real = self.translate(input);
-        self.inner.query(&real)
-    }
-
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
+    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
         let real: Vec<Assignment> = inputs.iter().map(|a| self.translate(a)).collect();
-        self.inner.query_batch(&real)
+        self.inner.try_query_batch(&real)
     }
 
     fn queries(&self) -> u64 {

@@ -1,17 +1,19 @@
 //! Fault isolation between the learner and a fallible oracle.
 //!
 //! The learning pipeline's inner loops (sampling, FBDT expansion,
-//! template validation) speak the infallible [`Oracle::query`]
-//! interface — threading `Result` through every cofactor split would
-//! contort the algorithms for a condition that is terminal anyway: by
-//! the time an error escapes a [`ResilientOracle`](cirlearn_oracle::ResilientOracle)
-//! the transport is beyond recovery.
+//! template validation) call the infallible adapters
+//! [`Oracle::query_batch`] and [`Oracle::query`] — threading `Result`
+//! through every cofactor split would contort the algorithms for a
+//! condition that is terminal anyway: by the time an error escapes a
+//! [`ResilientOracle`](cirlearn_oracle::ResilientOracle) the transport
+//! is beyond recovery.
 //!
-//! [`OracleGuard`] bridges the two worlds. It routes every query
-//! through the fallible [`Oracle::try_query`] path; on the first error
-//! it latches the failure and serves constant-false fallback answers
-//! (without touching the dead transport again), so the pipeline runs to
-//! completion at full speed. The [`Learner`](crate::Learner) checks
+//! [`OracleGuard`] bridges the two worlds. Its
+//! [`Oracle::try_query_batch`] forwards to the inner oracle's and never
+//! fails: on the first error it latches the failure and serves
+//! constant-false fallback answers (without touching the dead
+//! transport again), so the adapters never panic and the pipeline runs
+//! to completion at full speed. The [`Learner`](crate::Learner) checks
 //! [`OracleGuard::failed`] at output boundaries and degrades any output
 //! whose learning overlapped the failure, instead of trusting circuits
 //! built from fallback answers.
@@ -101,30 +103,16 @@ impl<O: Oracle> Oracle for OracleGuard<O> {
         self.inner.output_names()
     }
 
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        if self.failure.is_some() {
-            return self.fallback();
-        }
-        match self.inner.try_query(input) {
-            Ok(bits) => bits,
-            Err(e) => {
-                self.latch(e);
-                self.fallback()
+    /// Never fails: once the inner oracle has faulted, every pattern
+    /// gets a fallback answer.
+    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
+        if self.failure.is_none() {
+            match self.inner.try_query_batch(inputs) {
+                Ok(rows) => return Ok(rows),
+                Err(e) => self.latch(e),
             }
         }
-    }
-
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        if self.failure.is_some() {
-            return inputs.iter().map(|_| self.fallback()).collect();
-        }
-        match self.inner.try_query_batch(inputs) {
-            Ok(rows) => rows,
-            Err(e) => {
-                self.latch(e);
-                inputs.iter().map(|_| self.fallback()).collect()
-            }
-        }
+        Ok(inputs.iter().map(|_| self.fallback()).collect())
     }
 
     fn queries(&self) -> u64 {

@@ -250,7 +250,7 @@ mod tests {
     use super::*;
     use cirlearn_aig::Aig;
     use cirlearn_logic::Literal;
-    use cirlearn_oracle::{generate, CircuitOracle};
+    use cirlearn_oracle::{generate, CircuitOracle, OracleError};
     use rand::{Rng, RngCore};
 
     /// y = x0 & x5 over 8 inputs (x1..x4, x6, x7 irrelevant).
@@ -422,15 +422,13 @@ mod tests {
         fn output_names(&self) -> &[String] {
             self.inner.output_names()
         }
-        fn query(&mut self, input: &Assignment) -> Vec<bool> {
-            self.query_batch(std::slice::from_ref(input))
-                .pop()
-                .expect("one row per pattern")
-        }
-        fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
+        fn try_query_batch(
+            &mut self,
+            inputs: &[Assignment],
+        ) -> Result<Vec<Vec<bool>>, OracleError> {
             self.patterns.extend_from_slice(inputs);
             self.calls.push(inputs.len());
-            self.inner.query_batch(inputs)
+            self.inner.try_query_batch(inputs)
         }
         fn queries(&self) -> u64 {
             self.inner.queries()

@@ -119,14 +119,16 @@ fn known_hot_chains_stay_resolvable() {
     // Sampling reaches the oracle; simulation feeds the in-process
     // oracle; the FBDT reaches sampling.
     assert!(a.reaches("pattern_sampling", "Oracle::query_batch"));
-    assert!(a.reaches("CircuitOracle::query", "Aig::eval_bits"));
+    // Every adapter is a call of the one required method.
+    assert!(a.reaches("Oracle::query_batch", "Oracle::try_query_batch"));
+    assert!(a.reaches("CircuitOracle::try_query_batch", "Aig::eval_batch"));
     assert!(a.reaches("FbdtBuilder::step", "pattern_sampling"));
     // The instrumented wrapper is on the query path and itself hot.
     let idx = a
-        .find("InstrumentedOracle::query")
-        .expect("InstrumentedOracle::query exists");
+        .find("InstrumentedOracle::try_query_batch")
+        .expect("InstrumentedOracle::try_query_batch exists");
     assert!(
         a.hot[idx].is_some(),
-        "InstrumentedOracle::query fell out of the hot set"
+        "InstrumentedOracle::try_query_batch fell out of the hot set"
     );
 }

@@ -233,25 +233,6 @@ impl<O: Oracle> Oracle for FaultyOracle<O> {
         self.inner.output_names()
     }
 
-    /// # Panics
-    ///
-    /// Panics on injected faults; chaos tests should drive the fallible
-    /// [`Oracle::try_query`] path (directly or via a
-    /// [`ResilientOracle`](crate::ResilientOracle)).
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        self.try_query(input)
-            // panic-ok: documented `# Panics` contract — the infallible
-            // entry point cannot swallow an injected fault; chaos tests
-            // drive `try_query` instead.
-            .unwrap_or_else(|e| panic!("injected fault was not handled: {e}"))
-    }
-
-    fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
-        self.serve(std::slice::from_ref(input))?
-            .pop()
-            .ok_or_else(|| OracleError::Malformed("no answer to a single query".into()))
-    }
-
     fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
         self.serve(inputs)
     }

@@ -20,10 +20,10 @@ use crate::oracle::Oracle;
 /// at the time they are served.
 ///
 /// Latency lands in lock-free histograms whose handles are resolved
-/// once at construction: a single query's round trip in
-/// `oracle.query_ns`, and a batch call's round trip in
+/// once at construction: each answered call's round trip in
 /// `oracle.batch_ns`, with its pattern count in `oracle.batch_size`
-/// (one sample per call, so a batch's tail latency stays visible).
+/// (one sample per call, so a batch's tail latency stays visible; a
+/// single query is a call of size 1).
 ///
 /// # Examples
 ///
@@ -48,7 +48,6 @@ use crate::oracle::Oracle;
 pub struct InstrumentedOracle<O> {
     inner: O,
     telemetry: Telemetry,
-    latency: HistogramHandle,
     batch_latency: HistogramHandle,
     batch_size: HistogramHandle,
 }
@@ -57,7 +56,6 @@ impl<O: Oracle> InstrumentedOracle<O> {
     /// Wraps `inner`, reporting its query traffic to `telemetry`.
     pub fn new(inner: O, telemetry: Telemetry) -> Self {
         InstrumentedOracle {
-            latency: telemetry.histogram_handle(histograms::ORACLE_QUERY_NS),
             batch_latency: telemetry.histogram_handle(histograms::ORACLE_BATCH_NS),
             batch_size: telemetry.histogram_handle(histograms::ORACLE_BATCH_SIZE),
             inner,
@@ -107,41 +105,12 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
         self.inner.output_names()
     }
 
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        let start = Instant::now();
-        let out = self.inner.query(input);
-        let elapsed = start.elapsed();
-        self.latency.record_duration(elapsed);
-        self.telemetry
-            .record_oracle_queries(1, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-        out
-    }
-
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        let start = Instant::now();
-        let out = self.inner.query_batch(inputs);
-        let total = self.record_batch(start, inputs.len());
-        self.telemetry
-            .record_oracle_queries(inputs.len() as u64, total);
-        out
-    }
-
-    fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, crate::oracle::OracleError> {
-        // Counted only on success, matching the inner oracle's own
-        // accounting (a faulted query served no answer).
-        let start = Instant::now();
-        let out = self.inner.try_query(input)?;
-        let elapsed = start.elapsed();
-        self.latency.record_duration(elapsed);
-        self.telemetry
-            .record_oracle_queries(1, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-        Ok(out)
-    }
-
     fn try_query_batch(
         &mut self,
         inputs: &[Assignment],
     ) -> Result<Vec<Vec<bool>>, crate::oracle::OracleError> {
+        // Counted only on success, matching the inner oracle's own
+        // accounting (a faulted batch served no answer).
         let start = Instant::now();
         let out = self.inner.try_query_batch(inputs)?;
         let total = self.record_batch(start, out.len());
@@ -181,18 +150,6 @@ impl<O: Oracle + ?Sized> Oracle for &mut O {
 
     fn output_names(&self) -> &[String] {
         (**self).output_names()
-    }
-
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        (**self).query(input)
-    }
-
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        (**self).query_batch(inputs)
-    }
-
-    fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, crate::oracle::OracleError> {
-        (**self).try_query(input)
     }
 
     fn try_query_batch(
@@ -275,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn single_and_batch_latency_land_in_separate_histograms() {
+    fn every_answered_call_is_one_batch_sample() {
         use cirlearn_telemetry::histograms;
         let telemetry = Telemetry::recording();
         let mut o = InstrumentedOracle::new(sample(), telemetry.clone());
@@ -288,14 +245,12 @@ mod tests {
         o.query_batch(&[]);
         let report = telemetry.report();
         assert_eq!(report.counter(counters::ORACLE_QUERIES), 7);
-        // One sample per single query.
-        assert_eq!(report.histograms[histograms::ORACLE_QUERY_NS].count, 2);
-        // One sample per answered batch call; the empty batch records
-        // nothing.
-        assert_eq!(report.histograms[histograms::ORACLE_BATCH_NS].count, 2);
+        // One sample per answered call, a single query being a batch
+        // of one; the empty batch records nothing.
+        assert_eq!(report.histograms[histograms::ORACLE_BATCH_NS].count, 4);
         let sizes = &report.histograms[histograms::ORACLE_BATCH_SIZE];
-        assert_eq!(sizes.count, 2);
-        assert_eq!((sizes.min, sizes.max, sizes.sum), (2, 3, 5));
+        assert_eq!(sizes.count, 4);
+        assert_eq!((sizes.min, sizes.max, sizes.sum), (1, 3, 7));
     }
 
     #[test]

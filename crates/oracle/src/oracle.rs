@@ -10,10 +10,10 @@ use cirlearn_telemetry::json::Json;
 ///
 /// The contest's black boxes are opaque external programs, so every
 /// failure mode of an external process is a failure mode of a query:
-/// broken pipes, hangs, garbage answers, outright crashes. The fallible
-/// path ([`Oracle::try_query`]) surfaces them as values; the infallible
-/// [`Oracle::query`] is reserved for oracles that cannot fault (or
-/// callers that accept a panic).
+/// broken pipes, hangs, garbage answers, outright crashes.
+/// [`Oracle::try_query_batch`] surfaces them as values; the infallible
+/// adapters [`Oracle::query`] and [`Oracle::query_batch`] are for
+/// oracles that cannot fault (or callers that accept a panic).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum OracleError {
@@ -102,11 +102,73 @@ impl OracleError {
 
 /// A black-box input-output relation generator.
 ///
-/// Matches the contest's interface exactly: the box accepts a *full*
-/// assignment to its primary inputs and returns a full assignment to
-/// its outputs. Nothing else — no partial queries, no structure, no
-/// satisfiability questions. Implementations count queries so
-/// experiments can report sampling effort.
+/// Matches the contest's interface exactly: the box accepts *full*
+/// assignments to its primary inputs and returns a full assignment to
+/// its outputs for each. Nothing else — no partial queries, no
+/// structure, no satisfiability questions. Implementations count
+/// queries so experiments can report sampling effort.
+///
+/// There is one call shape: [`Oracle::try_query_batch`], a batch of
+/// patterns in, one answer row per pattern out, or the fault that
+/// stopped it. It is the only query method an implementation writes.
+/// [`Oracle::try_query`], [`Oracle::query_batch`] and [`Oracle::query`]
+/// are adapters over it, defined once here: a single query is a batch
+/// of one, and the infallible forms panic with the error. They are
+/// trait methods rather than free functions only so that a wrapper
+/// which times every call from outside can override all four names;
+/// each adapter does nothing but call `try_query_batch`, so a wrapped
+/// and an unwrapped oracle serve a query the same way.
+///
+/// # Examples
+///
+/// The required methods are enough for a working oracle:
+///
+/// ```
+/// use cirlearn_logic::{Assignment, Var};
+/// use cirlearn_oracle::{Oracle, OracleError};
+///
+/// /// The parity of two inputs.
+/// struct Parity {
+///     names: (Vec<String>, Vec<String>),
+///     queries: u64,
+/// }
+///
+/// impl Oracle for Parity {
+///     fn num_inputs(&self) -> usize {
+///         2
+///     }
+///     fn num_outputs(&self) -> usize {
+///         1
+///     }
+///     fn input_names(&self) -> &[String] {
+///         &self.names.0
+///     }
+///     fn output_names(&self) -> &[String] {
+///         &self.names.1
+///     }
+///     fn try_query_batch(
+///         &mut self,
+///         inputs: &[Assignment],
+///     ) -> Result<Vec<Vec<bool>>, OracleError> {
+///         self.queries += inputs.len() as u64;
+///         Ok(inputs
+///             .iter()
+///             .map(|a| vec![a.get(Var::new(0)) != a.get(Var::new(1))])
+///             .collect())
+///     }
+///     fn queries(&self) -> u64 {
+///         self.queries
+///     }
+/// }
+///
+/// let names = (vec!["a".into(), "b".into()], vec!["y".into()]);
+/// let mut oracle = Parity { names, queries: 0 };
+/// let one = Assignment::from_bits([true, false]);
+/// assert_eq!(oracle.query(&one), vec![true]);
+/// assert_eq!(oracle.try_query(&one).unwrap(), vec![true]);
+/// assert_eq!(oracle.query_batch(&[one.clone(), one]).len(), 2);
+/// assert_eq!(oracle.queries(), 4);
+/// ```
 pub trait Oracle {
     /// Number of primary inputs.
     fn num_inputs(&self) -> usize;
@@ -123,38 +185,64 @@ pub trait Oracle {
     /// Port names of the outputs, in output order.
     fn output_names(&self) -> &[String];
 
-    /// Evaluates the hidden function on one full assignment.
+    /// Evaluates the hidden function on a batch of full assignments:
+    /// one answer row of `num_outputs()` bits per pattern, in pattern
+    /// order.
+    ///
+    /// This is the one query method implementations write; the other
+    /// three are adapters over it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first fault that stopped the batch. Answers already
+    /// obtained are not handed back, and the patterns of a failed batch
+    /// are not counted in [`Oracle::queries`].
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `input.len() != num_inputs()`.
-    fn query(&mut self, input: &Assignment) -> Vec<bool>;
+    /// Implementations may panic if a pattern is not `num_inputs()`
+    /// wide.
+    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError>;
 
-    /// Evaluates a batch of assignments.
+    /// Fallibly evaluates one full assignment: a batch of one.
     ///
-    /// The default implementation loops over [`Oracle::query`];
-    /// implementations with bit-parallel evaluators should override it.
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        inputs.iter().map(|a| self.query(a)).collect()
-    }
-
-    /// Fallibly evaluates the hidden function on one full assignment.
+    /// # Errors
     ///
-    /// The default delegates to the infallible [`Oracle::query`]
-    /// (in-process oracles cannot fault); oracles backed by external
-    /// transports override it to surface faults as [`OracleError`]s
-    /// instead of panicking.
+    /// Returns the fault [`Oracle::try_query_batch`] reports, or
+    /// [`OracleError::Malformed`] if the batch came back without a row.
     fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
-        Ok(self.query(input))
+        self.try_query_batch(std::slice::from_ref(input))
+            .and_then(only_row)
     }
 
-    /// Fallibly evaluates a batch, stopping at the first fault.
+    /// Evaluates a batch: [`Oracle::try_query_batch`] for callers that
+    /// cannot act on a fault.
     ///
-    /// Answers already obtained are discarded on error; callers that
-    /// want partial progress should loop [`Oracle::try_query`]
-    /// themselves.
-    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
-        inputs.iter().map(|a| self.try_query(a)).collect()
+    /// # Panics
+    ///
+    /// Panics with the error when the batch faults; callers that must
+    /// survive a faulty black box use the fallible methods (or put an
+    /// adapter such as the learner's oracle guard in between).
+    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
+        self.try_query_batch(inputs)
+            // panic-ok: documented `# Panics` contract — the infallible
+            // adapter cannot absorb a fault; fallible callers use
+            // `try_query_batch`.
+            .unwrap_or_else(|e| panic!("oracle query failed: {e}"))
+    }
+
+    /// Evaluates one full assignment: a batch of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the error when the query faults, as
+    /// [`Oracle::query_batch`] does.
+    fn query(&mut self, input: &Assignment) -> Vec<bool> {
+        self.try_query_batch(std::slice::from_ref(input))
+            .and_then(only_row)
+            // panic-ok: documented `# Panics` contract, as in
+            // `query_batch`.
+            .unwrap_or_else(|e| panic!("oracle query failed: {e}"))
     }
 
     /// Number of single-pattern queries served so far (batches count
@@ -185,6 +273,12 @@ pub trait Oracle {
     fn restore_state(&mut self, _state: &Json) -> Result<(), OracleError> {
         Ok(())
     }
+}
+
+/// The answer of a batch of one.
+fn only_row(mut rows: Vec<Vec<bool>>) -> Result<Vec<bool>, OracleError> {
+    rows.pop()
+        .ok_or_else(|| OracleError::Malformed("no answer to a single query".into()))
 }
 
 /// An oracle wrapping a hidden combinational circuit.
@@ -266,20 +360,15 @@ impl Oracle for CircuitOracle {
         &self.output_names
     }
 
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        self.queries += 1;
-        self.circuit.eval(input)
-    }
-
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        self.queries += inputs.len() as u64;
-        self.circuit.eval_batch(inputs)
-    }
-
     fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
-        // In-process evaluation cannot fault; keep the bit-parallel
-        // batch path instead of the default per-pattern loop.
-        Ok(self.query_batch(inputs))
+        // In-process evaluation cannot fault.
+        self.queries += inputs.len() as u64;
+        Ok(match inputs {
+            // A lone pattern walks the graph faster bit by bit than
+            // through the word kernel's transpose and buffers.
+            [one] => vec![self.circuit.eval(one)],
+            _ => self.circuit.eval_batch(inputs),
+        })
     }
 
     fn queries(&self) -> u64 {

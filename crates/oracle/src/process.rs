@@ -370,13 +370,14 @@ impl ProcessOracle {
         Ok(())
     }
 
-    /// Sends one query, propagating protocol errors: a batch of one.
+    /// Sends one query, reporting protocol errors as the transport's
+    /// own [`ProcessOracleError`]: the same batch of one that
+    /// [`Oracle::try_query`] sends.
     ///
     /// # Errors
     ///
     /// I/O failures, watchdog timeouts and malformed answers are
-    /// reported; the infallible [`Oracle::query`] wrapper panics
-    /// instead. After a [`ProcessOracleError::Timeout`] the answer
+    /// reported. After a [`ProcessOracleError::Timeout`] the answer
     /// stream is desynchronized: call
     /// [`ProcessOracle::respawn_process`] before querying again.
     pub fn try_query_process(
@@ -474,34 +475,6 @@ impl Oracle for ProcessOracle {
 
     fn output_names(&self) -> &[String] {
         &self.output_names
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the child process violates the protocol; use
-    /// [`Oracle::try_query`] for a fallible call.
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        self.try_query_process(input)
-            // panic-ok: documented `# Panics` contract — the infallible
-            // entry point cannot absorb transport failures; fallible
-            // callers use `try_query`.
-            .unwrap_or_else(|e| panic!("black-box process failed: {e}"))
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the child process violates the protocol; use
-    /// [`Oracle::try_query_batch`] for a fallible call.
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        self.exchange(inputs)
-            // panic-ok: documented `# Panics` contract — the infallible
-            // entry point cannot absorb transport failures; fallible
-            // callers use `try_query_batch`.
-            .unwrap_or_else(|e| panic!("black-box process failed: {e}"))
-    }
-
-    fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
-        self.try_query_process(input).map_err(OracleError::from)
     }
 
     fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
@@ -724,11 +697,11 @@ mod tests {
         )
         .expect("sh is available");
         o.set_read_timeout(Some(Duration::from_millis(80)));
-        let r = o.try_query_process(&Assignment::zeros(1));
-        assert!(matches!(r, Err(ProcessOracleError::Timeout(_))));
-        // The trait-level error classifies as needing a respawn.
-        let e = OracleError::from(ProcessOracleError::Timeout(Duration::from_millis(80)));
-        assert!(e.needs_respawn());
+        match o.try_query(&Assignment::zeros(1)) {
+            // A timeout classifies as needing a respawn.
+            Err(e @ OracleError::Timeout(_)) => assert!(e.needs_respawn()),
+            r => panic!("expected a timeout, got {r:?}"),
+        }
     }
 
     #[test]
@@ -771,8 +744,8 @@ mod tests {
             vec!["y".into()],
         )
         .expect("sh is available");
-        let r = o.try_query_process(&Assignment::zeros(1));
-        assert!(matches!(r, Err(ProcessOracleError::BadAnswer(_))));
+        let r = o.try_query(&Assignment::zeros(1));
+        assert!(matches!(r, Err(OracleError::Malformed(_))), "got {r:?}");
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub struct ResilientOracle<O> {
     /// End-to-end latency per guarded call (a single query or a whole
     /// batch), including backoff sleeps, respawns and replay probes —
     /// the latency the learner actually experiences, as opposed to
-    /// `oracle.query_ns` transport time.
+    /// `oracle.batch_ns` transport time.
     latency: HistogramHandle,
     stats: FaultStats,
     /// First few successful (pattern, answer) pairs, replayed after a
@@ -428,36 +428,6 @@ impl<O: Oracle + Respawn> Oracle for ResilientOracle<O> {
 
     fn output_names(&self) -> &[String] {
         self.inner.output_names()
-    }
-
-    /// # Panics
-    ///
-    /// Panics when the fault budget is exhausted; use
-    /// [`Oracle::try_query`] for the fallible path.
-    fn query(&mut self, input: &Assignment) -> Vec<bool> {
-        self.try_query(input)
-            // panic-ok: documented `# Panics` contract — the infallible
-            // entry point surfaces an exhausted fault budget; fallible
-            // callers use `try_query`.
-            .unwrap_or_else(|e| panic!("oracle failed beyond recovery: {e}"))
-    }
-
-    /// # Panics
-    ///
-    /// Panics when the fault budget is exhausted; use
-    /// [`Oracle::try_query_batch`] for the fallible path.
-    fn query_batch(&mut self, inputs: &[Assignment]) -> Vec<Vec<bool>> {
-        self.query_guarded(inputs)
-            // panic-ok: documented `# Panics` contract — the infallible
-            // entry point surfaces an exhausted fault budget; fallible
-            // callers use `try_query_batch`.
-            .unwrap_or_else(|e| panic!("oracle failed beyond recovery: {e}"))
-    }
-
-    fn try_query(&mut self, input: &Assignment) -> Result<Vec<bool>, OracleError> {
-        self.query_guarded(std::slice::from_ref(input))?
-            .pop()
-            .ok_or_else(|| OracleError::Malformed("no answer to a single query".into()))
     }
 
     fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {

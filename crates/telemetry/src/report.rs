@@ -670,7 +670,7 @@ mod tests {
                 ("fbdt.splits".to_owned(), 37),
             ]),
             histograms: BTreeMap::from([(
-                crate::histograms::ORACLE_QUERY_NS.to_owned(),
+                crate::histograms::ORACLE_BATCH_NS.to_owned(),
                 HistogramSummary {
                     count: 1200,
                     sum: 2_400_000,

@@ -80,13 +80,11 @@ pub mod counters {
 /// nanoseconds except [`histograms::ORACLE_BATCH_SIZE`], which records
 /// patterns.
 pub mod histograms {
-    /// Single-query oracle round-trip latency, recorded at the source
-    /// by `InstrumentedOracle`.
-    pub const ORACLE_QUERY_NS: &str = "oracle.query_ns";
-    /// Batch oracle round-trip latency: one sample per batch call,
-    /// recorded by `InstrumentedOracle`.
+    /// Oracle round-trip latency: one sample per answered call (a
+    /// single query is a batch of one), recorded at the source by
+    /// `InstrumentedOracle`.
     pub const ORACLE_BATCH_NS: &str = "oracle.batch_ns";
-    /// Patterns per batch oracle call: one sample per batch call, next
+    /// Patterns per answered oracle call: one sample per call, next
     /// to [`ORACLE_BATCH_NS`].
     pub const ORACLE_BATCH_SIZE: &str = "oracle.batch_size";
     /// Latency of one guarded call through the fault-tolerant layer
@@ -1448,7 +1446,7 @@ mod tests {
     #[test]
     fn histogram_handles_record_into_the_report() {
         let t = Telemetry::recording();
-        let h = t.histogram_handle(crate::histograms::ORACLE_QUERY_NS);
+        let h = t.histogram_handle(crate::histograms::ORACLE_BATCH_NS);
         assert!(h.is_enabled());
         h.record(1_000);
         for _ in 0..3 {
@@ -1456,7 +1454,7 @@ mod tests {
         }
         t.record_time(crate::histograms::SYNTH_PASS_NS, Duration::from_micros(7));
         let report = t.report();
-        let oracle = &report.histograms[crate::histograms::ORACLE_QUERY_NS];
+        let oracle = &report.histograms[crate::histograms::ORACLE_BATCH_NS];
         assert_eq!(oracle.count, 4);
         assert_eq!(oracle.max, 2_000);
         let synth = &report.histograms[crate::histograms::SYNTH_PASS_NS];
