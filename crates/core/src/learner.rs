@@ -9,7 +9,7 @@ use cirlearn_aig::{Aig, Edge};
 use cirlearn_oracle::{InstrumentedOracle, Oracle};
 use cirlearn_synth::{optimize_with, OptimizeConfig};
 use cirlearn_telemetry::json::Json;
-use cirlearn_telemetry::{counters, Level, OutputReport, Telemetry};
+use cirlearn_telemetry::{counters, histograms, Level, OutputReport, Telemetry};
 use rand::rngs::StdRng;
 
 use crate::budget::Budget;
@@ -1228,8 +1228,9 @@ impl Learner {
     /// Converts a learned cover into circuit structure: espresso
     /// minimization (size-guarded), algebraic factoring, and final
     /// complementation for offset covers. Cover variable `x_k` maps to
-    /// `var_map[k]`.
+    /// `var_map[k]`. Its wall time is one `cover.build_ns` sample.
     fn cover_to_edge(&self, cover: &LearnedCover, circuit: &mut Aig, var_map: &[Edge]) -> Edge {
+        let started = Instant::now();
         self.telemetry
             .add(counters::CUBES_COLLECTED, cover.sop.cubes().len() as u64);
         let gates_at = circuit.and_count();
@@ -1242,6 +1243,8 @@ impl Learner {
         };
         self.telemetry
             .attribute_gates(circuit.and_count().saturating_sub(gates_at) as u64);
+        self.telemetry
+            .record_time(histograms::COVER_BUILD_NS, started.elapsed());
         edge.complement_if(cover.complemented)
     }
 }
@@ -1455,6 +1458,32 @@ mod tests {
             },
         );
         assert!(acc.ratio() > 0.95, "accuracy {acc}");
+    }
+
+    #[test]
+    fn cover_build_histogram_has_one_sample_per_output_built_from_a_cover() {
+        let mut oracle = generate::eco_case(14, 3, 55);
+        let telemetry = Telemetry::recording();
+        let mut learner = Learner::with_telemetry(LearnerConfig::fast(), telemetry.clone());
+        let result = learner.learn(&mut oracle);
+        let from_cover = result
+            .outputs
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s.strategy,
+                    Strategy::Exhaustive | Strategy::Fbdt | Strategy::CompressedFbdt
+                )
+            })
+            .count() as u64;
+        assert!(
+            from_cover > 0,
+            "the case must build some output from a cover"
+        );
+        let report = telemetry.report();
+        let samples = &report.histograms[histograms::COVER_BUILD_NS];
+        assert_eq!(samples.count, from_cover);
+        assert!(samples.sum > 0);
     }
 
     #[test]

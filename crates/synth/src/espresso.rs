@@ -1,10 +1,21 @@
-//! Heuristic two-level minimization in the espresso style.
+//! Heuristic two-level minimization in the espresso style, on packed
+//! cubes.
 //!
 //! The minimizer works on cube covers without ever materializing truth
 //! tables, so it scales to the wide supports produced by the FBDT
-//! learner. Its core is a recursive *tautology check* (Shannon splitting
-//! on the most binate variable with the unate-cover leaf rule), on top
-//! of which sit the classic loop phases:
+//! learner. Each entry point remaps the cover's variables, in sorted
+//! order, to dense indices `0..k` and packs every cube into two bit
+//! masks, `pos` and `neg`, of `ceil(k / 64)` words each: the
+//! positional-cube notation of Brayton et al., *Logic Minimization
+//! Algorithms for VLSI Synthesis* (1984). A cover is one flat word
+//! vector. Cofactoring a cube on a literal is one mask test and one mask
+//! clear; the cofactors of a recursion are written onto one scratch
+//! stack, and each level truncates its own on return, so no cofactor
+//! allocates.
+//!
+//! The core is a recursive *tautology check* (Shannon splitting on the
+//! most binate variable with the unate-cover leaf rule), on top of which
+//! sit the classic loop phases:
 //!
 //! * **expand** — raise each cube (drop literals) while it stays
 //!   contained in the original function,
@@ -15,8 +26,29 @@
 //!
 //! Reduce relies on [`complement`], the recursive unate-style cover
 //! complementation.
+//!
+//! Every decision is the one the cube-list formulation makes: the split
+//! variable has the most occurrences, then the most balanced phases,
+//! then the lowest index (the remap is monotone, so the lowest dense
+//! index is the lowest variable); expand, irredundant, reduce and
+//! single-cube containment keep their stable sorts; and complement
+//! splits a unate cover on the lowest variable of its first cube. So
+//! [`minimize`] and [`complement`] return the same cubes in the same
+//! order as a cube-list implementation would, which
+//! `tests/espresso_reference.rs` checks against one.
 
 use cirlearn_logic::{Cube, Literal, Sop, Var};
+
+/// Cover cost: cubes weighted above literals, matching the gate cost of
+/// a two-level implementation.
+fn cost(cover: &[u64], words: usize) -> usize {
+    cover.len() / (2 * words) * 1000 + mask_literal_count(cover)
+}
+
+/// Covers above this many cubes skip reduce in [`minimize`]: cover
+/// complementation can blow up on large covers, so expand and
+/// irredundant alone remain.
+const REDUCE_CUBE_LIMIT: usize = 96;
 
 /// Returns `true` if the cover is a tautology (covers every minterm).
 ///
@@ -37,103 +69,20 @@ use cirlearn_logic::{Cube, Literal, Sop, Var};
 /// assert!(tautology(&cover));
 /// ```
 pub fn tautology(cover: &Sop) -> bool {
-    if cover.is_one() {
-        return true;
-    }
-    if cover.is_zero() {
-        return false;
-    }
-    match most_binate_var(cover) {
-        // Unate, no universal cube: not a tautology.
-        None => false,
-        Some(v) => {
-            let pos = cofactor_cover(cover, v.positive());
-            if !tautology(&pos) {
-                return false;
-            }
-            let neg = cofactor_cover(cover, v.negative());
-            tautology(&neg)
-        }
-    }
+    cube_covered(&Cube::top(), cover)
 }
 
 /// Returns `true` if every minterm of `cube` is covered by `cover`.
 pub fn cube_covered(cube: &Cube, cover: &Sop) -> bool {
-    let mut reduced = cover.clone();
+    let (mut space, packed) = Space::for_cover(cover);
+    // Literals on variables outside the cover cofactor nothing away.
+    let mut mask = vec![0; 2 * space.words];
     for lit in cube.literals() {
-        reduced = cofactor_cover(&reduced, *lit);
-    }
-    tautology(&reduced)
-}
-
-/// Cofactors a cover on a single literal: cubes containing the opposite
-/// literal are dropped, the literal itself is removed from the rest.
-fn cofactor_cover(cover: &Sop, lit: Literal) -> Sop {
-    cover
-        .cubes()
-        .iter()
-        .filter(|c| c.phase_of(lit.var()) != Some(!lit.polarity()))
-        .map(|c| c.without_var(lit.var()))
-        .collect()
-}
-
-/// Picks the variable appearing in the most cubes counting both phases,
-/// provided it is binate (appears in both phases); `None` for a unate
-/// cover.
-fn most_binate_var(cover: &Sop) -> Option<Var> {
-    use std::collections::HashMap;
-    let mut pos_count: HashMap<Var, usize> = HashMap::new();
-    let mut neg_count: HashMap<Var, usize> = HashMap::new();
-    for cube in cover.cubes() {
-        for lit in cube.literals() {
-            if lit.is_negated() {
-                *neg_count.entry(lit.var()).or_default() += 1;
-            } else {
-                *pos_count.entry(lit.var()).or_default() += 1;
-            }
+        if let Ok(v) = space.vars.binary_search(&lit.var()) {
+            set_literal(&mut mask, space.words, v, lit.polarity());
         }
     }
-    pos_count
-        .iter()
-        .filter_map(|(v, &p)| {
-            let n = *neg_count.get(v)?;
-            Some((*v, p + n, p.min(n)))
-        })
-        // Highest total occurrences; tie-break toward balance, then
-        // lowest index for determinism.
-        .max_by_key(|&(v, total, balanced)| (total, balanced, std::cmp::Reverse(v)))
-        .map(|(v, _, _)| v)
-}
-
-/// The expand phase: tries to drop literals from every cube, keeping
-/// the cube inside the original function `reference`.
-///
-/// Literals are attempted in descending frequency over the cover, so
-/// commonly shared literals are kept and rare ones dropped first.
-fn expand(cover: &Sop, reference: &Sop) -> Sop {
-    // Literal frequency across the cover (for the heuristic order).
-    use std::collections::HashMap;
-    let mut freq: HashMap<Literal, usize> = HashMap::new();
-    for cube in cover.cubes() {
-        for lit in cube.literals() {
-            *freq.entry(*lit).or_default() += 1;
-        }
-    }
-    let mut out = Sop::zero();
-    for cube in cover.cubes() {
-        let mut current = cube.clone();
-        // Try dropping the rarest literals first.
-        let mut lits: Vec<Literal> = current.literals().to_vec();
-        lits.sort_by_key(|l| freq.get(l).copied().unwrap_or(0));
-        for lit in lits {
-            let candidate = current.without_var(lit.var());
-            if cube_covered(&candidate, reference) {
-                current = candidate;
-            }
-        }
-        out.push(current);
-    }
-    out
+    space.cube_in_cover(&mask, &packed, |_| true)
 }
 
 /// Complements a cover by recursive Shannon expansion on the most
@@ -156,116 +105,15 @@ fn expand(cover: &Sop, reference: &Sop) -> Sop {
 /// assert_eq!(comp.cubes()[0].literals(), &[x.negative()]);
 /// ```
 pub fn complement(cover: &Sop) -> Sop {
-    if cover.is_one() {
-        return Sop::zero();
-    }
-    if cover.is_zero() {
-        return Sop::one();
-    }
-    // Splitting variable: most binate, else any occurring variable.
-    let var = most_binate_var(cover).unwrap_or_else(|| {
-        cover.cubes()[0]
-            .literals()
-            .first()
-            .expect("non-constant cover has literals")
-            .var()
-    });
-    // ¬f = x·¬(f|x) ∨ ¬x·¬(f|¬x)
-    let f1c = complement(&cofactor_cover(cover, var.positive()));
-    let f0c = complement(&cofactor_cover(cover, var.negative()));
-    let mut out = Sop::zero();
-    // Cubes present in both branch complements need no literal.
-    for c in f1c.cubes() {
-        if f0c.cubes().contains(c) {
-            out.push(c.clone());
-        } else {
-            out.push(
-                c.and_literal(var.positive())
-                    .expect("var eliminated by cofactor"),
-            );
-        }
-    }
-    for c in f0c.cubes() {
-        if !f1c.cubes().contains(c) {
-            out.push(
-                c.and_literal(var.negative())
-                    .expect("var eliminated by cofactor"),
-            );
-        }
-    }
-    out.make_single_cube_minimal();
-    out
+    let (mut space, packed) = Space::for_cover(cover);
+    space.stack = packed;
+    space.stack_complement(0);
+    space.unpack_cover(&space.stack)
 }
 
-/// The reduce phase: shrinks each cube to the smallest cube containing
-/// its *essential* minterms (those the rest of the cover misses), so a
-/// following expand can move to a different prime. The function is
-/// preserved.
-fn reduce(cover: &Sop) -> Sop {
-    let mut cubes: Vec<Cube> = cover.cubes().to_vec();
-    // Espresso order: biggest cubes (fewest literals) first.
-    cubes.sort_by_key(Cube::len);
-    for i in 0..cubes.len() {
-        // Rest of the (current) cover, cofactored into cube i's
-        // subspace.
-        let rest: Sop = cubes
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, c)| c.clone())
-            .collect();
-        let mut rest_in_cube = rest;
-        for lit in cubes[i].literals() {
-            rest_in_cube = cofactor_cover(&rest_in_cube, *lit);
-        }
-        if tautology(&rest_in_cube) {
-            // Fully covered by the others (irredundant will drop it).
-            continue;
-        }
-        let essential = complement(&rest_in_cube);
-        if essential.is_zero() {
-            continue;
-        }
-        // Bounding cube of the essential part, then re-anchored inside
-        // cube i.
-        let bound = essential
-            .cubes()
-            .iter()
-            .skip(1)
-            .fold(essential.cubes()[0].clone(), |acc, c| acc.supercube(c));
-        if let Some(reduced) = cubes[i].intersect(&bound) {
-            cubes[i] = reduced;
-        }
-    }
-    Sop::from_cubes(cubes)
-}
-
-/// The irredundant phase: drops every cube covered by the others.
-fn irredundant(cover: &Sop) -> Sop {
-    let mut cubes: Vec<Cube> = cover.cubes().to_vec();
-    // Try to drop bigger cubes first (more literals = more specific).
-    cubes.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut keep: Vec<bool> = vec![true; cubes.len()];
-    for i in 0..cubes.len() {
-        let rest: Sop = cubes
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i && keep[j])
-            .map(|(_, c)| c.clone())
-            .collect();
-        if cube_covered(&cubes[i], &rest) {
-            keep[i] = false;
-        }
-    }
-    cubes
-        .into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(c, _)| c)
-        .collect()
-}
-
-/// Minimizes a cover with the expand/irredundant loop.
+/// Minimizes a cover: single-cube containment, one expand + irredundant
+/// pass, then the reduce → expand → irredundant loop while it lowers the
+/// cost (reduce is skipped on covers above 96 cubes).
 ///
 /// The result represents the same Boolean function with at most as many
 /// cubes and usually far fewer literals.
@@ -295,37 +143,35 @@ pub fn minimize(cover: &Sop) -> Sop {
     if cover.is_zero() {
         return Sop::zero();
     }
-    if cover.is_one() || tautology(cover) {
+    if cover.is_one() {
         return Sop::one();
     }
-    let reference = cover.clone();
-    let mut current = cover.clone();
-    current.make_single_cube_minimal();
+    let (mut space, reference) = Space::for_cover(cover);
+    let words = space.words;
+    if space.cube_in_cover(&vec![0; 2 * words], &reference, |_| true) {
+        return Sop::one();
+    }
+    let mut current = space.single_cube_minimal(&reference);
 
     // Initial expand + irredundant.
-    let mut current = {
-        let mut irr = irredundant(&expand(&current, &reference));
-        irr.make_single_cube_minimal();
-        if cost(&irr) < cost(&current) {
-            irr
-        } else {
-            current
-        }
-    };
-    let mut best_cost = cost(&current);
+    let expanded = space.expand_cover(&current, &reference);
+    let irr = space.irredundant_cover(&expanded);
+    let irr = space.single_cube_minimal(&irr);
+    if cost(&irr, words) < cost(&current, words) {
+        current = irr;
+    }
+    let mut best_cost = cost(&current, words);
 
     // Classic loop: reduce → expand → irredundant, until no gain.
-    // Cover complementation can blow up on large covers; reduce is
-    // skipped beyond this guard (expand + irredundant alone remain).
-    const REDUCE_CUBE_LIMIT: usize = 96;
     for _ in 0..8 {
-        if current.cubes().len() > REDUCE_CUBE_LIMIT {
+        if current.len() / (2 * words) > REDUCE_CUBE_LIMIT {
             break;
         }
-        let reduced = reduce(&current);
-        let mut candidate = irredundant(&expand(&reduced, &reference));
-        candidate.make_single_cube_minimal();
-        let c = cost(&candidate);
+        let reduced = space.reduce_cover(&current);
+        let expanded = space.expand_cover(&reduced, &reference);
+        let candidate = space.irredundant_cover(&expanded);
+        let candidate = space.single_cube_minimal(&candidate);
+        let c = cost(&candidate, words);
         if c < best_cost {
             best_cost = c;
             current = candidate;
@@ -333,13 +179,455 @@ pub fn minimize(cover: &Sop) -> Sop {
             break;
         }
     }
-    current
+    space.unpack_cover(&current)
 }
 
-/// Cover cost: cubes weighted above literals, matching the gate cost of
-/// a two-level implementation.
-fn cost(cover: &Sop) -> usize {
-    cover.cubes().len() * 1000 + cover.literal_count()
+/// How a cover splits, from one scan of its cubes.
+enum Split {
+    /// Some cube is universal: the cover is constant 1.
+    Universal,
+    /// No cubes: the cover is constant 0.
+    Empty,
+    /// No variable occurs in both phases.
+    Unate,
+    /// The most binate variable (dense index).
+    Binate(usize),
+}
+
+/// The dense variable universe of one cover, with the scratch its
+/// packed operations reuse.
+///
+/// A packed cube is `2 * words` words: the `pos` mask (bit `v` set when
+/// `x_v` is a literal), then the `neg` mask (bit `v` set when `!x_v`
+/// is). A packed cover is its cubes back to back.
+struct Space {
+    /// Dense index `i` stands for `vars[i]`; sorted, so the remap is
+    /// monotone.
+    vars: Vec<Var>,
+    /// Words per mask: `ceil(vars.len() / 64)`, at least one.
+    words: usize,
+    /// Covers of the recursions in progress, each level's cofactor on
+    /// top of its parent's cover.
+    stack: Vec<u64>,
+    /// Per dense variable, `[positive, negative]` literal counts; all
+    /// zero between uses.
+    counts: Vec<[u32; 2]>,
+    /// `2 * words` words: the positive and the negative literals of the
+    /// cover being split, then its binate variables in the first half.
+    occurs: Vec<u64>,
+    /// Cube order of the stable sorts.
+    order: Vec<usize>,
+}
+
+impl Space {
+    /// Packs `cover` over its own support.
+    fn for_cover(cover: &Sop) -> (Space, Vec<u64>) {
+        let vars = cover.support();
+        let words = vars.len().div_ceil(64).max(1);
+        let mut packed = vec![0; 2 * words * cover.cubes().len()];
+        for (cube, mask) in cover.cubes().iter().zip(packed.chunks_exact_mut(2 * words)) {
+            for lit in cube.literals() {
+                // panic-ok: every literal's variable is in the support.
+                let v = vars.binary_search(&lit.var()).expect("support variable");
+                set_literal(mask, words, v, lit.polarity());
+            }
+        }
+        let space = Space {
+            counts: vec![[0; 2]; vars.len()],
+            vars,
+            words,
+            stack: Vec::new(),
+            occurs: vec![0; 2 * words],
+            order: Vec::new(),
+        };
+        (space, packed)
+    }
+
+    /// The packed cover as an [`Sop`], cubes in the same order.
+    fn unpack_cover(&self, cover: &[u64]) -> Sop {
+        let w = self.words;
+        cover
+            .chunks_exact(2 * w)
+            .map(|cube| {
+                let mut literals = Vec::with_capacity(mask_literal_count(cube));
+                for_each_literal(cube, w, |v, phase| {
+                    literals.push(Literal::new(self.vars[v], phase == 1));
+                });
+                // panic-ok: a packed cube never holds both phases of a
+                // variable.
+                Cube::from_literals(literals).expect("consistent cube")
+            })
+            .collect()
+    }
+
+    /// Picks the split of the cover `stack[start..end]`: among the
+    /// variables in both phases, the one in the most cubes, ties going
+    /// to the more balanced one and then to the lowest index.
+    fn binate_split(&mut self, start: usize, end: usize) -> Split {
+        let w = self.words;
+        let cover = &self.stack[start..end];
+        if cover.is_empty() {
+            return Split::Empty;
+        }
+        self.occurs.fill(0);
+        let (pos, neg) = self.occurs.split_at_mut(w);
+        for cube in cover.chunks_exact(2 * w) {
+            if cube.iter().all(|&x| x == 0) {
+                return Split::Universal;
+            }
+            for i in 0..w {
+                pos[i] |= cube[i];
+                neg[i] |= cube[w + i];
+            }
+        }
+        for (p, n) in pos.iter_mut().zip(neg.iter()) {
+            *p &= n;
+        }
+        let binate = &*pos;
+        if binate.iter().all(|&x| x == 0) {
+            return Split::Unate;
+        }
+        for cube in cover.chunks_exact(2 * w) {
+            for (i, &mask) in binate.iter().enumerate() {
+                for (phase, word) in [cube[i], cube[w + i]].into_iter().enumerate() {
+                    let mut bits = word & mask;
+                    while bits != 0 {
+                        self.counts[64 * i + bits.trailing_zeros() as usize][phase] += 1;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+        let mut best = (0, (0, 0));
+        for (i, &mask) in binate.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let v = 64 * i + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let [p, n] = std::mem::take(&mut self.counts[v]);
+                // Strictly greater: the lowest variable wins a tie.
+                if (p + n, p.min(n)) > best.1 {
+                    best = (v, (p + n, p.min(n)));
+                }
+            }
+        }
+        Split::Binate(best.0)
+    }
+
+    /// Appends the cofactor of the cover `stack[start..end]` on the
+    /// literal of variable `v` in phase `positive`: cubes with the
+    /// opposite literal are dropped, the literal itself is cleared from
+    /// the rest.
+    fn push_literal_cofactor(&mut self, start: usize, end: usize, v: usize, positive: bool) {
+        let w = self.words;
+        let bit = 1u64 << (v % 64);
+        let (kept, dropped) = if positive {
+            (v / 64, w + v / 64)
+        } else {
+            (w + v / 64, v / 64)
+        };
+        let at = self.stack.len();
+        self.stack.resize(at + end - start, 0);
+        let (covers, top) = self.stack.split_at_mut(at);
+        let mut len = 0;
+        for cube in covers[start..end].chunks_exact(2 * w) {
+            if cube[dropped] & bit == 0 {
+                let out = &mut top[len..len + 2 * w];
+                out.copy_from_slice(cube);
+                out[kept] &= !bit;
+                len += 2 * w;
+            }
+        }
+        self.stack.truncate(at + len);
+    }
+
+    /// Appends the cofactor on `cube` of the cubes of `cover` whose
+    /// index `include` admits.
+    fn push_cube_cofactor(&mut self, cover: &[u64], cube: &[u64], include: impl Fn(usize) -> bool) {
+        let w = self.words;
+        for (j, c) in cover.chunks_exact(2 * w).enumerate() {
+            if include(j) && !masks_conflict(c, cube, w) {
+                self.stack.extend(c.iter().zip(cube).map(|(&x, &y)| x & !y));
+            }
+        }
+    }
+
+    /// Returns `true` if the cubes of `cover` whose index `include`
+    /// admits cover every minterm of `cube`.
+    fn cube_in_cover(
+        &mut self,
+        cube: &[u64],
+        cover: &[u64],
+        include: impl Fn(usize) -> bool,
+    ) -> bool {
+        let start = self.stack.len();
+        self.push_cube_cofactor(cover, cube, include);
+        let covered = self.stack_tautology(start);
+        self.stack.truncate(start);
+        covered
+    }
+
+    /// Returns `true` if the cover `stack[start..]` is a tautology. The
+    /// stack is left as it was.
+    fn stack_tautology(&mut self, start: usize) -> bool {
+        let end = self.stack.len();
+        let v = match self.binate_split(start, end) {
+            Split::Universal => return true,
+            // Unate, no universal cube: not a tautology.
+            Split::Empty | Split::Unate => return false,
+            Split::Binate(v) => v,
+        };
+        for positive in [true, false] {
+            self.push_literal_cofactor(start, end, v, positive);
+            let covered = self.stack_tautology(end);
+            self.stack.truncate(end);
+            if !covered {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Replaces the cover `stack[start..]` by its complement.
+    fn stack_complement(&mut self, start: usize) {
+        let w = self.words;
+        let end = self.stack.len();
+        // Splitting variable: most binate, else the lowest variable of
+        // the first cube.
+        let v = match self.binate_split(start, end) {
+            Split::Universal => {
+                self.stack.truncate(start);
+                return;
+            }
+            Split::Empty => {
+                self.stack.truncate(start);
+                self.stack.resize(start + 2 * w, 0);
+                return;
+            }
+            Split::Unate => lowest_var(&self.stack[start..start + 2 * w], w),
+            Split::Binate(v) => v,
+        };
+        // ¬f = x·¬(f|x) ∨ ¬x·¬(f|¬x)
+        self.push_literal_cofactor(start, end, v, true);
+        self.stack_complement(end);
+        let mid = self.stack.len();
+        self.push_literal_cofactor(start, end, v, false);
+        self.stack_complement(mid);
+        let top = self.stack.len();
+        // Cubes present in both branch complements need no literal.
+        for (branch, other, positive) in [(end..mid, mid..top, true), (mid..top, end..mid, false)] {
+            for j in branch.step_by(2 * w) {
+                let cube = &self.stack[j..j + 2 * w];
+                let shared = self.stack[other.clone()]
+                    .chunks_exact(2 * w)
+                    .any(|c| c == cube);
+                if shared && !positive {
+                    continue;
+                }
+                let at = self.stack.len();
+                self.stack.extend_from_within(j..j + 2 * w);
+                if !shared {
+                    set_literal(&mut self.stack[at..], w, v, positive);
+                }
+            }
+        }
+        let merged = self.stack.len();
+        self.push_single_cube_minimal(top, merged);
+        self.stack.copy_within(merged.., start);
+        self.stack.truncate(start + self.stack.len() - merged);
+    }
+
+    /// Appends the cover `stack[from..to]` without the cubes contained
+    /// in another: cubes in a stable order by literal count, each kept
+    /// unless it implies one kept before it.
+    fn push_single_cube_minimal(&mut self, from: usize, to: usize) {
+        let w2 = 2 * self.words;
+        let stack = &self.stack;
+        self.order.clear();
+        self.order.extend((from..to).step_by(w2));
+        self.order
+            .sort_by_key(|&j| mask_literal_count(&stack[j..j + w2]));
+        for &j in &self.order {
+            let cube = &self.stack[j..j + w2];
+            if !self.stack[to..]
+                .chunks_exact(w2)
+                .any(|kept| mask_implies(cube, kept))
+            {
+                self.stack.extend_from_within(j..j + w2);
+            }
+        }
+    }
+
+    /// Single-cube containment: [`Sop::make_single_cube_minimal`] on a
+    /// packed cover.
+    fn single_cube_minimal(&mut self, cover: &[u64]) -> Vec<u64> {
+        let start = self.stack.len();
+        self.stack.extend_from_slice(cover);
+        let end = self.stack.len();
+        self.push_single_cube_minimal(start, end);
+        let minimal = self.stack[end..].to_vec();
+        self.stack.truncate(start);
+        minimal
+    }
+
+    /// The cubes of `cover` in a stable order by `key` of their literal
+    /// counts.
+    fn sorted_cubes<K: Ord>(&mut self, cover: &[u64], key: impl Fn(usize) -> K) -> Vec<u64> {
+        let w2 = 2 * self.words;
+        self.order.clear();
+        self.order.extend((0..cover.len()).step_by(w2));
+        self.order
+            .sort_by_key(|&j| key(mask_literal_count(&cover[j..j + w2])));
+        self.order
+            .iter()
+            .flat_map(|&j| &cover[j..j + w2])
+            .copied()
+            .collect()
+    }
+
+    /// The expand phase: tries to drop literals from every cube, keeping
+    /// the cube inside the original function `reference`.
+    ///
+    /// Literals are attempted in ascending frequency over the cover, so
+    /// commonly shared literals are kept and rare ones dropped first.
+    fn expand_cover(&mut self, cover: &[u64], reference: &[u64]) -> Vec<u64> {
+        let w = self.words;
+        // Literal frequency across the cover (for the heuristic order).
+        let mut freq = vec![[0u32; 2]; self.vars.len()];
+        for cube in cover.chunks_exact(2 * w) {
+            for_each_literal(cube, w, |v, phase| freq[v][phase] += 1);
+        }
+        let mut out = Vec::with_capacity(cover.len());
+        let mut lits: Vec<(usize, usize)> = Vec::new();
+        for cube in cover.chunks_exact(2 * w) {
+            let at = out.len();
+            out.extend_from_slice(cube);
+            // Try dropping the rarest literals first.
+            lits.clear();
+            for_each_literal(cube, w, |v, phase| lits.push((v, phase)));
+            lits.sort_by_key(|&(v, phase)| freq[v][phase]);
+            for &(v, phase) in &lits {
+                let word = at + phase * w + v / 64;
+                let bit = 1u64 << (v % 64);
+                out[word] &= !bit;
+                if !self.cube_in_cover(&out[at..], reference, |_| true) {
+                    out[word] |= bit;
+                }
+            }
+        }
+        out
+    }
+
+    /// The irredundant phase: drops every cube covered by the others.
+    fn irredundant_cover(&mut self, cover: &[u64]) -> Vec<u64> {
+        let w2 = 2 * self.words;
+        // Try to drop bigger cubes first (more literals = more specific).
+        let cubes = self.sorted_cubes(cover, std::cmp::Reverse);
+        let mut keep = vec![true; cubes.len() / w2];
+        for i in 0..keep.len() {
+            let cube = &cubes[w2 * i..w2 * (i + 1)];
+            if self.cube_in_cover(cube, &cubes, |j| j != i && keep[j]) {
+                keep[i] = false;
+            }
+        }
+        cubes
+            .chunks_exact(w2)
+            .zip(keep)
+            .filter(|&(_, k)| k)
+            .flat_map(|(c, _)| c)
+            .copied()
+            .collect()
+    }
+
+    /// The reduce phase: shrinks each cube to the smallest cube
+    /// containing its *essential* minterms (those the rest of the cover
+    /// misses), so a following expand can move to a different prime.
+    /// The function is preserved.
+    fn reduce_cover(&mut self, cover: &[u64]) -> Vec<u64> {
+        let w = self.words;
+        // Espresso order: biggest cubes (fewest literals) first.
+        let mut cubes = self.sorted_cubes(cover, |len| len);
+        let mut bound = vec![0; 2 * w];
+        for i in 0..cubes.len() / (2 * w) {
+            let range = 2 * w * i..2 * w * (i + 1);
+            // Rest of the (current) cover, cofactored into cube i's
+            // subspace.
+            let start = self.stack.len();
+            self.push_cube_cofactor(&cubes, &cubes[range.clone()], |j| j != i);
+            if self.stack_tautology(start) {
+                // Fully covered by the others (irredundant will drop it).
+                self.stack.truncate(start);
+                continue;
+            }
+            self.stack_complement(start);
+            if self.stack.len() == start {
+                continue;
+            }
+            // Bounding cube of the essential part, then re-anchored
+            // inside cube i.
+            bound.fill(!0);
+            for c in self.stack[start..].chunks_exact(2 * w) {
+                for (b, &x) in bound.iter_mut().zip(c) {
+                    *b &= x;
+                }
+            }
+            self.stack.truncate(start);
+            let cube = &mut cubes[range];
+            if !masks_conflict(cube, &bound, w) {
+                for (c, &b) in cube.iter_mut().zip(&bound) {
+                    *c |= b;
+                }
+            }
+        }
+        cubes
+    }
+}
+
+/// Adds the literal of variable `v` in phase `positive` to a packed
+/// cube.
+fn set_literal(cube: &mut [u64], words: usize, v: usize, positive: bool) {
+    let word = if positive { v / 64 } else { words + v / 64 };
+    cube[word] |= 1 << (v % 64);
+}
+
+/// Calls `f(v, phase)` for each literal of a packed cube, in variable
+/// order; phase 0 is positive, 1 negative.
+fn for_each_literal(cube: &[u64], words: usize, mut f: impl FnMut(usize, usize)) {
+    for i in 0..words {
+        let mut bits = cube[i] | cube[words + i];
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            f(64 * i + b, (cube[words + i] >> b & 1) as usize);
+        }
+    }
+}
+
+/// Total literal count of packed cubes.
+fn mask_literal_count(cubes: &[u64]) -> usize {
+    cubes.iter().map(|x| x.count_ones() as usize).sum()
+}
+
+/// Returns `true` if two packed cubes hold opposite literals of some
+/// variable, i.e. do not intersect.
+fn masks_conflict(a: &[u64], b: &[u64], words: usize) -> bool {
+    (0..words).any(|i| a[i] & b[words + i] | a[words + i] & b[i] != 0)
+}
+
+/// Returns `true` if packed `cube` implies packed `other`: `other`'s
+/// literals are a subset of `cube`'s.
+fn mask_implies(cube: &[u64], other: &[u64]) -> bool {
+    cube.iter().zip(other).all(|(&c, &o)| o & !c == 0)
+}
+
+/// The lowest variable of a non-empty packed cube.
+fn lowest_var(cube: &[u64], words: usize) -> usize {
+    (0..words)
+        .find_map(|i| {
+            let bits = cube[i] | cube[words + i];
+            (bits != 0).then(|| 64 * i + bits.trailing_zeros() as usize)
+        })
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -353,6 +641,13 @@ mod tests {
 
     fn cube(lits: &[(u32, bool)]) -> Cube {
         Cube::from_literals(lits.iter().map(|&(v, n)| lit(v, n))).expect("consistent")
+    }
+
+    /// The reduce phase on an `Sop`.
+    fn reduce(cover: &Sop) -> Sop {
+        let (mut space, packed) = Space::for_cover(cover);
+        let reduced = space.reduce_cover(&packed);
+        space.unpack_cover(&reduced)
     }
 
     fn minterm_cover(tt: &TruthTable) -> Sop {

@@ -93,6 +93,10 @@ pub mod histograms {
     pub const ORACLE_GUARDED_QUERY_NS: &str = "oracle.guarded_query_ns";
     /// Per-node FBDT expansion cost (one pattern-sampling round).
     pub const FBDT_NODE_NS: &str = "fbdt.node_ns";
+    /// Building one output's circuit from its learned cover: espresso
+    /// minimization, factoring and AIG construction, one sample per
+    /// cover.
+    pub const COVER_BUILD_NS: &str = "cover.build_ns";
     /// Per-pass synthesis time (excluding verification).
     pub const SYNTH_PASS_NS: &str = "synth.pass_ns";
     /// Per-pass static-analysis audit time (the pre-SAT gate).
