@@ -370,7 +370,7 @@ impl Learner {
     /// [`LearnResult::degraded`] / [`LearnResult::faults`] record what
     /// happened.
     pub fn learn<O: Oracle + ?Sized>(&mut self, oracle: &mut O) -> LearnResult {
-        match self.run(oracle, &RunControl::default(), None) {
+        match self.learn_with(oracle, &RunControl::default()) {
             LearnOutcome::Completed(result) => *result,
             LearnOutcome::Suspended(_) => {
                 unreachable!("default RunControl has no stop source; the run cannot suspend")
@@ -390,7 +390,9 @@ impl Learner {
         oracle: &mut O,
         ctl: &RunControl,
     ) -> LearnOutcome {
-        self.run(oracle, ctl, None)
+        let mut run = Run::new(self, oracle, ctl);
+        run.templates();
+        run.learn()
     }
 
     /// Resumes a suspended run from checkpoint state.
@@ -417,17 +419,19 @@ impl Learner {
         oracle: &mut O,
         ctl: &RunControl,
     ) -> Result<LearnOutcome, CheckpointError> {
-        let restored = self.validate(state, oracle)?;
-        Ok(self.run(oracle, ctl, Some(restored)))
+        let run = self.validate(state, oracle, ctl)?;
+        run.report_resume();
+        Ok(run.learn())
     }
 
     /// Converts checkpoint state into live run state, performing every
-    /// fallible check up front so `run` itself is infallible.
-    fn validate<O: Oracle + ?Sized>(
-        &self,
+    /// fallible check up front so the run itself is infallible.
+    fn validate<'a, O: Oracle + ?Sized>(
+        &'a self,
         state: LearnState,
-        oracle: &mut O,
-    ) -> Result<Restored, CheckpointError> {
+        oracle: &'a mut O,
+        ctl: &'a RunControl,
+    ) -> Result<Run<'a, O>, CheckpointError> {
         let fp = config_fingerprint(&self.config);
         if fp != state.config_fingerprint {
             return Err(CheckpointError::Mismatch(format!(
@@ -469,7 +473,7 @@ impl Learner {
                 None => None,
             });
         }
-        let fbdt = match state.cursor {
+        let tree = match state.cursor {
             Cursor::NextOutput => None,
             Cursor::Fbdt {
                 snapshot,
@@ -500,9 +504,9 @@ impl Learner {
                 }
                 let mut fbdt_cfg = self.config.fbdt.clone();
                 fbdt_cfg.max_queries = max_queries;
-                Some(FbdtResume {
+                Some(Tree {
                     builder: FbdtBuilder::restore(snapshot, &fbdt_cfg),
-                    max_queries,
+                    cap: max_queries,
                     partial_elapsed,
                     partial_queries,
                 })
@@ -513,570 +517,317 @@ impl Learner {
                 .restore_state(oracle_state)
                 .map_err(|e| CheckpointError::Mismatch(e.to_string()))?;
         }
-        Ok(Restored {
+        Ok(Run {
             circuit,
             rng: StdRng::from_state(state.rng),
-            progress: Progress {
-                edges,
-                strategies: state.strategies,
-                support_sizes: state.support_sizes,
-                forced: state.forced,
-                out_elapsed: state.out_elapsed,
-                out_queries: state.out_queries,
-                truth_bias: state.truth_bias,
-            },
+            edges,
+            strategies: state.strategies,
+            support_sizes: state.support_sizes,
+            forced: state.forced,
+            out_elapsed: state.out_elapsed,
+            out_queries: state.out_queries,
+            truth_bias: state.truth_bias,
             queries_used: state.queries_used,
             elapsed_before: state.elapsed_before,
-            fbdt,
+            // The budget covers the whole run, not this segment: time
+            // spent in prior segments is already gone.
+            budget: Budget::new(self.config.time_budget.saturating_sub(state.elapsed_before)),
+            tree,
+            ..Run::new(self, oracle, ctl)
         })
     }
+}
 
-    /// The run engine behind [`Learner::learn`], [`Learner::learn_with`]
-    /// and [`Learner::resume`]: infallible, with all resume validation
-    /// already done by [`Learner::validate`].
-    fn run<O: Oracle + ?Sized>(
-        &mut self,
-        oracle: &mut O,
-        ctl: &RunControl,
-        restored: Option<Restored>,
-    ) -> LearnOutcome {
-        let telemetry = self.telemetry.clone();
+/// The identity variable map: cover variable `x_k` is primary input `k`.
+fn identity_var_map(circuit: &Aig) -> Vec<Edge> {
+    (0..circuit.num_inputs())
+        .map(|p| circuit.input_edge(p))
+        .collect()
+}
+
+/// The state of one run segment. [`Learner::learn_with`] builds it
+/// fresh and [`Learner::validate`] from a checkpoint; each pipeline
+/// stage is one method, and [`Run::safe_point`] is the only place a run
+/// checkpoints or suspends.
+struct Run<'a, O: ?Sized> {
+    config: &'a LearnerConfig,
+    telemetry: &'a Telemetry,
+    ctl: &'a RunControl,
+    /// The caller's oracle, counted at the source and guarded.
+    oracle: OracleGuard<InstrumentedOracle<&'a mut O>>,
+    /// Input name grouping (step 1); `None` without preprocessing.
+    grouping: Option<Grouping>,
+    /// The partial circuit: outputs are attached only at the end.
+    circuit: Aig,
+    rng: StdRng,
+    // Per-output progress; everything but `cut_short` is checkpointed.
+    edges: Vec<Option<Edge>>,
+    strategies: Vec<Option<Strategy>>,
+    support_sizes: Vec<usize>,
+    forced: Vec<usize>,
+    out_elapsed: Vec<Duration>,
+    out_queries: Vec<u64>,
+    truth_bias: Vec<Option<f64>>,
+    /// Outputs whose FBDT the deadline cut short: they keep their
+    /// partial-cube circuit but are reported as degraded.
+    cut_short: Vec<bool>,
+    /// Queries and wall clock spent in prior segments.
+    queries_used: u64,
+    elapsed_before: Duration,
+    /// The oracle's query count when this segment started.
+    start_queries: u64,
+    budget: Budget,
+    /// Safe points passed in this segment.
+    safe_points: u64,
+    last_ckpt: Instant,
+    deadline_dumped: bool,
+    /// An in-flight FBDT restored from a checkpoint, waiting for its
+    /// output's turn (it always goes first).
+    tree: Option<Tree>,
+}
+
+/// An FBDT driven one node expansion at a time.
+struct Tree {
+    builder: FbdtBuilder,
+    /// The query cap assigned when the tree started (the budget share
+    /// must not be re-portioned mid-tree).
+    cap: Option<u64>,
+    /// Wall clock and queries this output spent in prior segments.
+    partial_elapsed: Duration,
+    partial_queries: u64,
+}
+
+/// How one output's circuit gets built: either the edge is already
+/// decided (exhaustive/compressed, both atomic), or an FBDT is driven
+/// step by step with safe points in between.
+enum Arm {
+    Edge(Edge),
+    Tree(Box<Tree>, Budget),
+}
+
+impl<'a, O: Oracle + ?Sized> Run<'a, O> {
+    /// A fresh run: an empty circuit over the oracle's inputs, the
+    /// seeded RNG, and no output learned.
+    fn new(learner: &'a Learner, oracle: &'a mut O, ctl: &'a RunControl) -> Self {
+        let config = &learner.config;
+        let telemetry = &learner.telemetry;
         // Count queries at the source: every query the pipeline issues
         // from here on lands on the `oracle.queries` counter and is
         // attributed to the stage span active when it was served.
         // The guard outside routes them through the fallible path and
         // latches the first terminal failure for per-output isolation,
         // dumping the flight recorder at the moment of the fault.
-        let mut oracle = OracleGuard::with_telemetry(
+        let oracle = OracleGuard::with_telemetry(
             InstrumentedOracle::new(oracle, telemetry.clone()),
             telemetry.clone(),
         );
-        let resuming = restored.is_some();
-        let num_outputs = oracle.num_outputs();
-        let input_names: Vec<String> = oracle.input_names().to_vec();
-        let output_names: Vec<String> = oracle.output_names().to_vec();
-
-        let (mut circuit, mut rng, mut progress, queries_used, elapsed_before, mut fbdt_resume) =
-            match restored {
-                Some(r) => (
-                    r.circuit,
-                    r.rng,
-                    r.progress,
-                    r.queries_used,
-                    r.elapsed_before,
-                    r.fbdt,
-                ),
-                None => {
-                    let mut circuit = Aig::new();
-                    for name in &input_names {
-                        circuit.add_input(name.clone());
-                    }
-                    (
-                        circuit,
-                        seeded_rng(self.config.seed),
-                        Progress::fresh(num_outputs),
-                        0,
-                        Duration::ZERO,
-                        None,
-                    )
-                }
-            };
-        // The budget covers the whole run, not this segment: time spent
-        // in prior segments is already gone.
-        let budget = Budget::new(self.config.time_budget.saturating_sub(elapsed_before));
-        let start_queries = oracle.queries();
-
-        if resuming {
-            telemetry.incr(counters::CKPT_RESUMES);
-            let done = progress.edges.iter().filter(|e| e.is_some()).count();
-            telemetry.trace(
-                "resume",
-                &[
-                    ("outputs_done", Json::from(done)),
-                    ("queries_used", Json::from(queries_used)),
-                    (
-                        "elapsed_before_us",
-                        Json::from(u64::try_from(elapsed_before.as_micros()).unwrap_or(u64::MAX)),
-                    ),
-                ],
-            );
-            telemetry.event(
-                Level::Info,
-                &format!(
-                    "resumed: {done}/{num_outputs} outputs learned, {queries_used} queries \
-                     and {elapsed_before:.1?} spent in prior segments"
-                ),
-            );
+        let n = oracle.num_outputs();
+        let mut circuit = Aig::new();
+        for name in oracle.input_names() {
+            circuit.add_input(name.clone());
         }
-
-        // Steps 1–2: name based grouping + template matching. Grouping
-        // is recomputed on resume (it is a pure function of the port
-        // names), but the template stage ran to completion in the first
-        // segment — it is atomic, never suspended into a checkpoint —
-        // so a resumed run skips it.
-        let in_grouping = self.config.preprocessing.then(|| group_names(&input_names));
-        if !resuming {
-            if let Some(grouping) = &in_grouping {
-                telemetry.event(
-                    Level::Info,
-                    &format!(
-                        "grouping: {} buses, {} scalars",
-                        grouping.groups.len(),
-                        grouping.scalars.len()
-                    ),
-                );
-                for g in &grouping.groups {
-                    telemetry.event(Level::Debug, &format!("bus {} width {}", g.stem, g.width()));
-                }
-                let out_grouping = group_names(&output_names);
-                let _span = telemetry.span("templates");
-                self.match_templates(
-                    &mut oracle,
-                    grouping,
-                    &out_grouping,
-                    &mut circuit,
-                    &mut progress.edges,
-                    &mut progress.strategies,
-                    &mut rng,
-                );
-            }
-            budget.checkpoint(&telemetry, "templates");
-            if oracle.failed() {
-                // The fault hit during the shared template stage: any match
-                // may have validated against fallback answers, so none can
-                // be trusted. Discard them all; every output degrades.
-                telemetry.event(
-                    Level::Warn,
-                    "oracle failed during template matching; discarding template matches",
-                );
-                progress.edges.fill(None);
-                progress.strategies.fill(None);
-            }
-        }
-
-        // Steps 3–4 for the remaining outputs. On resume the set is
-        // recomputed from the learned edges; an in-flight FBDT output
-        // goes first (it was first among the unfinished outputs when it
-        // suspended, so the budget-share arithmetic is unchanged).
-        let mut remaining: Vec<usize> = (0..num_outputs)
-            .filter(|&o| progress.edges[o].is_none())
-            .collect();
-        if let Some(f) = &fbdt_resume {
-            let o = f.builder.output();
-            remaining.retain(|&x| x != o);
-            remaining.insert(0, o);
-        }
-        if !resuming {
-            telemetry.event(
-                Level::Info,
-                &format!(
-                    "templates matched {} of {} outputs",
-                    num_outputs - remaining.len(),
-                    num_outputs
-                ),
-            );
-        }
-
-        telemetry.set_progress(
-            progress.edges.iter().filter(|e| e.is_some()).count() as u64,
-            num_outputs as u64,
-        );
-
-        let stop_flag = ctl.stop.clone();
-        let stop_requested = move || {
-            stop_flag
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::Relaxed))
-        };
-        let dump_flag = ctl.dump.clone();
-        let dump_requested = move || {
-            // Swap, not load: the flag is an edge trigger — each
-            // SIGUSR1 produces exactly one dump at the next safe point.
-            // relaxed-ok: the flag is a standalone edge trigger; no
-            // other memory is published through it, and the swap's
-            // read-modify-write atomicity alone guarantees one dump
-            // per signal.
-            dump_flag
-                .as_ref()
-                .is_some_and(|d| d.swap(false, Ordering::Relaxed))
-        };
-        let deadline_hit = |budget: &Budget| {
-            ctl.deadline
-                .is_some_and(|d| elapsed_before + budget.elapsed() >= d)
-        };
-        let mut deadline_dumped = false;
-        let mut safe_points: u64 = 0;
-        let mut last_ckpt = Instant::now();
-        let mut suspended: Option<Box<LearnState>> = None;
-        // Outputs whose FBDT the deadline cut short: they keep their
-        // partial-cube circuit but are reported as degraded.
-        let mut deadline_partials: Vec<usize> = Vec::new();
-
-        'outputs: for (k, &o) in remaining.iter().enumerate() {
-            // Safe point: output boundary.
-            if dump_requested() {
-                telemetry.dump_flight("signal");
-            }
-            let reached = safe_points;
-            safe_points += 1;
-            let want_stop =
-                stop_requested() || ctl.stop_after_safe_points.is_some_and(|cap| reached >= cap);
-            let cadence_due =
-                ctl.checkpoint_path.is_some() && last_ckpt.elapsed() >= ctl.checkpoint_interval;
-            if want_stop || cadence_due {
-                let state = progress.to_state(
-                    &self.config,
-                    &rng,
-                    &circuit,
-                    &input_names,
-                    &output_names,
-                    queries_used + (oracle.queries() - start_queries),
-                    elapsed_before + budget.elapsed(),
-                    Cursor::NextOutput,
-                    oracle.checkpoint_state(),
-                );
-                if let Some(path) = &ctl.checkpoint_path {
-                    write_checkpoint(&telemetry, path, &state);
-                    last_ckpt = Instant::now();
-                }
-                if want_stop {
-                    suspended = Some(Box::new(state));
-                    break 'outputs;
-                }
-            }
-            if oracle.failed() || budget.exhausted() {
-                // Per-output isolation: a dead oracle answers constant
-                // fallbacks instantly, but learning from them would
-                // only launder junk into the circuit — and past the
-                // budget there is no time left to sample honestly.
-                // Leave the edge empty; it degrades to a baseline
-                // constant below.
-                continue;
-            }
-            let has_resumed_tree = fbdt_resume
-                .as_ref()
-                .is_some_and(|f| f.builder.output() == o);
-            if deadline_hit(&budget) && !has_resumed_tree {
-                if !deadline_dumped {
-                    deadline_dumped = true;
-                    telemetry.dump_flight("deadline");
-                }
-                // Degradation ladder, bottom rung: outputs not yet
-                // started get the majority constant below. An in-flight
-                // resumed tree still enters its arm so the cubes it
-                // already collected are synthesized, not discarded.
-                continue;
-            }
-            let out_start = Instant::now();
-            let queries_before = oracle.queries();
-            // Everything from here to the end of the iteration is this
-            // output's work: tag queries and gate builds with it.
-            let _out_scope = telemetry.output_scope(o);
-
-            let resumed_tree = match &fbdt_resume {
-                Some(f) if f.builder.output() == o => fbdt_resume.take(),
-                _ => None,
-            };
-            let (partial_elapsed, partial_queries) =
-                resumed_tree.as_ref().map_or((Duration::ZERO, 0), |f| {
-                    (f.partial_elapsed, f.partial_queries)
-                });
-
-            // Pick the arm: a resumed tree continues directly; fresh
-            // outputs go through support identification first.
-            let arm = if let Some(resume) = resumed_tree {
-                let share = 1.0 / (remaining.len() - k) as f64;
-                Arm::Tree {
-                    builder: Box::new(resume.builder),
-                    node_budget: budget.fraction_of_remaining(share),
-                    cap: resume.max_queries,
-                }
-            } else {
-                let info = {
-                    let _span = telemetry.span("support");
-                    identify_support(&mut oracle, o, &self.config.support_sampling, &mut rng)
-                };
-                progress.support_sizes[o] = info.support.len();
-                progress.truth_bias[o] = Some(info.truth_ratio);
-                telemetry.event(
-                    Level::Debug,
-                    &format!(
-                        "output {o} ({}): support {} truth_ratio {:.3}",
-                        output_names[o],
-                        info.support.len(),
-                        info.truth_ratio
-                    ),
-                );
-                let share = 1.0 / (remaining.len() - k) as f64;
-                let node_budget = budget.fraction_of_remaining(share);
-                if info.support.len() <= self.config.fbdt.exhaustive_threshold {
-                    progress.strategies[o] = Some(Strategy::Exhaustive);
-                    let _span = telemetry.span("exhaustive");
-                    let (cover, _) = learn_exhaustive(&mut oracle, o, &info.support, &mut rng);
-                    let var_map = identity_var_map(&circuit);
-                    Arm::Edge(self.cover_to_edge(&cover, &mut circuit, &var_map))
-                } else if let Some(edge) = {
-                    let _span = telemetry.span("compressed");
-                    self.try_compressed(
-                        &mut oracle,
-                        o,
-                        in_grouping.as_ref(),
-                        &info.support,
-                        &node_budget,
-                        &mut circuit,
-                        &mut rng,
-                    )
-                } {
-                    progress.strategies[o] = Some(Strategy::CompressedFbdt);
-                    Arm::Edge(edge)
-                } else {
-                    progress.strategies[o] = Some(Strategy::Fbdt);
-                    // Portion any query budget over the outputs still to
-                    // do — counting queries spent in prior segments.
-                    let mut fbdt_cfg = self.config.fbdt.clone();
-                    if let Some(total) = self.config.max_queries {
-                        let used = queries_used + (oracle.queries() - start_queries);
-                        let left = total.saturating_sub(used);
-                        fbdt_cfg.max_queries = Some(left / (remaining.len() - k) as u64);
-                    }
-                    Arm::Tree {
-                        cap: fbdt_cfg.max_queries,
-                        builder: Box::new(FbdtBuilder::new(
-                            o,
-                            &info.support,
-                            info.truth_ratio,
-                            &fbdt_cfg,
-                        )),
-                        node_budget,
-                    }
-                }
-            };
-
-            let edge = match arm {
-                Arm::Edge(edge) => edge,
-                Arm::Tree {
-                    mut builder,
-                    node_budget,
-                    cap,
-                } => {
-                    let _span = telemetry.span("fbdt");
-                    let mut cut_short = false;
-                    loop {
-                        // Safe point: between node expansions.
-                        if dump_requested() {
-                            telemetry.dump_flight("signal");
-                        }
-                        let reached = safe_points;
-                        safe_points += 1;
-                        let want_stop = stop_requested()
-                            || ctl.stop_after_safe_points.is_some_and(|cap| reached >= cap);
-                        let cadence_due = ctl.checkpoint_path.is_some()
-                            && last_ckpt.elapsed() >= ctl.checkpoint_interval;
-                        if want_stop || cadence_due {
-                            let state = progress.to_state(
-                                &self.config,
-                                &rng,
-                                &circuit,
-                                &input_names,
-                                &output_names,
-                                queries_used + (oracle.queries() - start_queries),
-                                elapsed_before + budget.elapsed(),
-                                Cursor::Fbdt {
-                                    snapshot: builder.snapshot(),
-                                    max_queries: cap,
-                                    partial_elapsed: partial_elapsed + out_start.elapsed(),
-                                    partial_queries: partial_queries
-                                        + (oracle.queries() - queries_before),
-                                },
-                                oracle.checkpoint_state(),
-                            );
-                            if let Some(path) = &ctl.checkpoint_path {
-                                write_checkpoint(&telemetry, path, &state);
-                                last_ckpt = Instant::now();
-                            }
-                            if want_stop {
-                                telemetry.set_fbdt_depth(None);
-                                suspended = Some(Box::new(state));
-                                break 'outputs;
-                            }
-                        }
-                        if deadline_hit(&budget) {
-                            if !deadline_dumped {
-                                deadline_dumped = true;
-                                telemetry.dump_flight("deadline");
-                            }
-                            builder.finish_now();
-                            cut_short = true;
-                            break;
-                        }
-                        if !builder.step(&mut oracle, &node_budget, &mut rng, &telemetry) {
-                            break;
-                        }
-                    }
-                    telemetry.set_fbdt_depth(None);
-                    let (cover, stats) = builder.finish();
-                    stats.record(&telemetry);
-                    if cut_short {
-                        telemetry.incr(counters::CKPT_DEADLINE_PARTIAL_OUTPUTS);
-                        deadline_partials.push(o);
-                        telemetry.event(
-                            Level::Warn,
-                            &format!(
-                                "output {o} ({}): deadline hit, synthesized from {} collected cubes",
-                                output_names[o],
-                                cover.sop.cubes().len()
-                            ),
-                        );
-                    } else if stats.forced_leaves > 0 {
-                        telemetry.event(
-                            Level::Warn,
-                            &format!(
-                                "output {o}: budget forced {} leaves to majority votes",
-                                stats.forced_leaves
-                            ),
-                        );
-                    }
-                    progress.forced[o] = stats.forced_leaves;
-                    let var_map = identity_var_map(&circuit);
-                    self.cover_to_edge(&cover, &mut circuit, &var_map)
-                }
-            };
-            if oracle.failed() {
-                // The fault hit mid-output: the learned cover mixes
-                // real and fallback answers and cannot be trusted.
-                progress.strategies[o] = None;
-            } else {
-                progress.edges[o] = Some(edge);
-            }
-            progress.out_elapsed[o] = partial_elapsed + out_start.elapsed();
-            progress.out_queries[o] = partial_queries + (oracle.queries() - queries_before);
-            // `and_count`, not `gate_count`: outputs are not attached
-            // until after the loop, so reachability-based counts would
-            // read zero here.
-            telemetry.set_aig_nodes(circuit.and_count() as u64);
-            telemetry.set_progress(
-                progress.edges.iter().filter(|e| e.is_some()).count() as u64,
-                num_outputs as u64,
-            );
-        }
-        if let Some(state) = suspended {
-            // The ring holds the run's last moments; a suspension is
-            // exactly when a post-mortem wants them on disk.
-            telemetry.dump_flight("suspend");
-            return LearnOutcome::Suspended(state);
-        }
-        budget.checkpoint(&telemetry, "learning");
-
-        // Graceful degradation: any output still without an edge (the
-        // oracle died, the budget or deadline expired, or its learned
-        // cover was discarded above) falls back to the majority-vote
-        // constant — the same baseline a budget-forced FBDT leaf uses —
-        // so the result is always a complete, valid circuit.
-        let mut degraded: Vec<usize> = Vec::new();
-        for (o, name) in output_names.iter().enumerate() {
-            if progress.edges[o].is_none() {
-                let majority = progress.truth_bias[o].is_some_and(|r| r >= 0.5);
-                progress.edges[o] = Some(if majority { Edge::TRUE } else { Edge::FALSE });
-                progress.strategies[o] = Some(Strategy::Degraded);
-                degraded.push(o);
-                telemetry.incr(counters::FAULT_DEGRADED_OUTPUTS);
-                telemetry.event(
-                    Level::Warn,
-                    &format!("output {o} ({name}) degraded to constant {majority}"),
-                );
-            }
-        }
-        // Deadline-cut outputs keep their partial-cube circuits but are
-        // reported as degraded: their accuracy was not driven to the
-        // leaf tolerance.
-        degraded.extend(deadline_partials);
-        degraded.sort_unstable();
-        // Every output now has an edge (learned or degraded).
-        telemetry.set_progress(num_outputs as u64, num_outputs as u64);
-
-        for (o, name) in output_names.iter().enumerate() {
-            circuit.add_output(progress.edges[o].unwrap_or(Edge::FALSE), name.clone());
-        }
-        let mut circuit = circuit.cleanup();
-        let gates_before_opt: Vec<usize> = (0..num_outputs)
-            .map(|o| circuit.output_cone_size(o))
-            .collect();
-
-        // Step 5: circuit optimization — skipped past the deadline (the
-        // degradation ladder trades gates for finishing at all).
-        if deadline_hit(&budget) {
-            if self.config.optimize.is_some() {
-                telemetry.event(Level::Warn, "deadline exceeded: skipping optimization");
-            }
-        } else if let Some(opt_cfg) = &self.config.optimize {
-            let _span = telemetry.span("optimize");
-            let before = circuit.gate_count();
-            let mut cfg = opt_cfg.clone();
-            cfg.time_budget = cfg.time_budget.min(budget.remaining());
-            circuit = optimize_with(&circuit, &cfg, &telemetry);
-            telemetry.event(
-                Level::Info,
-                &format!(
-                    "optimization: {before} -> {} AND nodes",
-                    circuit.gate_count()
-                ),
-            );
-        }
-        budget.checkpoint(&telemetry, "optimize");
-        telemetry.set_aig_nodes(circuit.gate_count() as u64);
-        telemetry.emit_metrics_snapshot();
-
-        let outputs: Vec<OutputStats> = (0..num_outputs)
-            .map(|o| OutputStats {
-                output: o,
-                name: output_names[o].clone(),
-                strategy: progress.strategies[o].unwrap_or(Strategy::Degraded),
-                support_size: progress.support_sizes[o],
-                forced_leaves: progress.forced[o],
-                elapsed: progress.out_elapsed[o],
-                queries: progress.out_queries[o],
-                gates_before_opt: gates_before_opt[o],
-                gates_after_opt: circuit.output_cone_size(o),
-            })
-            .collect();
-        telemetry.set_outputs(outputs.iter().map(OutputStats::to_report).collect());
-        if let Some(e) = oracle.failure() {
-            telemetry.event(
-                Level::Error,
-                &format!(
-                    "oracle died beyond recovery ({e}); {} of {num_outputs} outputs degraded",
-                    degraded.len()
-                ),
-            );
-        }
-        let faults = FaultSummary {
-            fallback_answers: oracle.fallback_answers(),
-            degraded_outputs: degraded.len() as u64,
-            oracle_error: oracle.failure().map(|e| e.to_string()),
-        };
-        LearnOutcome::Completed(Box::new(LearnResult {
+        Run {
+            config,
+            telemetry,
+            ctl,
+            // Grouping is a pure function of the port names, so every
+            // segment recomputes it.
+            grouping: config
+                .preprocessing
+                .then(|| group_names(oracle.input_names())),
             circuit,
-            outputs,
-            elapsed: elapsed_before + budget.elapsed(),
-            queries: queries_used + (oracle.queries() - start_queries),
-            degraded,
-            faults,
-        }))
+            rng: seeded_rng(config.seed),
+            edges: vec![None; n],
+            strategies: vec![None; n],
+            support_sizes: vec![0; n],
+            forced: vec![0; n],
+            out_elapsed: vec![Duration::ZERO; n],
+            out_queries: vec![0; n],
+            truth_bias: vec![None; n],
+            cut_short: vec![false; n],
+            queries_used: 0,
+            elapsed_before: Duration::ZERO,
+            start_queries: oracle.queries(),
+            budget: Budget::new(config.time_budget),
+            safe_points: 0,
+            last_ckpt: Instant::now(),
+            deadline_dumped: false,
+            tree: None,
+            oracle,
+        }
+    }
+
+    /// Oracle queries spent across all segments so far.
+    fn queries(&self) -> u64 {
+        self.queries_used + (self.oracle.queries() - self.start_queries)
+    }
+
+    /// Wall clock spent across all segments so far.
+    fn elapsed(&self) -> Duration {
+        self.elapsed_before + self.budget.elapsed()
+    }
+
+    fn outputs_done(&self) -> usize {
+        self.edges.iter().filter(|e| e.is_some()).count()
+    }
+
+    /// Whether the cumulative run time has reached the deadline.
+    fn past_deadline(&self) -> bool {
+        self.ctl.deadline.is_some_and(|d| self.elapsed() >= d)
+    }
+
+    /// [`Run::past_deadline`] for the checks that cut learning short;
+    /// the first that trips dumps the flight recorder.
+    fn deadline_hit(&mut self) -> bool {
+        let hit = self.past_deadline();
+        if hit && !self.deadline_dumped {
+            self.deadline_dumped = true;
+            self.telemetry.dump_flight("deadline");
+        }
+        hit
+    }
+
+    /// Snapshots the run. `queries_used` and `elapsed_before` are
+    /// *cumulative across segments* — a future resume subtracts them
+    /// from the budgets and adds them to the final totals.
+    fn state(&self, cursor: Cursor) -> LearnState {
+        LearnState {
+            seed: self.config.seed,
+            config_fingerprint: config_fingerprint(self.config),
+            rng: self.rng.state(),
+            input_names: self.oracle.input_names().to_vec(),
+            output_names: self.oracle.output_names().to_vec(),
+            queries_used: self.queries(),
+            elapsed_before: self.elapsed(),
+            circuit_aiger: self.circuit.to_aiger_ascii(),
+            edges: self.edges.iter().map(|e| e.map(|e| e.code())).collect(),
+            strategies: self.strategies.clone(),
+            support_sizes: self.support_sizes.clone(),
+            forced: self.forced.clone(),
+            out_elapsed: self.out_elapsed.clone(),
+            out_queries: self.out_queries.clone(),
+            truth_bias: self.truth_bias.clone(),
+            cursor,
+            oracle: self.oracle.checkpoint_state(),
+        }
+    }
+
+    /// A safe point: before each output and between FBDT node
+    /// expansions. Serves a pending flight dump, then takes a state
+    /// when a stop or a cadence checkpoint is due — `cursor` says where
+    /// a resume picks up and runs only then. Writes the checkpoint, and
+    /// on a stop returns the state to suspend with.
+    fn safe_point(&mut self, cursor: impl FnOnce(&Self) -> Cursor) -> Result<(), Box<LearnState>> {
+        let ctl = self.ctl;
+        // Swap, not load: the flag is an edge trigger — each SIGUSR1
+        // produces exactly one dump at the next safe point.
+        // relaxed-ok: the flag is a standalone edge trigger; no other
+        // memory is published through it, and the swap's
+        // read-modify-write atomicity alone guarantees one dump per
+        // signal.
+        if ctl
+            .dump
+            .as_ref()
+            .is_some_and(|d| d.swap(false, Ordering::Relaxed))
+        {
+            self.telemetry.dump_flight("signal");
+        }
+        let reached = self.safe_points;
+        self.safe_points += 1;
+        let want_stop = ctl.stop.as_ref().is_some_and(|s| s.load(Ordering::Relaxed))
+            || ctl.stop_after_safe_points.is_some_and(|cap| reached >= cap);
+        let cadence_due =
+            ctl.checkpoint_path.is_some() && self.last_ckpt.elapsed() >= ctl.checkpoint_interval;
+        if !want_stop && !cadence_due {
+            return Ok(());
+        }
+        let state = self.state(cursor(self));
+        if let Some(path) = &ctl.checkpoint_path {
+            write_checkpoint(self.telemetry, path, &state);
+            self.last_ckpt = Instant::now();
+        }
+        if want_stop {
+            return Err(Box::new(state));
+        }
+        Ok(())
+    }
+
+    /// Announces a resumed segment.
+    fn report_resume(&self) {
+        let telemetry = self.telemetry;
+        let (done, queries_used, elapsed_before) =
+            (self.outputs_done(), self.queries_used, self.elapsed_before);
+        telemetry.incr(counters::CKPT_RESUMES);
+        telemetry.trace(
+            "resume",
+            &[
+                ("outputs_done", Json::from(done)),
+                ("queries_used", Json::from(queries_used)),
+                (
+                    "elapsed_before_us",
+                    Json::from(u64::try_from(elapsed_before.as_micros()).unwrap_or(u64::MAX)),
+                ),
+            ],
+        );
+        telemetry.event(
+            Level::Info,
+            &format!(
+                "resumed: {done}/{} outputs learned, {queries_used} queries \
+                 and {elapsed_before:.1?} spent in prior segments",
+                self.edges.len()
+            ),
+        );
+    }
+
+    /// Steps 1–2: name based grouping + template matching. Only the
+    /// first segment runs them: the template stage is atomic, never
+    /// suspended into a checkpoint, so a resumed run skips it.
+    fn templates(&mut self) {
+        let telemetry = self.telemetry;
+        if let Some(grouping) = &self.grouping {
+            telemetry.event(
+                Level::Info,
+                &format!(
+                    "grouping: {} buses, {} scalars",
+                    grouping.groups.len(),
+                    grouping.scalars.len()
+                ),
+            );
+            for g in &grouping.groups {
+                telemetry.event(Level::Debug, &format!("bus {} width {}", g.stem, g.width()));
+            }
+            let out_grouping = group_names(self.oracle.output_names());
+            let _span = telemetry.span("templates");
+            self.match_templates(&out_grouping);
+        }
+        self.budget.checkpoint(telemetry, "templates");
+        if self.oracle.failed() {
+            // The fault hit during the shared template stage: any match
+            // may have validated against fallback answers, so none can
+            // be trusted. Discard them all; every output degrades.
+            telemetry.event(
+                Level::Warn,
+                "oracle failed during template matching; discarding template matches",
+            );
+            self.edges.fill(None);
+            self.strategies.fill(None);
+        }
+        telemetry.event(
+            Level::Info,
+            &format!(
+                "templates matched {} of {} outputs",
+                self.outputs_done(),
+                self.edges.len()
+            ),
+        );
     }
 
     /// Runs template matching (step 2), filling in edges for every
     /// output a template explains.
-    #[allow(clippy::too_many_arguments)]
-    fn match_templates<O: Oracle + ?Sized>(
-        &self,
-        oracle: &mut O,
-        in_grouping: &Grouping,
-        out_grouping: &Grouping,
-        circuit: &mut Aig,
-        edges: &mut [Option<Edge>],
-        strategies: &mut [Option<Strategy>],
-        rng: &mut rand::rngs::StdRng,
-    ) {
+    fn match_templates(&mut self, out_grouping: &Grouping) {
+        let Some(in_grouping) = &self.grouping else {
+            return;
+        };
         if in_grouping.groups.is_empty() {
             return;
         }
@@ -1085,11 +836,12 @@ impl Learner {
         let mut linear_groups = in_grouping.groups.clone();
         for &pos in &in_grouping.scalars {
             linear_groups.push(crate::naming::VarGroup {
-                stem: oracle.input_names()[pos].clone(),
+                stem: self.oracle.input_names()[pos].clone(),
                 positions: vec![pos],
                 bits: vec![0],
             });
         }
+        let template = &self.config.template;
         // Linear arithmetic over output buses first: one match explains
         // a whole bus of outputs.
         for out_group in &out_grouping.groups {
@@ -1097,47 +849,264 @@ impl Learner {
                 continue;
             }
             if let Some(m) = match_linear(
-                oracle,
+                &mut self.oracle,
                 out_group,
                 &linear_groups,
-                &self.config.template,
-                rng,
+                template,
+                &mut self.rng,
             ) {
-                let gates_at = circuit.and_count();
-                let words = m.build(circuit, &linear_groups);
+                let gates_at = self.circuit.and_count();
+                let words = m.build(&mut self.circuit, &linear_groups);
                 self.telemetry
-                    .attribute_gates(circuit.and_count().saturating_sub(gates_at) as u64);
+                    .attribute_gates(self.circuit.and_count().saturating_sub(gates_at) as u64);
                 for (edge, &pos) in words.iter().zip(&m.output_group.positions) {
-                    edges[pos] = Some(*edge);
-                    strategies[pos] = Some(Strategy::LinearTemplate);
+                    self.edges[pos] = Some(*edge);
+                    self.strategies[pos] = Some(Strategy::LinearTemplate);
                 }
             }
         }
         // Comparators for the remaining single outputs.
-        for o in 0..edges.len() {
-            if edges[o].is_some() {
+        for o in 0..self.edges.len() {
+            if self.edges[o].is_some() {
                 continue;
             }
+            let groups = &in_grouping.groups;
             let matched =
-                match_comparator_pair(oracle, o, &in_grouping.groups, &self.config.template, rng)
+                match_comparator_pair(&mut self.oracle, o, groups, template, &mut self.rng)
                     .or_else(|| {
-                        match_comparator_const(
-                            oracle,
-                            o,
-                            &in_grouping.groups,
-                            &self.config.template,
-                            rng,
-                        )
+                        match_comparator_const(&mut self.oracle, o, groups, template, &mut self.rng)
                     });
             if let Some(m) = matched {
-                let gates_at = circuit.and_count();
-                let edge = m.build(circuit, &in_grouping.groups);
+                let gates_at = self.circuit.and_count();
+                let edge = m.build(&mut self.circuit, groups);
                 self.telemetry
-                    .attribute_gates(circuit.and_count().saturating_sub(gates_at) as u64);
-                edges[o] = Some(edge);
-                strategies[o] = Some(Strategy::ComparatorTemplate);
+                    .attribute_gates(self.circuit.and_count().saturating_sub(gates_at) as u64);
+                self.edges[o] = Some(edge);
+                self.strategies[o] = Some(Strategy::ComparatorTemplate);
             }
         }
+    }
+
+    /// The driver of every segment: steps 3–4 per output, then
+    /// degradation, optimization and the result — or the suspension
+    /// state, if a stop arrived at a safe point.
+    fn learn(mut self) -> LearnOutcome {
+        if let Err(state) = self.learn_outputs() {
+            // The ring holds the run's last moments; a suspension is
+            // exactly when a post-mortem wants them on disk.
+            self.telemetry.dump_flight("suspend");
+            return LearnOutcome::Suspended(state);
+        }
+        self.budget.checkpoint(self.telemetry, "learning");
+        let degraded = self.degrade();
+        LearnOutcome::Completed(Box::new(self.result(degraded)))
+    }
+
+    /// Steps 3–4 for every output without an edge, with a safe point
+    /// before each. On resume an in-flight FBDT output goes first (it
+    /// was first among the unfinished outputs when it suspended, so the
+    /// budget-share arithmetic is unchanged).
+    fn learn_outputs(&mut self) -> Result<(), Box<LearnState>> {
+        let num_outputs = self.edges.len();
+        let mut remaining: Vec<usize> = (0..num_outputs)
+            .filter(|&o| self.edges[o].is_none())
+            .collect();
+        if let Some(tree) = &self.tree {
+            let o = tree.builder.output();
+            remaining.retain(|&x| x != o);
+            remaining.insert(0, o);
+        }
+        self.telemetry
+            .set_progress(self.outputs_done() as u64, num_outputs as u64);
+        for (k, &o) in remaining.iter().enumerate() {
+            self.safe_point(|_| Cursor::NextOutput)?;
+            if self.oracle.failed() || self.budget.exhausted() {
+                // Per-output isolation: a dead oracle answers constant
+                // fallbacks instantly, but learning from them would
+                // only launder junk into the circuit — and past the
+                // budget there is no time left to sample honestly.
+                // Leave the edge empty; it degrades to a baseline
+                // constant below.
+                continue;
+            }
+            let resumed = self.tree.as_ref().is_some_and(|t| t.builder.output() == o);
+            if !resumed && self.deadline_hit() {
+                // Degradation ladder, bottom rung: outputs not yet
+                // started get constant 0 below. An in-flight resumed
+                // tree still enters its arm so the cubes it already
+                // collected are synthesized, not discarded.
+                continue;
+            }
+            self.learn_output(o, remaining.len() - k)?;
+        }
+        Ok(())
+    }
+
+    /// Learns output `o`, one of `left` outputs still to do, each of
+    /// which gets an equal share of the remaining budget.
+    fn learn_output(&mut self, o: usize, left: usize) -> Result<(), Box<LearnState>> {
+        let started = Instant::now();
+        let queries_before = self.oracle.queries();
+        // Everything from here on is this output's work: tag queries
+        // and gate builds with it.
+        let _out_scope = self.telemetry.output_scope(o);
+        let arm = match self.tree.take_if(|t| t.builder.output() == o) {
+            // A resumed tree continues directly.
+            Some(tree) => {
+                let node_budget = self.budget.fraction_of_remaining(1.0 / left as f64);
+                Arm::Tree(Box::new(tree), node_budget)
+            }
+            None => self.choose_arm(o, left),
+        };
+        let (edge, partial_elapsed, partial_queries) = match arm {
+            Arm::Edge(edge) => (edge, Duration::ZERO, 0),
+            Arm::Tree(tree, node_budget) => {
+                let (elapsed, queries) = (tree.partial_elapsed, tree.partial_queries);
+                (
+                    self.drive_tree(tree, &node_budget, started, queries_before)?,
+                    elapsed,
+                    queries,
+                )
+            }
+        };
+        if self.oracle.failed() {
+            // The fault hit mid-output: the learned cover mixes
+            // real and fallback answers and cannot be trusted.
+            self.strategies[o] = None;
+        } else {
+            self.edges[o] = Some(edge);
+        }
+        self.out_elapsed[o] = partial_elapsed + started.elapsed();
+        self.out_queries[o] = partial_queries + (self.oracle.queries() - queries_before);
+        // `and_count`, not `gate_count`: outputs are not attached
+        // until the end, so reachability-based counts would read zero
+        // here.
+        self.telemetry
+            .set_aig_nodes(self.circuit.and_count() as u64);
+        self.telemetry
+            .set_progress(self.outputs_done() as u64, self.edges.len() as u64);
+        Ok(())
+    }
+
+    /// Step 3 for a fresh output, and the choice of arm it leads to:
+    /// exhaustive conquest for a small support, the compressed space
+    /// when a hidden comparator is found, and an FBDT otherwise.
+    fn choose_arm(&mut self, o: usize, left: usize) -> Arm {
+        let telemetry = self.telemetry;
+        let info = {
+            let _span = telemetry.span("support");
+            identify_support(
+                &mut self.oracle,
+                o,
+                &self.config.support_sampling,
+                &mut self.rng,
+            )
+        };
+        self.support_sizes[o] = info.support.len();
+        self.truth_bias[o] = Some(info.truth_ratio);
+        telemetry.event(
+            Level::Debug,
+            &format!(
+                "output {o} ({}): support {} truth_ratio {:.3}",
+                self.oracle.output_names()[o],
+                info.support.len(),
+                info.truth_ratio
+            ),
+        );
+        let node_budget = self.budget.fraction_of_remaining(1.0 / left as f64);
+        if info.support.len() <= self.config.fbdt.exhaustive_threshold {
+            self.strategies[o] = Some(Strategy::Exhaustive);
+            let _span = telemetry.span("exhaustive");
+            let (cover, _) = learn_exhaustive(&mut self.oracle, o, &info.support, &mut self.rng);
+            let var_map = identity_var_map(&self.circuit);
+            return Arm::Edge(self.cover_to_edge(&cover, &var_map));
+        }
+        let compressed = {
+            let _span = telemetry.span("compressed");
+            self.try_compressed(o, &info.support, &node_budget)
+        };
+        if let Some(edge) = compressed {
+            self.strategies[o] = Some(Strategy::CompressedFbdt);
+            return Arm::Edge(edge);
+        }
+        self.strategies[o] = Some(Strategy::Fbdt);
+        // Portion any query budget over the outputs still to do —
+        // counting queries spent in prior segments.
+        let mut fbdt_cfg = self.config.fbdt.clone();
+        if let Some(total) = self.config.max_queries {
+            fbdt_cfg.max_queries = Some(total.saturating_sub(self.queries()) / left as u64);
+        }
+        let tree = Tree {
+            builder: FbdtBuilder::new(o, &info.support, info.truth_ratio, &fbdt_cfg),
+            cap: fbdt_cfg.max_queries,
+            partial_elapsed: Duration::ZERO,
+            partial_queries: 0,
+        };
+        Arm::Tree(Box::new(tree), node_budget)
+    }
+
+    /// Step 4 for an FBDT: one node expansion per safe point until the
+    /// frontier is empty or the deadline cuts the tree short, then the
+    /// cover's circuit. `started` and `queries_before` mark where this
+    /// segment's work on the output began.
+    fn drive_tree(
+        &mut self,
+        mut tree: Box<Tree>,
+        node_budget: &Budget,
+        started: Instant,
+        queries_before: u64,
+    ) -> Result<Edge, Box<LearnState>> {
+        let telemetry = self.telemetry;
+        let o = tree.builder.output();
+        let _span = telemetry.span("fbdt");
+        let cut_short = loop {
+            let at = self.safe_point(|run| Cursor::Fbdt {
+                snapshot: tree.builder.snapshot(),
+                max_queries: tree.cap,
+                partial_elapsed: tree.partial_elapsed + started.elapsed(),
+                partial_queries: tree.partial_queries + (run.oracle.queries() - queries_before),
+            });
+            if let Err(state) = at {
+                telemetry.set_fbdt_depth(None);
+                return Err(state);
+            }
+            if self.deadline_hit() {
+                tree.builder.finish_now();
+                break true;
+            }
+            if !tree
+                .builder
+                .step(&mut self.oracle, node_budget, &mut self.rng, telemetry)
+            {
+                break false;
+            }
+        };
+        telemetry.set_fbdt_depth(None);
+        let (cover, stats) = tree.builder.finish();
+        stats.record(telemetry);
+        if cut_short {
+            telemetry.incr(counters::CKPT_DEADLINE_PARTIAL_OUTPUTS);
+            self.cut_short[o] = true;
+            telemetry.event(
+                Level::Warn,
+                &format!(
+                    "output {o} ({}): deadline hit, synthesized from {} collected cubes",
+                    self.oracle.output_names()[o],
+                    cover.sop.cubes().len()
+                ),
+            );
+        } else if stats.forced_leaves > 0 {
+            telemetry.event(
+                Level::Warn,
+                &format!(
+                    "output {o}: budget forced {} leaves to majority votes",
+                    stats.forced_leaves
+                ),
+            );
+        }
+        self.forced[o] = stats.forced_leaves;
+        let var_map = identity_var_map(&self.circuit);
+        Ok(self.cover_to_edge(&cover, &var_map))
     }
 
     /// Attempts the paper's §IV-B1 input compression: if a hidden
@@ -1145,21 +1114,17 @@ impl Learner {
     /// the compressed input space (delegate bit instead of the bus
     /// bits) and build the composition `F'(kept, O_s)` with the
     /// comparator subcircuit feeding the delegate variable.
-    #[allow(clippy::too_many_arguments)]
-    fn try_compressed<O: Oracle + ?Sized>(
-        &self,
-        oracle: &mut O,
+    fn try_compressed(
+        &mut self,
         output: usize,
-        in_grouping: Option<&Grouping>,
         support: &[usize],
         node_budget: &Budget,
-        circuit: &mut Aig,
-        rng: &mut rand::rngs::StdRng,
     ) -> Option<Edge> {
-        let grouping = in_grouping?;
         // Only worth probing when some bus lies (mostly) inside the
         // estimated support.
-        let candidate_groups: Vec<crate::naming::VarGroup> = grouping
+        let candidate_groups: Vec<crate::naming::VarGroup> = self
+            .grouping
+            .as_ref()?
             .groups
             .iter()
             .filter(|g| {
@@ -1171,15 +1136,17 @@ impl Learner {
         if candidate_groups.len() < 2 {
             return None;
         }
+        let config = self.config;
         let delegate = crate::compress::find_hidden_comparator(
-            oracle,
+            &mut self.oracle,
             output,
             &candidate_groups,
-            &self.config.template,
-            rng,
+            &config.template,
+            &mut self.rng,
         )?;
 
         // Build the comparator subcircuit (the delegate's function).
+        let circuit = &mut self.circuit;
         let lhs: Vec<Edge> = delegate
             .lhs_positions
             .iter()
@@ -1195,9 +1162,10 @@ impl Learner {
             .attribute_gates(circuit.and_count().saturating_sub(gates_at) as u64);
 
         // Learn the output over the compressed space.
-        let mut compressed = crate::compress::DelegateOracle::new(oracle, vec![delegate]);
-        let info = identify_support(&mut compressed, output, &self.config.support_sampling, rng);
-        let cover = if info.support.len() <= self.config.fbdt.exhaustive_threshold {
+        let rng = &mut self.rng;
+        let mut compressed = crate::compress::DelegateOracle::new(&mut self.oracle, vec![delegate]);
+        let info = identify_support(&mut compressed, output, &config.support_sampling, rng);
+        let cover = if info.support.len() <= config.fbdt.exhaustive_threshold {
             let (cover, _) = learn_exhaustive(&mut compressed, output, &info.support, rng);
             cover
         } else {
@@ -1206,12 +1174,12 @@ impl Learner {
                 output,
                 &info.support,
                 info.truth_ratio,
-                &self.config.fbdt,
+                &config.fbdt,
                 node_budget,
                 rng,
-                &self.telemetry,
+                self.telemetry,
             );
-            stats.record(&self.telemetry);
+            stats.record(self.telemetry);
             cover
         };
         // Virtual variable k maps to the kept input's edge; the final
@@ -1219,138 +1187,153 @@ impl Learner {
         let mut var_map: Vec<Edge> = compressed
             .kept_positions()
             .iter()
-            .map(|&p| circuit.input_edge(p))
+            .map(|&p| self.circuit.input_edge(p))
             .collect();
         var_map.push(os_edge);
-        Some(self.cover_to_edge(&cover, circuit, &var_map))
+        Some(self.cover_to_edge(&cover, &var_map))
     }
 
     /// Converts a learned cover into circuit structure: espresso
     /// minimization (size-guarded), algebraic factoring, and final
     /// complementation for offset covers. Cover variable `x_k` maps to
     /// `var_map[k]`. Its wall time is one `cover.build_ns` sample.
-    fn cover_to_edge(&self, cover: &LearnedCover, circuit: &mut Aig, var_map: &[Edge]) -> Edge {
+    fn cover_to_edge(&mut self, cover: &LearnedCover, var_map: &[Edge]) -> Edge {
         let started = Instant::now();
-        self.telemetry
-            .add(counters::CUBES_COLLECTED, cover.sop.cubes().len() as u64);
-        let gates_at = circuit.and_count();
+        let telemetry = self.telemetry;
+        telemetry.add(counters::CUBES_COLLECTED, cover.sop.cubes().len() as u64);
+        let gates_at = self.circuit.and_count();
         let edge = if cover.sop.cubes().len() <= self.config.espresso_cube_limit {
-            self.telemetry.incr(counters::ESPRESSO_CALLS);
-            cirlearn_synth::factor::sop_to_circuit(&cover.sop, circuit, var_map)
+            telemetry.incr(counters::ESPRESSO_CALLS);
+            cirlearn_synth::factor::sop_to_circuit(&cover.sop, &mut self.circuit, var_map)
         } else {
             let expr = cirlearn_synth::factor::factor(&cover.sop);
-            expr.to_aig(circuit, var_map)
+            expr.to_aig(&mut self.circuit, var_map)
         };
-        self.telemetry
-            .attribute_gates(circuit.and_count().saturating_sub(gates_at) as u64);
-        self.telemetry
-            .record_time(histograms::COVER_BUILD_NS, started.elapsed());
+        telemetry.attribute_gates(self.circuit.and_count().saturating_sub(gates_at) as u64);
+        telemetry.record_time(histograms::COVER_BUILD_NS, started.elapsed());
         edge.complement_if(cover.complemented)
     }
-}
 
-/// The identity variable map: cover variable `x_k` is primary input `k`.
-fn identity_var_map(circuit: &Aig) -> Vec<Edge> {
-    (0..circuit.num_inputs())
-        .map(|p| circuit.input_edge(p))
-        .collect()
-}
-
-/// How one output's circuit gets built: either the edge is already
-/// decided (template/exhaustive/compressed, all atomic), or an FBDT is
-/// driven step by step with safe points in between.
-enum Arm {
-    Edge(Edge),
-    Tree {
-        // Boxed: the builder dwarfs the `Edge` variant.
-        builder: Box<FbdtBuilder>,
-        node_budget: Budget,
-        cap: Option<u64>,
-    },
-}
-
-/// Per-output progress arrays, grouped so safe points can snapshot the
-/// whole set into a [`LearnState`] without fighting the borrow checker.
-struct Progress {
-    edges: Vec<Option<Edge>>,
-    strategies: Vec<Option<Strategy>>,
-    support_sizes: Vec<usize>,
-    forced: Vec<usize>,
-    out_elapsed: Vec<Duration>,
-    out_queries: Vec<u64>,
-    truth_bias: Vec<Option<f64>>,
-}
-
-impl Progress {
-    fn fresh(n: usize) -> Progress {
-        Progress {
-            edges: vec![None; n],
-            strategies: vec![None; n],
-            support_sizes: vec![0; n],
-            forced: vec![0; n],
-            out_elapsed: vec![Duration::ZERO; n],
-            out_queries: vec![0; n],
-            truth_bias: vec![None; n],
+    /// Graceful degradation: any output still without an edge (the
+    /// oracle died, the budget or deadline expired, or its learned
+    /// cover was discarded) falls back to a constant — the majority
+    /// vote of its support-sampling truth ratio, the same baseline a
+    /// budget-forced FBDT leaf uses, or 0 for an output never started
+    /// — so the result is always a complete, valid circuit. Returns the
+    /// degraded outputs: those and the ones the deadline cut short.
+    fn degrade(&mut self) -> Vec<usize> {
+        let degraded: Vec<usize> = (0..self.edges.len())
+            .filter(|&o| self.edges[o].is_none() || self.cut_short[o])
+            .collect();
+        for &o in &degraded {
+            if self.edges[o].is_some() {
+                // Cut short by the deadline: the partial-cube circuit
+                // stays, but its accuracy was not driven to the leaf
+                // tolerance.
+                continue;
+            }
+            let majority = self.truth_bias[o].is_some_and(|r| r >= 0.5);
+            self.edges[o] = Some(if majority { Edge::TRUE } else { Edge::FALSE });
+            self.strategies[o] = Some(Strategy::Degraded);
+            self.telemetry.incr(counters::FAULT_DEGRADED_OUTPUTS);
+            self.telemetry.event(
+                Level::Warn,
+                &format!(
+                    "output {o} ({}) degraded to constant {majority}",
+                    self.oracle.output_names()[o]
+                ),
+            );
         }
+        // Every output now has an edge (learned or degraded).
+        let n = self.edges.len() as u64;
+        self.telemetry.set_progress(n, n);
+        degraded
     }
 
-    /// Snapshots the run at a safe point. `queries_used` and
-    /// `elapsed_before` are *cumulative across segments* — a future
-    /// resume subtracts them from the budgets and adds them to the
-    /// final totals.
-    #[allow(clippy::too_many_arguments)]
-    fn to_state(
-        &self,
-        config: &LearnerConfig,
-        rng: &StdRng,
-        circuit: &Aig,
-        input_names: &[String],
-        output_names: &[String],
-        queries_used: u64,
-        elapsed_before: Duration,
-        cursor: Cursor,
-        oracle: Option<Json>,
-    ) -> LearnState {
-        LearnState {
-            seed: config.seed,
-            config_fingerprint: config_fingerprint(config),
-            rng: rng.state(),
-            input_names: input_names.to_vec(),
-            output_names: output_names.to_vec(),
-            queries_used,
-            elapsed_before,
-            circuit_aiger: circuit.to_aiger_ascii(),
-            edges: self.edges.iter().map(|e| e.map(|e| e.code())).collect(),
-            strategies: self.strategies.clone(),
-            support_sizes: self.support_sizes.clone(),
-            forced: self.forced.clone(),
-            out_elapsed: self.out_elapsed.clone(),
-            out_queries: self.out_queries.clone(),
-            truth_bias: self.truth_bias.clone(),
-            cursor,
-            oracle,
+    /// Step 5: circuit optimization — skipped past the deadline (the
+    /// degradation ladder trades gates for finishing at all).
+    fn optimize(&self, circuit: Aig) -> Aig {
+        let telemetry = self.telemetry;
+        let circuit = match &self.config.optimize {
+            Some(_) if self.past_deadline() => {
+                telemetry.event(Level::Warn, "deadline exceeded: skipping optimization");
+                circuit
+            }
+            Some(opt_cfg) => {
+                let _span = telemetry.span("optimize");
+                let before = circuit.gate_count();
+                let mut cfg = opt_cfg.clone();
+                cfg.time_budget = cfg.time_budget.min(self.budget.remaining());
+                let circuit = optimize_with(&circuit, &cfg, telemetry);
+                telemetry.event(
+                    Level::Info,
+                    &format!(
+                        "optimization: {before} -> {} AND nodes",
+                        circuit.gate_count()
+                    ),
+                );
+                circuit
+            }
+            None => circuit,
+        };
+        self.budget.checkpoint(telemetry, "optimize");
+        telemetry.set_aig_nodes(circuit.gate_count() as u64);
+        telemetry.emit_metrics_snapshot();
+        circuit
+    }
+
+    /// The finished run: outputs attached, optimized, and reported.
+    fn result(mut self, degraded: Vec<usize>) -> LearnResult {
+        let names = self.oracle.output_names();
+        for (o, name) in names.iter().enumerate() {
+            self.circuit
+                .add_output(self.edges[o].unwrap_or(Edge::FALSE), name.clone());
+        }
+        let circuit = self.circuit.cleanup();
+        let gates_before_opt: Vec<usize> = (0..names.len())
+            .map(|o| circuit.output_cone_size(o))
+            .collect();
+        let circuit = self.optimize(circuit);
+
+        let outputs: Vec<OutputStats> = (0..names.len())
+            .map(|o| OutputStats {
+                output: o,
+                name: names[o].clone(),
+                strategy: self.strategies[o].unwrap_or(Strategy::Degraded),
+                support_size: self.support_sizes[o],
+                forced_leaves: self.forced[o],
+                elapsed: self.out_elapsed[o],
+                queries: self.out_queries[o],
+                gates_before_opt: gates_before_opt[o],
+                gates_after_opt: circuit.output_cone_size(o),
+            })
+            .collect();
+        self.telemetry
+            .set_outputs(outputs.iter().map(OutputStats::to_report).collect());
+        if let Some(e) = self.oracle.failure() {
+            self.telemetry.event(
+                Level::Error,
+                &format!(
+                    "oracle died beyond recovery ({e}); {} of {} outputs degraded",
+                    degraded.len(),
+                    names.len()
+                ),
+            );
+        }
+        let faults = FaultSummary {
+            fallback_answers: self.oracle.fallback_answers(),
+            degraded_outputs: degraded.len() as u64,
+            oracle_error: self.oracle.failure().map(|e| e.to_string()),
+        };
+        LearnResult {
+            circuit,
+            outputs,
+            elapsed: self.elapsed(),
+            queries: self.queries(),
+            degraded,
+            faults,
         }
     }
-}
-
-/// An in-flight FBDT restored from a checkpoint, waiting for its
-/// output's turn in the learning loop (it always goes first).
-struct FbdtResume {
-    builder: FbdtBuilder,
-    max_queries: Option<u64>,
-    partial_elapsed: Duration,
-    partial_queries: u64,
-}
-
-/// Checkpoint state converted to live run state, with every fallible
-/// check already behind us.
-struct Restored {
-    circuit: Aig,
-    rng: StdRng,
-    progress: Progress,
-    queries_used: u64,
-    elapsed_before: Duration,
-    fbdt: Option<FbdtResume>,
 }
 
 /// Writes a checkpoint, recording `ckpt.*` counters and a `ckpt` trace
@@ -1648,7 +1631,8 @@ mod degradation_tests {
 #[cfg(test)]
 mod resume_tests {
     use super::*;
-    use cirlearn_oracle::generate;
+    use cirlearn_logic::Assignment;
+    use cirlearn_oracle::{generate, CircuitOracle, OracleError};
 
     fn fingerprint(circuit: &Aig) -> u64 {
         let text = circuit.to_aiger_ascii();
@@ -1679,9 +1663,11 @@ mod resume_tests {
     fn suspend_resume_is_bit_identical_at_every_safe_point() {
         let want = reference(97);
         assert!(want.queries > 0);
-        // Suspend at a spread of safe points — output boundaries (small
-        // n) and deep mid-tree (large n) — resume, and compare.
-        for n in [0, 1, 2, 50, 500] {
+        // Suspend at every safe point in turn — output boundaries and
+        // deep mid-tree — resume, and compare, until the run passes its
+        // last safe point and completes.
+        let mut n = 0;
+        loop {
             let mut oracle = generate::neq_case_with_support(26, 2, 22, 97);
             let mut learner = Learner::new(config());
             let ctl = RunControl {
@@ -1690,9 +1676,7 @@ mod resume_tests {
             };
             let outcome = learner.learn_with(&mut oracle, &ctl);
             let Some(state) = outcome.suspended() else {
-                // The run finished before reaching n safe points; the
-                // uninterrupted result was already produced.
-                continue;
+                break;
             };
             // Roundtrip through the file bytes so the on-disk format is
             // part of what the bit-identity proof covers.
@@ -1713,7 +1697,10 @@ mod resume_tests {
                 "per-output query ledger at n={n}"
             );
             assert!(got.degraded.is_empty());
+            n += 1;
         }
+        // Pinned so that no change can add or drop a safe point unseen.
+        assert_eq!(n, 58, "the run passes exactly 58 safe points");
     }
 
     #[test]
@@ -1861,6 +1848,74 @@ mod resume_tests {
             telemetry.counter(counters::CKPT_DEADLINE_PARTIAL_OUTPUTS),
             1
         );
+    }
+
+    /// An oracle that dies after `delay` on its first call (the guard
+    /// never calls a dead oracle again).
+    struct DiesSlowly {
+        inner: CircuitOracle,
+        delay: Duration,
+    }
+
+    impl Oracle for DiesSlowly {
+        fn num_inputs(&self) -> usize {
+            self.inner.num_inputs()
+        }
+
+        fn num_outputs(&self) -> usize {
+            self.inner.num_outputs()
+        }
+
+        fn input_names(&self) -> &[String] {
+            self.inner.input_names()
+        }
+
+        fn output_names(&self) -> &[String] {
+            self.inner.output_names()
+        }
+
+        fn try_query_batch(&mut self, _: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
+            std::thread::sleep(self.delay);
+            Err(OracleError::Died("killed mid-query".into()))
+        }
+
+        fn queries(&self) -> u64 {
+            self.inner.queries()
+        }
+    }
+
+    #[test]
+    fn deadline_after_oracle_death_lists_the_output_once() {
+        // Resume mid-tree; the first query outlives the deadline and
+        // kills the oracle, so the output is both cut short by the
+        // deadline and stripped of its untrustworthy cover.
+        let mut oracle = generate::neq_case_with_support(26, 1, 22, 97);
+        let mut learner = Learner::new(config());
+        let ctl = RunControl {
+            stop_after_safe_points: Some(30),
+            ..RunControl::default()
+        };
+        let state = learner
+            .learn_with(&mut oracle, &ctl)
+            .suspended()
+            .expect("deep suspension");
+        assert!(matches!(state.cursor, Cursor::Fbdt { .. }));
+        let ctl = RunControl {
+            deadline: Some(state.elapsed_before + Duration::from_millis(300)),
+            ..RunControl::default()
+        };
+        let mut oracle = DiesSlowly {
+            inner: oracle,
+            delay: Duration::from_millis(600),
+        };
+        let result = learner
+            .resume(*state, &mut oracle, &ctl)
+            .expect("state validates")
+            .expect_completed();
+        assert!(result.faults.oracle_error.is_some());
+        assert_eq!(result.degraded, vec![0], "one output, listed once");
+        assert_eq!(result.faults.degraded_outputs, 1);
+        assert_eq!(result.outputs[0].strategy, Strategy::Degraded);
     }
 }
 

@@ -11,7 +11,8 @@
 //!   IO generators,
 //! * [`TruthTable`] — word-packed truth tables for functions of up to
 //!   [`TruthTable::MAX_VARS`] variables, with cofactoring, support
-//!   computation and irredundant SOP extraction (Minato–Morreale ISOP),
+//!   computation and irredundant SOP extraction (Minato–Morreale ISOP,
+//!   run on the table's words by [`isop::cover`]),
 //! * [`SimVector`] — 64-way bit-parallel simulation values.
 //!
 //! # Examples
@@ -36,6 +37,7 @@
 mod assignment;
 mod cube;
 mod error;
+pub mod isop;
 pub mod npn;
 mod parse;
 mod sim;

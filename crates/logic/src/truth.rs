@@ -298,13 +298,22 @@ impl TruthTable {
     }
 
     /// Computes an irredundant sum-of-products cover using the
-    /// Minato–Morreale ISOP procedure.
+    /// Minato–Morreale ISOP procedure ([`isop::cover`](crate::isop::cover)
+    /// on this table's words).
     ///
     /// The returned SOP covers exactly this function; each cube is prime
     /// relative to the cover and no cube can be dropped.
     pub fn isop(&self) -> Sop {
-        let (sop, _) = isop_rec(self, self, self.num_vars);
-        sop
+        let mut word = [0];
+        let table = if self.num_vars < 6 {
+            // Repeat the valid minterms across the whole word.
+            word[0] = (self.num_vars..6).fold(self.words[0], |w, v| w | w << (1 << v));
+            &word[..]
+        } else {
+            &self.words[..]
+        };
+        crate::isop::cover(table, self.num_vars, usize::MAX, |v| Var::new(v as u32))
+            .expect("no cube bound")
     }
 
     /// Evaluates the function under per-variable values.
@@ -324,59 +333,6 @@ impl TruthTable {
             "truth tables have different variable counts"
         );
     }
-}
-
-/// Minato–Morreale ISOP on the interval `[lower, upper]`.
-///
-/// Returns an SOP `S` with `lower ≤ S ≤ upper` together with the exact
-/// function of `S`. `top` is the highest variable index still eligible
-/// for splitting.
-fn isop_rec(lower: &TruthTable, upper: &TruthTable, top: usize) -> (Sop, TruthTable) {
-    let n = lower.num_vars();
-    if lower.is_zero() {
-        return (Sop::zero(), TruthTable::zeros(n).expect("arity checked"));
-    }
-    if upper.is_one() {
-        return (Sop::one(), TruthTable::ones(n).expect("arity checked"));
-    }
-    // Find the splitting variable: the highest-indexed variable below
-    // `top` on which either bound depends.
-    let mut split = None;
-    for k in (0..top).rev() {
-        let v = Var::new(k as u32);
-        if lower.depends_on(v) || upper.depends_on(v) {
-            split = Some((k, v));
-            break;
-        }
-    }
-    let (k, x) = split.expect("non-constant interval must depend on a variable");
-
-    let l0 = lower.cofactor(x, false);
-    let l1 = lower.cofactor(x, true);
-    let u0 = upper.cofactor(x, false);
-    let u1 = upper.cofactor(x, true);
-
-    // Cubes that must contain literal !x: onset of the 0-cofactor not
-    // coverable in the 1-cofactor.
-    let (s0, f0) = isop_rec(&(l0.clone() & !u1.clone()), &u0, k);
-    // Cubes that must contain literal x.
-    let (s1, f1) = isop_rec(&(l1.clone() & !u0.clone()), &u1, k);
-    // What remains must be covered by cubes independent of x.
-    let l_rest = (l0 & !f0.clone()) | (l1 & !f1.clone());
-    let (s2, f2) = isop_rec(&l_rest, &(u0 & u1), k);
-
-    let mut sop = Sop::zero();
-    for c in s0 {
-        sop.push(c.and_literal(x.negative()).expect("fresh variable"));
-    }
-    for c in s1 {
-        sop.push(c.and_literal(x.positive()).expect("fresh variable"));
-    }
-    sop.extend(s2);
-
-    let xt = TruthTable::var(lower.num_vars(), x).expect("in range");
-    let cover = !xt.clone() & f0 | xt & f1 | f2;
-    (sop, cover)
 }
 
 impl Not for TruthTable {
