@@ -1,12 +1,9 @@
 //! Tseitin encoding of AIGs and SAT-sweeping equivalence checking.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use cirlearn_aig::{Aig, Edge, NodeId};
+use cirlearn_aig::{Aig, Edge};
 use cirlearn_logic::{Assignment, SimVector};
 
-use crate::{Lit, SolveResult, Solver};
+use crate::{Lit, SolveResult, Solver, Sweep, SweepStats};
 
 /// An incremental CNF encoding of an [`Aig`].
 ///
@@ -86,6 +83,14 @@ impl AigCnf {
     pub fn assert_edge(&mut self, edge: Edge) {
         let l = self.lit(edge);
         self.solver.add_clause(&[l]);
+    }
+
+    /// Permanently asserts that `a` and `b` are equal, with two binary
+    /// clauses.
+    pub fn assert_equal(&mut self, a: Edge, b: Edge) {
+        let (la, lb) = (self.lit(a), self.lit(b));
+        self.solver.add_clause(&[!la, lb]);
+        self.solver.add_clause(&[la, !lb]);
     }
 
     /// Creates a selector literal `t` with `t → (e1 ≠ e2)`.
@@ -185,13 +190,14 @@ const SIM_SEED: u64 = 0x5EED_CEC0;
 /// 2. **simulate** — a fixed block of 1,024 pseudo-random patterns runs
 ///    through the miter, and an output pair that differs on one of
 ///    them returns that pattern as the counterexample;
-/// 3. **sweep** — in topological order, each AND node whose simulation
-///    signature matches an earlier node's (up to complement) is proven
-///    equal to that representative by one query on an incremental CNF,
-///    and each proven equality is pinned with two binary clauses, so
-///    later queries are mostly propagation;
-/// 4. **outputs** — each remaining output pair is solved under its own
-///    selector, and the first satisfiable one yields the counterexample.
+/// 3. **sweep** — a [`Sweep`] proves each AND node whose simulation
+///    signature matches an earlier node's (up to complement) equal to
+///    that representative, in topological order on one incremental CNF,
+///    pinning every proven equality; a pair that a counterexample found
+///    earlier in the sweep already separates is never sent to the
+///    solver;
+/// 4. **outputs** — each remaining output pair goes through the same
+///    sweep, and the first one that differs yields the counterexample.
 ///
 /// Inputs are matched by position, outputs by position. Every
 /// counterexample is re-simulated on `left` and `right`, and its
@@ -201,6 +207,18 @@ const SIM_SEED: u64 = 0x5EED_CEC0;
 ///
 /// Panics if the two AIGs differ in input or output count.
 pub fn check_equivalence(left: &Aig, right: &Aig) -> Equivalence {
+    check_equivalence_with_stats(left, right).0
+}
+
+/// [`check_equivalence`], also returning what its sweep did: the pairs
+/// the solver proved and disproved, and the pairs a stored
+/// counterexample separated without a solver call. The counts are zero
+/// when strashing or simulation alone decides.
+///
+/// # Panics
+///
+/// Panics if the two AIGs differ in input or output count.
+pub fn check_equivalence_with_stats(left: &Aig, right: &Aig) -> (Equivalence, SweepStats) {
     assert_eq!(
         left.num_inputs(),
         right.num_inputs(),
@@ -221,7 +239,7 @@ pub fn check_equivalence(left: &Aig, right: &Aig) -> Equivalence {
         .filter(|(a, b)| a != b)
         .collect();
     if pairs.is_empty() {
-        return Equivalence::Equivalent;
+        return (Equivalence::Equivalent, SweepStats::default());
     }
 
     let patterns = sim_patterns(miter.num_inputs());
@@ -229,18 +247,18 @@ pub fn check_equivalence(left: &Aig, right: &Aig) -> Equivalence {
     for &(a, b) in &pairs {
         if let Some(k) = first_difference(&signatures, a, b) {
             let inputs = Assignment::from_bits(patterns.iter().map(|p| p.bit(k)));
-            return counterexample(left, right, inputs);
+            return (counterexample(left, right, inputs), SweepStats::default());
         }
     }
 
-    let mut cnf = AigCnf::new(&miter);
-    sweep(&miter, &signatures, &mut cnf);
+    let mut sweep = Sweep::new(&miter);
+    sweep.merge_classes(&signatures, usize::MAX);
     for (a, b) in pairs {
-        if !prove_equal(&mut cnf, a, b) {
-            return counterexample(left, right, cnf.model_inputs());
+        if let Err(inputs) = sweep.prove_equal(a, b) {
+            return (counterexample(left, right, inputs), sweep.stats());
         }
     }
-    Equivalence::Equivalent
+    (Equivalence::Equivalent, sweep.stats())
 }
 
 /// Imports `aig` into `miter`, whose inputs are `aig`'s by position,
@@ -292,51 +310,6 @@ fn first_difference(signatures: &[SimVector], a: Edge, b: Edge) -> Option<usize>
         let diff = x ^ y ^ flip;
         (diff != 0).then(|| k * 64 + diff.trailing_zeros() as usize)
     })
-}
-
-/// Proves every miter AND node that shares its simulation signature (up
-/// to complement) with an earlier node equal to the first such node,
-/// pinning each proven equality in `cnf`.
-fn sweep(miter: &Aig, signatures: &[SimVector], cnf: &mut AigCnf) {
-    // Canonical signature (first pattern's bit cleared) -> the class
-    // representative's edge in that phase.
-    let mut classes: HashMap<Vec<u64>, Edge> = HashMap::new();
-    let canonical = |node: usize| {
-        let words = signatures[node].words();
-        let phase = words.first().is_some_and(|w| w & 1 == 1);
-        let key: Vec<u64> = words.iter().map(|w| if phase { !w } else { *w }).collect();
-        (key, Edge::new(NodeId::from_index(node), phase))
-    };
-    for node in 0..=miter.num_inputs() {
-        let (key, edge) = canonical(node);
-        classes.entry(key).or_insert(edge);
-    }
-    for (n, _, _) in miter.ands() {
-        let (key, edge) = canonical(n.index());
-        match classes.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(edge);
-            }
-            Entry::Occupied(rep) => {
-                prove_equal(cnf, edge, *rep.get());
-            }
-        }
-    }
-}
-
-/// Asks whether `a` and `b` can differ. On `Unsat` pins `a == b` with
-/// two binary clauses and returns `true`; on `Sat` returns `false` with
-/// the distinguishing model still readable through
-/// [`AigCnf::model_inputs`].
-fn prove_equal(cnf: &mut AigCnf, a: Edge, b: Edge) -> bool {
-    let selector = cnf.add_difference_selector(a, b);
-    if cnf.solve_with_assumptions(&[selector]) == SolveResult::Sat {
-        return false;
-    }
-    let (la, lb) = (cnf.lit(a), cnf.lit(b));
-    cnf.solver.add_clause(&[!la, lb]);
-    cnf.solver.add_clause(&[la, !lb]);
-    true
 }
 
 /// The counterexample `inputs` witnesses: the first output at which

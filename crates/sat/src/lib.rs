@@ -10,11 +10,15 @@
 //! * [`AigCnf`] — an incremental Tseitin encoding of an
 //!   [`Aig`](cirlearn_aig::Aig) suitable for repeated equivalence
 //!   queries (as fraiging issues),
+//! * [`Sweep`] — counterexample-guided SAT sweeping: simulation-equal
+//!   node pairs are proven in topological order on one incremental
+//!   [`AigCnf`], and a pair that a counterexample found earlier already
+//!   separates never reaches the solver; fraiging and
+//!   [`check_equivalence`] both run it,
 //! * [`check_equivalence`] — a SAT-sweeping combinational equivalence
 //!   check between two AIGs: strash both into one miter, simulate a
-//!   fixed pattern block, prove simulation-equal node pairs bottom-up
-//!   on one incremental [`AigCnf`], then solve each remaining output
-//!   pair on its own; returns a counterexample when they differ.
+//!   fixed pattern block, sweep it, then decide each remaining output
+//!   pair; returns a counterexample when they differ.
 //!
 //! # Examples
 //!
@@ -36,7 +40,11 @@
 mod cnf;
 mod dimacs;
 mod solver;
+mod sweep;
 
-pub use cnf::{check_equivalence, AigCnf, Counterexample, Equivalence};
+pub use cnf::{
+    check_equivalence, check_equivalence_with_stats, AigCnf, Counterexample, Equivalence,
+};
 pub use dimacs::ParseDimacsError;
 pub use solver::{Lit, SolveResult, Solver};
+pub use sweep::{Sweep, SweepStats};

@@ -4,16 +4,16 @@
 //! compute the same function (up to complement). Candidate equivalences
 //! are discovered by random bit-parallel simulation; every merge is then
 //! *proved* by a SAT equivalence query, so the transformation is exact.
+//! The proving is [`Sweep`]: topological order, one incremental CNF, and
+//! no solver call for a pair an earlier counterexample already separates.
 //!
 //! The paper relies on ABC's fraiging to remove the isomorphic subtrees
 //! an FBDT necessarily duplicates (a tree shares nothing); this pass is
 //! what makes the tree-shaped learner output competitive in gate count.
 
-use std::collections::HashMap;
-
-use cirlearn_aig::{Aig, Edge, NodeId};
+use cirlearn_aig::{Aig, Edge};
 use cirlearn_logic::SimVector;
-use cirlearn_sat::{AigCnf, SolveResult};
+use cirlearn_sat::{Sweep, SweepStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,8 +25,10 @@ pub struct FraigConfig {
     pub patterns: usize,
     /// Seed for the simulation patterns.
     pub seed: u64,
-    /// Upper bound on SAT equivalence queries (guards runtime on huge
-    /// graphs); candidates beyond the budget are left unmerged.
+    /// Upper bound on SAT solver calls (guards runtime on huge graphs);
+    /// candidates the sweep reaches after the budget is spent are left
+    /// unmerged. A candidate an earlier counterexample already rules
+    /// out costs no call.
     pub max_sat_queries: usize,
 }
 
@@ -45,8 +47,9 @@ impl Default for FraigConfig {
 /// Nodes whose simulation signatures coincide (up to complement) become
 /// merge candidates; a candidate is merged only after a SAT proof of
 /// equivalence, so the output is always functionally identical to the
-/// input. Constant nodes are detected the same way (signature compared
-/// against the constant-false node).
+/// input. Classes hold the constant and the inputs too, so a node equal
+/// to a constant or to an input is merged onto it. The result is a pure
+/// function of the graph and `config`, also when the query budget binds.
 ///
 /// # Examples
 ///
@@ -68,53 +71,21 @@ impl Default for FraigConfig {
 /// assert!(reduced.gate_count() < aig.gate_count());
 /// ```
 pub fn fraig(aig: &Aig, config: &FraigConfig) -> Aig {
+    fraig_with_stats(aig, config).0
+}
+
+/// [`fraig`], also returning what its sweep did: the candidate pairs the
+/// solver proved and disproved, and the ones a stored counterexample
+/// separated without a solver call.
+pub fn fraig_with_stats(aig: &Aig, config: &FraigConfig) -> (Aig, SweepStats) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let patterns = config.patterns.max(64);
     let inputs: Vec<SimVector> = (0..aig.num_inputs())
         .map(|_| SimVector::random(patterns, &mut rng))
         .collect();
     let signatures = aig.simulate_nodes(&inputs);
-
-    // Group nodes by canonical signature (complement-normalized so a
-    // node and its inverse land in the same class).
-    let mut classes: HashMap<Vec<u64>, Vec<(NodeId, bool)>> = HashMap::new();
-    let all_nodes = std::iter::once(NodeId::CONST).chain(aig.ands().map(|(n, _, _)| n));
-    for n in all_nodes {
-        let sig = &signatures[n.index()];
-        let (key, phase) = canonical_signature(sig);
-        classes.entry(key).or_default().push((n, phase));
-    }
-
-    // Prove candidates with SAT, collecting node -> (representative
-    // edge in the old AIG).
-    let mut cnf = AigCnf::new(aig);
-    let mut merged: HashMap<NodeId, Edge> = HashMap::new();
-    let mut queries = 0usize;
-    for members in classes.values() {
-        if members.len() < 2 {
-            continue;
-        }
-        // Lowest id is the representative (it precedes the others in
-        // topological order).
-        let (rep, rep_phase) = *members
-            .iter()
-            .min_by_key(|(n, _)| n.index())
-            .expect("nonempty class");
-        let rep_edge = Edge::new(rep, false);
-        for &(n, phase) in members {
-            if n == rep || queries >= config.max_sat_queries {
-                continue;
-            }
-            queries += 1;
-            // Same canonical phase means candidate-equal; different
-            // means candidate-complement.
-            let target = rep_edge.complement_if(phase != rep_phase);
-            let sel = cnf.add_difference_selector(Edge::new(n, false), target);
-            if cnf.solve_with_assumptions(&[sel]) == SolveResult::Unsat {
-                merged.insert(n, target);
-            }
-        }
-    }
+    let mut sweep = Sweep::new(aig);
+    let merged = sweep.merge_classes(&signatures, config.max_sat_queries);
 
     // Rebuild with substitutions.
     let mut out = Aig::with_inputs_like(aig);
@@ -123,7 +94,7 @@ pub fn fraig(aig: &Aig, config: &FraigConfig) -> Aig {
         *m = Edge::from_code(i as u32 * 2);
     }
     for (n, a, b) in aig.ands() {
-        let new_edge = if let Some(target) = merged.get(&n) {
+        let new_edge = if let Some(target) = merged[n.index()] {
             map[target.node().index()].complement_if(target.is_complemented())
         } else {
             let na = map[a.node().index()].complement_if(a.is_complemented());
@@ -136,21 +107,7 @@ pub fn fraig(aig: &Aig, config: &FraigConfig) -> Aig {
         let ne = map[e.node().index()].complement_if(e.is_complemented());
         out.add_output(ne, name.clone());
     }
-    out.cleanup()
-}
-
-/// Normalizes a signature so complementary signatures share a key.
-/// Returns the key and whether the signature was complemented.
-fn canonical_signature(sig: &SimVector) -> (Vec<u64>, bool) {
-    let words = sig.words();
-    let complement = words.first().is_some_and(|w| w & 1 == 1);
-    if complement {
-        let mut c = sig.clone();
-        c.not_assign();
-        (c.words().to_vec(), true)
-    } else {
-        (words.to_vec(), false)
-    }
+    (out.cleanup(), sweep.stats())
 }
 
 #[cfg(test)]
@@ -239,6 +196,69 @@ mod tests {
             );
             assert!(r.gate_count() <= g.gate_count());
         }
+    }
+
+    /// Twelve classes of three structurally different XORs of their
+    /// own input pair (96 AND nodes), each XOR an output.
+    fn xor_classes() -> Aig {
+        let mut g = Aig::new();
+        let inputs = g.add_inputs("x", 24);
+        for (k, pair) in inputs.chunks(2).enumerate() {
+            let (a, b) = (pair[0], pair[1]);
+            let x1 = g.xor(a, b);
+            let or = g.or(a, b);
+            let ab = g.and(a, b);
+            let x2 = g.and(or, !ab);
+            let ab_again = g.and(a, ab);
+            let x3 = g.and(or, !ab_again);
+            for (i, x) in [x1, x2, x3].into_iter().enumerate() {
+                g.add_output(x, format!("x{k}_{i}"));
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn binding_query_budget_gives_the_same_graph_every_call() {
+        let g = xor_classes();
+        assert_eq!(g.gate_count(), 96);
+        let config = FraigConfig {
+            max_sat_queries: 5,
+            ..FraigConfig::default()
+        };
+        let (first, stats) = fraig_with_stats(&g, &config);
+        assert_eq!(stats.solver_calls(), 5);
+        assert!(check_equivalence(&g, &first).is_equivalent());
+        assert!(first.gate_count() < g.gate_count());
+        let aiger = first.to_aiger_ascii();
+        for call in 1..20 {
+            assert_eq!(
+                fraig(&g, &config).to_aiger_ascii(),
+                aiger,
+                "call {call} merged a different set of candidates"
+            );
+        }
+        // Unbounded, every class collapses to one XOR.
+        let (full, stats) = fraig_with_stats(&g, &FraigConfig::default());
+        assert_eq!(full.gate_count(), 36);
+        assert_eq!(stats.proved, 36);
+    }
+
+    #[test]
+    fn merges_nodes_onto_equal_inputs() {
+        let mut g = Aig::new();
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let ab = g.and(a, b);
+        let anb = g.and(a, !b);
+        let y = g.or(ab, anb); // == a
+        let z = g.and(y, b); // == a & b, once y is a
+        g.add_output(y, "y");
+        g.add_output(z, "z");
+        let r = fraig(&g, &FraigConfig::default());
+        assert!(check_equivalence(&g, &r).is_equivalent());
+        assert_eq!(r.output_edge(0), r.input_edge(0));
+        assert_eq!(r.gate_count(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   circuits,
 //! * [`balance`] — depth-reducing reconstruction of AND trees,
 //! * [`fraig`] — functional reduction: random-simulation candidate
-//!   classes refined by SAT equivalence proofs,
+//!   classes proven by one counterexample-guided SAT sweep,
 //! * [`collapse`] — per-output BDD collapse and ISOP re-extraction,
 //!   guarded by support size like ABC's practice,
 //! * [`rewrite`] — DAG-aware cut rewriting with NPN-canonical library
@@ -65,7 +65,7 @@ mod script;
 pub use balance::balance;
 pub use cirlearn_verify::{VerifyConfig, VerifyLevel, Violation};
 pub use collapse::{collapse, CollapseConfig};
-pub use fraig::{fraig, FraigConfig};
+pub use fraig::{fraig, fraig_with_stats, FraigConfig};
 pub use redundancy::{redundancy_removal, RedundancyConfig};
 pub use refactor::{refactor, RefactorConfig};
 pub use rewrite::rewrite;
