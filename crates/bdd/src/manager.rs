@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use cirlearn_logic::{Cube, Sop, TruthTable, Var};
 
@@ -33,6 +35,41 @@ impl fmt::Display for BddRef {
     }
 }
 
+/// A multiply–rotate hasher for the manager's tables (the Fx hash of
+/// the Rust compiler). Their keys are triples of small integers that no
+/// adversary picks, so the collision resistance of the default SipHash
+/// buys nothing and costs several times as much per lookup.
+#[derive(Debug, Default, Clone, Copy)]
+struct IntHasher(u64);
+
+impl IntHasher {
+    /// The Fx multiplier: 2^64 / π, rounded up to odd.
+    const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            self.add(chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by integers through [`IntHasher`].
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
 /// Sentinel variable index of the two terminal nodes.
 const TERMINAL_VAR: u32 = u32::MAX;
 
@@ -50,8 +87,8 @@ struct Node {
 #[derive(Debug)]
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    ite_cache: HashMap<(BddRef, BddRef, BddRef), BddRef>,
+    unique: IntMap<(u32, BddRef, BddRef), BddRef>,
+    ite_cache: IntMap<(BddRef, BddRef, BddRef), BddRef>,
     num_vars: usize,
 }
 
@@ -71,8 +108,8 @@ impl Bdd {
                     high: BddRef::TRUE,
                 },
             ],
-            unique: HashMap::new(),
-            ite_cache: HashMap::new(),
+            unique: IntMap::default(),
+            ite_cache: IntMap::default(),
             num_vars,
         }
     }
@@ -190,6 +227,11 @@ impl Bdd {
     /// Returns the conjunction of `f` and `g`.
     pub fn and(&mut self, f: BddRef, g: BddRef) -> BddRef {
         self.ite(f, g, BddRef::FALSE)
+    }
+
+    /// Returns `f ∧ ¬g` without building `¬g`.
+    fn and_not(&mut self, f: BddRef, g: BddRef) -> BddRef {
+        self.ite(g, BddRef::FALSE, f)
     }
 
     /// Returns the disjunction of `f` and `g`.
@@ -364,125 +406,65 @@ impl Bdd {
     /// Extracts an irredundant SOP cover of `f` using the BDD form of
     /// the Minato–Morreale ISOP procedure.
     pub fn isop(&mut self, f: BddRef) -> Sop {
-        let (sop, _) = self.isop_rec(f, f);
-        sop
+        self.isop_bounded(f, usize::MAX)
+            .expect("an unbounded cover never exceeds its bound")
     }
 
     /// Like [`Bdd::isop`], but gives up once the cover exceeds
     /// `max_cubes` — arithmetic functions (adder middle bits) have
     /// exponential covers, and callers such as the `collapse` pass must
     /// bail out rather than materialize them.
+    ///
+    /// Cubes stay `(pos, neg)` variable masks during the recursion and
+    /// become [`Cube`]s once at the end.
     pub fn isop_bounded(&mut self, f: BddRef, max_cubes: usize) -> Option<Sop> {
-        let mut remaining = max_cubes as isize;
-        let sop = self.isop_bounded_rec(f, f, &mut remaining)?.0;
-        Some(sop)
-    }
-
-    fn isop_bounded_rec(
-        &mut self,
-        lower: BddRef,
-        upper: BddRef,
-        remaining: &mut isize,
-    ) -> Option<(Sop, BddRef)> {
-        if *remaining < 0 {
-            return None;
-        }
-        if lower == BddRef::FALSE {
-            return Some((Sop::zero(), BddRef::FALSE));
-        }
-        if upper == BddRef::TRUE {
-            *remaining -= 1;
-            if *remaining < 0 {
-                return None;
-            }
-            return Some((Sop::one(), BddRef::TRUE));
-        }
-        let top = self.var_of(lower).min(self.var_of(upper));
-        let x = Var::new(top);
-        let (l0, l1) = self.cofactors(lower, top);
-        let (u0, u1) = self.cofactors(upper, top);
-
-        let nu1 = self.not(u1);
-        let l0_only = self.and(l0, nu1);
-        let (s0, f0) = self.isop_bounded_rec(l0_only, u0, remaining)?;
-        let nu0 = self.not(u0);
-        let l1_only = self.and(l1, nu0);
-        let (s1, f1) = self.isop_bounded_rec(l1_only, u1, remaining)?;
-        let nf0 = self.not(f0);
-        let nf1 = self.not(f1);
-        let r0 = self.and(l0, nf0);
-        let r1 = self.and(l1, nf1);
-        let l_rest = self.or(r0, r1);
-        let u_both = self.and(u0, u1);
-        let (s2, f2) = self.isop_bounded_rec(l_rest, u_both, remaining)?;
-
-        let mut sop = Sop::zero();
-        for c in s0 {
-            sop.push(c.and_literal(x.negative()).expect("fresh variable"));
-        }
-        for c in s1 {
-            sop.push(c.and_literal(x.positive()).expect("fresh variable"));
-        }
-        sop.extend(s2);
-
-        let xv = self.var(top);
-        let nxv = self.nvar(top);
-        let part0 = self.and(nxv, f0);
-        let part1 = self.and(xv, f1);
-        let cover = {
-            let t = self.or(part0, part1);
-            self.or(t, f2)
+        let mut cubes = MaskCubes {
+            words: self.num_vars.div_ceil(64).max(1),
+            masks: Vec::new(),
+            max_cubes,
         };
-        Some((sop, cover))
+        self.isop_rec(f, f, &mut cubes)?;
+        Some(cubes.into_sop())
     }
 
-    fn isop_rec(&mut self, lower: BddRef, upper: BddRef) -> (Sop, BddRef) {
+    /// Covers every minterm of `lower` inside `upper` (`lower ⊆ upper`),
+    /// appending the cubes to `cubes`, and returns the function of the
+    /// cubes added; `None` once the cube budget is spent.
+    fn isop_rec(&mut self, lower: BddRef, upper: BddRef, cubes: &mut MaskCubes) -> Option<BddRef> {
         if lower == BddRef::FALSE {
-            return (Sop::zero(), BddRef::FALSE);
+            return Some(BddRef::FALSE);
         }
         if upper == BddRef::TRUE {
-            return (Sop::one(), BddRef::TRUE);
+            cubes.push_full_cube()?;
+            return Some(BddRef::TRUE);
         }
         let top = self.var_of(lower).min(self.var_of(upper));
-        let x = Var::new(top);
         let (l0, l1) = self.cofactors(lower, top);
         let (u0, u1) = self.cofactors(upper, top);
 
         // Cubes forced to carry !x.
-        let nu1 = self.not(u1);
-        let l0_only = self.and(l0, nu1);
-        let (s0, f0) = self.isop_rec(l0_only, u0);
+        let start0 = cubes.len();
+        let l0_only = self.and_not(l0, u1);
+        let f0 = self.isop_rec(l0_only, u0, cubes)?;
         // Cubes forced to carry x.
-        let nu0 = self.not(u0);
-        let l1_only = self.and(l1, nu0);
-        let (s1, f1) = self.isop_rec(l1_only, u1);
+        let start1 = cubes.len();
+        let l1_only = self.and_not(l1, u0);
+        let f1 = self.isop_rec(l1_only, u1, cubes)?;
         // Remainder, covered without x.
-        let nf0 = self.not(f0);
-        let nf1 = self.not(f1);
-        let r0 = self.and(l0, nf0);
-        let r1 = self.and(l1, nf1);
+        let start2 = cubes.len();
+        let r0 = self.and_not(l0, f0);
+        let r1 = self.and_not(l1, f1);
         let l_rest = self.or(r0, r1);
         let u_both = self.and(u0, u1);
-        let (s2, f2) = self.isop_rec(l_rest, u_both);
+        let f2 = self.isop_rec(l_rest, u_both, cubes)?;
 
-        let mut sop = Sop::zero();
-        for c in s0 {
-            sop.push(c.and_literal(x.negative()).expect("fresh variable"));
-        }
-        for c in s1 {
-            sop.push(c.and_literal(x.positive()).expect("fresh variable"));
-        }
-        sop.extend(s2);
+        cubes.add_literal(start0..start1, top, true);
+        cubes.add_literal(start1..start2, top, false);
 
-        let xv = self.var(top);
-        let nxv = self.nvar(top);
-        let part0 = self.and(nxv, f0);
-        let part1 = self.and(xv, f1);
-        let cover = {
-            let t = self.or(part0, part1);
-            self.or(t, f2)
-        };
-        (sop, cover)
+        // `f0` and `f1` depend on variables below `top` only, so
+        // `!x·f0 ∨ x·f1` is one node.
+        let split = self.mk(top, f0, f1);
+        Some(self.or(split, f2))
     }
 
     /// Builds the BDD of a [`Cube`].
@@ -507,6 +489,60 @@ impl Bdd {
             acc = self.or(acc, cb);
         }
         acc
+    }
+}
+
+/// The cubes of a cover under construction: per cube, a positive and
+/// a negative variable mask of `words` words each, stored back to back.
+struct MaskCubes {
+    words: usize,
+    masks: Vec<u64>,
+    /// The most cubes the cover may have.
+    max_cubes: usize,
+}
+
+impl MaskCubes {
+    fn len(&self) -> usize {
+        self.masks.len() / (2 * self.words)
+    }
+
+    /// Adds the cube of a constant-one leaf; `None` once the budget is
+    /// spent.
+    fn push_full_cube(&mut self) -> Option<()> {
+        if self.len() == self.max_cubes {
+            return None;
+        }
+        self.masks.resize(self.masks.len() + 2 * self.words, 0);
+        Some(())
+    }
+
+    /// Adds the literal of `var` in the given phase to the cubes with
+    /// indices in `cubes`.
+    fn add_literal(&mut self, cubes: Range<usize>, var: u32, negated: bool) {
+        let stride = 2 * self.words;
+        let offset = var as usize / 64 + if negated { self.words } else { 0 };
+        for cube in self.masks[cubes.start * stride..cubes.end * stride].chunks_exact_mut(stride) {
+            cube[offset] |= 1 << (var % 64);
+        }
+    }
+
+    fn into_sop(self) -> Sop {
+        let words = self.words;
+        Sop::from_cubes(self.masks.chunks_exact(2 * words).map(|cube| {
+            let (pos, neg) = cube.split_at(words);
+            let literals = (0..words).flat_map(|w| {
+                let mut vars = pos[w] | neg[w];
+                std::iter::from_fn(move || {
+                    (vars != 0).then(|| {
+                        let bit = vars.trailing_zeros();
+                        vars &= vars - 1;
+                        let var = Var::new(w as u32 * 64 + bit);
+                        var.literal(pos[w] >> bit & 1 == 1)
+                    })
+                })
+            });
+            Cube::from_literals(literals).expect("one literal per variable")
+        }))
     }
 }
 
@@ -628,6 +664,35 @@ mod tests {
         let f = b.from_truth_table(&maj);
         let sop = b.isop(f);
         assert_eq!(sop.cubes().len(), 3);
+    }
+
+    #[test]
+    fn isop_bound_counts_cubes() {
+        let maj = TruthTable::from_fn(3, |m| m.count_ones() >= 2);
+        let mut b = Bdd::new(3);
+        let f = b.from_truth_table(&maj);
+        let sop = b.isop(f);
+        assert_eq!(b.isop_bounded(f, usize::MAX), Some(sop.clone()));
+        assert_eq!(b.isop_bounded(f, 3), Some(sop));
+        assert_eq!(b.isop_bounded(f, 2), None);
+        assert_eq!(b.isop_bounded(BddRef::TRUE, usize::MAX), Some(Sop::one()));
+        assert_eq!(b.isop_bounded(BddRef::TRUE, 0), None);
+        assert_eq!(b.isop_bounded(BddRef::FALSE, 0), Some(Sop::zero()));
+    }
+
+    #[test]
+    fn isop_past_one_mask_word() {
+        let mut b = Bdd::new(130);
+        let x3 = b.var(3);
+        let nx70 = b.nvar(70);
+        let x129 = b.var(129);
+        let f = {
+            let t = b.and(x3, nx70);
+            b.or(t, x129)
+        };
+        let sop = b.isop(f);
+        assert_eq!(sop.to_string(), "x3 & !x70 | x129");
+        assert_eq!(b.sop(&sop), f);
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! This module implements quick factoring by recursive weak division on
 //! the most frequent literal — the core of the classic SIS
 //! `quick_factor` — and converts the resulting expression tree into an
-//! AIG.
+//! AIG. The division runs on bit masks: each cube is a mask of literals
+//! over the cover's own support, each set of cubes a mask over cube
+//! indices, so counting a literal is a popcount and dividing by it is
+//! two mask ANDs.
 //!
 //! Factoring is what turns the learner's two-level covers into genuinely
 //! small multi-level circuits; together with [`espresso`](crate::espresso)
 //! it accounts for most of the size reductions the paper attributes to
 //! ABC postprocessing.
 
-use std::collections::HashMap;
-
 use cirlearn_aig::{Aig, Edge};
-use cirlearn_logic::{Cube, Literal, Sop};
+use cirlearn_logic::{Literal, Sop, Var};
 
 /// A factored Boolean expression.
 ///
@@ -96,7 +97,7 @@ impl Expr {
 }
 
 /// Factors a cover into a multi-level expression by recursive weak
-/// division on the most frequent literal.
+/// division on the most frequent literal, the lowest literal on ties.
 ///
 /// The returned expression computes exactly the same function as `sop`.
 pub fn factor(sop: &Sop) -> Expr {
@@ -106,70 +107,177 @@ pub fn factor(sop: &Sop) -> Expr {
     if sop.is_one() {
         return Expr::Const(true);
     }
-    factor_cubes(sop.cubes())
+    if let [cube] = sop.cubes() {
+        return cube_expr(cube.literals().iter().copied());
+    }
+    let mut cover = MaskCover::new(sop);
+    let n = sop.cubes().len();
+    let mut all = vec![!0; n / 64];
+    if !n.is_multiple_of(64) {
+        all.push((1 << (n % 64)) - 1);
+    }
+    cover.factor_set(all)
 }
 
-fn factor_cubes(cubes: &[Cube]) -> Expr {
-    if cubes.is_empty() {
-        return Expr::Const(false);
+/// The conjunction of a cube's literals.
+fn cube_expr(literals: impl Iterator<Item = Literal>) -> Expr {
+    let mut lits: Vec<Expr> = literals.map(Expr::Lit).collect();
+    match lits.len() {
+        0 => Expr::Const(true),
+        1 => lits.pop().expect("one literal"),
+        _ => Expr::And(lits),
     }
-    if cubes.iter().any(Cube::is_empty) {
-        return Expr::Const(true);
-    }
-    if cubes.len() == 1 {
-        return cube_expr(&cubes[0]);
-    }
-    // Most frequent literal as the divisor.
-    let mut freq: HashMap<Literal, usize> = HashMap::new();
-    for c in cubes {
-        for l in c.literals() {
-            *freq.entry(*l).or_default() += 1;
-        }
-    }
-    let (&best, &count) = freq
-        .iter()
-        .max_by_key(|&(l, &n)| (n, std::cmp::Reverse(*l)))
-        .expect("nonempty cubes have literals");
-    if count < 2 {
-        // Nothing shared: flat OR of cube ANDs.
-        return Expr::Or(cubes.iter().map(cube_expr).collect());
-    }
-    // Divide by `best`: quotient = cubes containing it (literal
-    // removed), remainder = the other cubes.
-    let mut quotient = Vec::new();
-    let mut remainder = Vec::new();
-    for c in cubes {
-        if c.literals().contains(&best) {
-            quotient.push(c.without_var(best.var()));
-        } else {
-            remainder.push(c.clone());
-        }
-    }
-    let q = factor_cubes(&quotient);
-    let divided = match q {
-        Expr::Const(true) => Expr::Lit(best),
-        q => Expr::And(vec![Expr::Lit(best), q]),
-    };
-    if remainder.is_empty() {
-        divided
-    } else {
-        let r = factor_cubes(&remainder);
-        match r {
-            Expr::Or(mut es) => {
-                es.insert(0, divided);
-                Expr::Or(es)
+}
+
+/// A cover as bit masks for weak division. Literal `2i + negated`
+/// stands for the `i`-th variable of the cover's support in that phase,
+/// so literal order is [`Literal`] order. A set of cubes is a mask over
+/// cube indices, so every division keeps the cover's cube order.
+struct MaskCover {
+    /// The cover's variables, ascending.
+    support: Vec<Var>,
+    /// Literals: twice the support.
+    literals: usize,
+    /// Words of a literal set.
+    literal_words: usize,
+    /// Cube `j`'s literal set, at `j * literal_words`.
+    cubes: Vec<u64>,
+    /// For word `w` of a cube set and literal `l`, the cubes of that
+    /// word that contain `l`, at `w * literals + l`.
+    columns: Vec<u64>,
+    /// The literals divided out on the way to the current set: every
+    /// cube in it contains them, and they are left out of its factors.
+    divided: Vec<u64>,
+    /// Per-literal counts, reused by every division.
+    counts: Vec<u32>,
+}
+
+impl MaskCover {
+    fn new(sop: &Sop) -> MaskCover {
+        let mut support: Vec<Var> = Vec::with_capacity(sop.literal_count());
+        support.extend(sop.cubes().iter().flat_map(|c| c.vars()));
+        support.sort_unstable();
+        support.dedup();
+        let literals = 2 * support.len();
+        let literal_words = literals.div_ceil(64);
+        let mut cubes = vec![0; sop.cubes().len() * literal_words];
+        let mut columns = vec![0; sop.cubes().len().div_ceil(64) * literals];
+        for (j, cube) in sop.cubes().iter().enumerate() {
+            for lit in cube.literals() {
+                let i = support
+                    .binary_search(&lit.var())
+                    .expect("a cube's variable is in the support");
+                let l = 2 * i + usize::from(lit.is_negated());
+                cubes[j * literal_words + l / 64] |= 1 << (l % 64);
+                columns[j / 64 * literals + l] |= 1 << (j % 64);
             }
-            r => Expr::Or(vec![divided, r]),
         }
+        MaskCover {
+            support,
+            literals,
+            literal_words,
+            cubes,
+            columns,
+            divided: vec![0; literal_words],
+            counts: vec![0; literals],
+        }
+    }
+
+    /// Factors the cubes in `set` (not empty). The loop is the recursion
+    /// on the remainder: each pass divides by the most frequent literal
+    /// and goes on with the cubes that lack it.
+    fn factor_set(&mut self, mut set: Vec<u64>) -> Expr {
+        if ones(set.iter().copied()).any(|j| self.undivided(j).all(|w| w == 0)) {
+            return Expr::Const(true);
+        }
+        let mut terms = Vec::new();
+        loop {
+            if set.iter().map(|w| w.count_ones()).sum::<u32>() == 1 {
+                let j = ones(set.iter().copied()).next().expect("one cube");
+                terms.push(self.cube_expr(j));
+                break;
+            }
+            let (best, count) = self.most_frequent(&set);
+            if count < 2 {
+                // Nothing shared: flat OR of cube ANDs.
+                terms.extend(ones(set.iter().copied()).map(|j| self.cube_expr(j)));
+                break;
+            }
+            let column = &self.columns[best..];
+            let quotient = set
+                .iter()
+                .zip(column.iter().step_by(self.literals))
+                .map(|(&s, &c)| s & c)
+                .collect();
+            for (s, &c) in set.iter_mut().zip(column.iter().step_by(self.literals)) {
+                *s &= !c;
+            }
+            let bit = 1 << (best % 64);
+            self.divided[best / 64] |= bit;
+            let q = self.factor_set(quotient);
+            self.divided[best / 64] &= !bit;
+            let lit = Expr::Lit(self.literal(best));
+            terms.push(match q {
+                Expr::Const(true) => lit,
+                q => Expr::And(vec![lit, q]),
+            });
+            if set.iter().all(|&w| w == 0) {
+                break;
+            }
+        }
+        if terms.len() == 1 {
+            terms.pop().expect("one term")
+        } else {
+            Expr::Or(terms)
+        }
+    }
+
+    /// The most frequent literal of the cubes in `set` outside the
+    /// divided ones, the lowest on ties, and its count.
+    fn most_frequent(&mut self, set: &[u64]) -> (usize, u32) {
+        self.counts.fill(0);
+        for (w, &cubes) in set.iter().enumerate().filter(|&(_, &s)| s != 0) {
+            let columns = &self.columns[w * self.literals..(w + 1) * self.literals];
+            for (count, &column) in self.counts.iter_mut().zip(columns) {
+                *count += (cubes & column).count_ones();
+            }
+        }
+        let mut best = (0, 0);
+        for (l, &count) in self.counts.iter().enumerate() {
+            if count > best.1 && self.divided[l / 64] >> (l % 64) & 1 == 0 {
+                best = (l, count);
+            }
+        }
+        best
+    }
+
+    /// The words of cube `j`'s literal set without the divided literals.
+    fn undivided(&self, j: usize) -> impl Iterator<Item = u64> + '_ {
+        let row = &self.cubes[j * self.literal_words..(j + 1) * self.literal_words];
+        row.iter().zip(&self.divided).map(|(&r, &d)| r & !d)
+    }
+
+    fn literal(&self, l: usize) -> Literal {
+        Literal::new(self.support[l / 2], l % 2 == 1)
+    }
+
+    /// Cube `j` without the divided literals, as an expression.
+    fn cube_expr(&self, j: usize) -> Expr {
+        cube_expr(ones(self.undivided(j)).map(|l| self.literal(l)))
     }
 }
 
-fn cube_expr(cube: &Cube) -> Expr {
-    match cube.literals() {
-        [] => Expr::Const(true),
-        [l] => Expr::Lit(*l),
-        lits => Expr::And(lits.iter().map(|&l| Expr::Lit(l)).collect()),
-    }
+/// The indices of the set bits of a mask of words, ascending.
+fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// Minimizes an SOP with [`espresso`](crate::espresso), factors it, and
@@ -186,7 +294,7 @@ pub fn sop_to_circuit(sop: &Sop, aig: &mut Aig, var_map: &[Edge]) -> Edge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cirlearn_logic::{TruthTable, Var};
+    use cirlearn_logic::{Cube, TruthTable};
 
     fn cube(lits: &[(u32, bool)]) -> Cube {
         Cube::from_literals(lits.iter().map(|&(v, n)| Literal::new(Var::new(v), n)))

@@ -90,11 +90,13 @@ mod tests {
         bdd.isop_bounded(f, max_cubes)
     }
 
-    /// Asserts the word cover equals the BDD's under every bound and
-    /// returns, per bound, whether it was `Some`.
+    /// Asserts the word cover equals the BDD's under every bound, with
+    /// no bound, and at the cover's cube count and one below, where it
+    /// must just fit and just not; returns, per bound, whether it was
+    /// `Some`.
     fn assert_same_cover(g: &TruthTable) -> [bool; BOUNDS.len()] {
         let table = word_table(g);
-        BOUNDS.map(|max_cubes| {
+        let same = |max_cubes: usize| {
             let expected = bdd_cover(g, max_cubes);
             assert_eq!(
                 cover(&table, g.num_vars(), max_cubes),
@@ -103,8 +105,14 @@ mod tests {
                 g.num_vars(),
                 g.words()
             );
-            expected.is_some()
-        })
+            expected
+        };
+        let cubes = same(usize::MAX).expect("no bound").cubes().len();
+        assert!(same(cubes).is_some(), "a cover fits its own cube count");
+        if cubes > 0 {
+            assert!(same(cubes - 1).is_none(), "a cover is over one cube less");
+        }
+        BOUNDS.map(|max_cubes| same(max_cubes).is_some())
     }
 
     fn splitmix64(state: &mut u64) -> u64 {
