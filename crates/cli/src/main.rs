@@ -79,8 +79,8 @@
 //! breakdowns; `--trace <path>` streams JSONL trace events (span
 //! open/close, FBDT node expansions, synthesis passes, oracle faults,
 //! budget checkpoints) to a file as the run progresses. Both survive
-//! crashes: a drop guard drains buffered per-thread trace chunks, then
-//! flushes the trace stream and a partial `--report` (with
+//! crashes: a drop guard dumps the flight recorder, then flushes the
+//! trace stream and a partial `--report` (with
 //! `"aborted": "true"` in its meta) when the run panics instead of
 //! finishing.
 //!
@@ -503,8 +503,8 @@ impl Drop for ReportGuard {
     fn drop(&mut self) {
         if self.armed {
             // The armed path is the black-box moment: dump the flight
-            // recorder first (it drains the trace buffers itself, so
-            // the ring snapshot includes the run's final events).
+            // recorder first (it flushes the trace stream itself, so
+            // the file on disk keeps pace with the dump).
             let reason = if std::thread::panicking() {
                 "panic"
             } else {
@@ -513,11 +513,6 @@ impl Drop for ReportGuard {
             if let Some(path) = self.telemetry.dump_flight(reason) {
                 eprintln!("wrote flight-recorder dump to {}", path.display());
             }
-            // Drain buffered per-thread trace chunks (node events,
-            // metrics snapshots) *before* appending the abort marker,
-            // so the JSONL stream stays well-formed: everything the
-            // run buffered lands ahead of the final `aborted` event.
-            self.telemetry.flush_trace();
             self.telemetry.trace_attribution();
             self.telemetry.set_meta("aborted", true);
             self.telemetry
@@ -555,9 +550,6 @@ fn print_output_summary(result: &LearnResult) {
 /// crash guard: from here the complete report is on disk.
 fn finish_run(telemetry: &Telemetry, opts: &Opts, guard: &mut ReportGuard) -> Result<(), String> {
     guard.disarm();
-    // Drain per-thread buffers first so the final attribution events
-    // land after every buffered node/metrics event in the stream.
-    telemetry.flush_trace();
     telemetry.trace_attribution();
     // The final status snapshot: progress pinned, `done: true`, so
     // `cirlearn top --follow` knows to stop.

@@ -297,10 +297,10 @@ impl FbdtBuilder {
     /// frontier was already empty (nothing left to do).
     ///
     /// Per-node expansion cost lands in the `fbdt.node_ns` histogram,
-    /// each expansion emits a `node` trace event when a trace stream is
-    /// attached, and queries issued during node sampling are tagged
-    /// with the current tree depth in the attribution ledger; pass
-    /// [`Telemetry::disabled`] to observe nothing.
+    /// each expansion emits a `node` event (to the trace stream and the
+    /// flight recorder), and queries issued during node sampling are
+    /// tagged with the current tree depth in the attribution ledger;
+    /// pass [`Telemetry::disabled`] to observe nothing.
     pub fn step<O: Oracle + ?Sized>(
         &mut self,
         oracle: &mut O,
@@ -314,8 +314,6 @@ impl FbdtBuilder {
         }) else {
             return false;
         };
-        let node_cost = telemetry.local_recorder(histograms::FBDT_NODE_NS);
-        let trace = telemetry.trace_local();
         let free: Vec<usize> = self
             .support
             .iter()
@@ -386,10 +384,10 @@ impl FbdtBuilder {
                 }
             }
         }
-        let node_elapsed = node_start.elapsed();
-        node_cost.record_duration(node_elapsed);
-        if let Some(trace) = &trace {
-            trace.emit(
+        if telemetry.is_enabled() {
+            let node_elapsed = node_start.elapsed();
+            telemetry.record_time(histograms::FBDT_NODE_NS, node_elapsed);
+            telemetry.trace(
                 "node",
                 &[
                     ("output", Json::from(self.output)),

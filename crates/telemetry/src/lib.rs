@@ -33,10 +33,11 @@
 //!   streams into span trees, hot-span summaries, critical paths,
 //!   Chrome trace-event exports and noise-floored run diffs — the
 //!   engine behind the `cirlearn trace` subcommands.
-//! - **Flight recorder** ([`FlightRecorder`]): always-on bounded
-//!   per-thread rings of recent trace events, dumped atomically as
-//!   JSONL on panic, fault, deadline, suspension or SIGUSR1 — a black
-//!   box for runs that were not started with `--trace`.
+//! - **Flight recorder** ([`Telemetry::dump_flight`]): an always-on
+//!   bounded log of the most recent trace events, kept under the
+//!   telemetry lock and dumped atomically as JSONL on panic, fault,
+//!   deadline, suspension or SIGUSR1 — a black box for runs that were
+//!   not started with `--trace`.
 //! - **Live status** ([`StatusSnapshot`]): the compact run-progress
 //!   snapshot `--status <path>` rewrites atomically every 250ms and
 //!   `cirlearn top` renders.
@@ -49,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod flight;
 pub mod histogram;
 pub mod json;
 pub mod persist;
@@ -60,7 +60,6 @@ pub mod sync;
 mod telemetry;
 mod trace;
 
-pub use crate::flight::{FlightRecorder, FlightRing, DEFAULT_RING_BYTES};
 pub use crate::histogram::{Histogram, HistogramSummary, RawHistogram};
 pub use crate::persist::write_atomic;
 pub use crate::report::{
@@ -69,7 +68,5 @@ pub use crate::report::{
 };
 pub use crate::reporter::{BufferReporter, Level, NullReporter, Reporter, StderrReporter};
 pub use crate::status::{StatusAttr, StatusSnapshot, STATUS_SCHEMA_VERSION};
-pub use crate::telemetry::{
-    counters, histograms, HistogramHandle, LocalRecorder, OutputScope, Span, Telemetry,
-};
-pub use crate::trace::{current_tid, SharedBuffer, TraceLocal, TraceWriter};
+pub use crate::telemetry::{counters, histograms, HistogramHandle, OutputScope, Span, Telemetry};
+pub use crate::trace::{current_tid, SharedBuffer, TraceWriter};

@@ -21,21 +21,24 @@ use std::path::Path;
 ///
 /// The temporary file is `<path>.tmp` in the same directory, so the
 /// final rename never crosses a filesystem boundary. On any error the
-/// destination is left untouched (a stale `.tmp` may remain; it is
-/// overwritten by the next attempt).
+/// destination is left untouched and the temporary file is removed;
+/// the error returned is the one that stopped the write.
 pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
     let path = path.as_ref();
     let tmp = tmp_path(path);
-    {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(contents.as_ref())?;
-        file.sync_all()?;
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)?;
+    let written = file
+        .write_all(contents.as_ref())
+        .and_then(|()| file.sync_all());
+    drop(file);
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)?;
     sync_parent_dir(path);
     Ok(())
 }
@@ -119,5 +122,23 @@ mod tests {
         let path = dir.join("out.json");
         assert!(write_atomic(&path, "x").is_err());
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn failed_rename_removes_the_tmp_file() {
+        let dir = scratch_dir("rename-fails");
+        // The destination is a nonempty directory, so the write and
+        // fsync succeed but the rename over it fails.
+        let path = dir.join("occupied");
+        std::fs::create_dir_all(path.join("inside")).expect("create target dir");
+        let err = write_atomic(&path, "x").expect_err("cannot rename over a directory");
+        assert_ne!(
+            err.kind(),
+            io::ErrorKind::NotFound,
+            "the rename's own error: {err}"
+        );
+        assert!(!tmp_path(&path).exists(), "no tmp file left behind");
+        assert!(path.join("inside").is_dir(), "the destination is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

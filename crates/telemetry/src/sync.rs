@@ -31,32 +31,32 @@ compile_error!("--cfg loom and --cfg race are mutually exclusive backends");
 
 #[cfg(not(any(loom, race)))]
 mod backend {
-    pub use std::sync::{Arc, Mutex, MutexGuard, Weak};
+    pub use std::sync::{Arc, Mutex, MutexGuard};
 
-    /// Atomic types and fences (std backend).
+    /// Atomic types (std backend).
     pub mod atomic {
-        pub use std::sync::atomic::{fence, AtomicU64, Ordering};
+        pub use std::sync::atomic::{AtomicU64, Ordering};
     }
 }
 
 #[cfg(loom)]
 mod backend {
     pub use loom::sync::Arc;
-    pub use std::sync::{Mutex, MutexGuard, Weak};
+    pub use std::sync::{Mutex, MutexGuard};
 
-    /// Atomic types and fences (loom weak-memory model backend).
+    /// Atomic types (loom weak-memory model backend).
     pub mod atomic {
-        pub use loom::sync::atomic::{fence, AtomicU64, Ordering};
+        pub use loom::sync::atomic::{AtomicU64, Ordering};
     }
 }
 
 #[cfg(race)]
 mod backend {
-    pub use tsan::sync::{Arc, Mutex, MutexGuard, Weak};
+    pub use tsan::sync::{Arc, Mutex, MutexGuard};
 
-    /// Atomic types and fences (race-detector backend).
+    /// Atomic types (race-detector backend).
     pub mod atomic {
-        pub use tsan::sync::atomic::{fence, AtomicU64, Ordering};
+        pub use tsan::sync::atomic::{AtomicU64, Ordering};
     }
 }
 

@@ -1,11 +1,10 @@
 //! The [`Telemetry`] handle: stage-scoped spans, monotonic counters,
 //! latency histograms, trace emission and events.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::flight::FlightRecorder;
 use crate::histogram::Histogram;
 use crate::json::Json;
 use crate::report::{
@@ -13,8 +12,8 @@ use crate::report::{
 };
 use crate::reporter::{Level, Reporter};
 use crate::status::{StatusAttr, StatusSnapshot};
-use crate::sync::{Arc, Mutex, MutexGuard, Weak};
-use crate::trace::{TraceLocal, TraceWriter};
+use crate::sync::{Arc, Mutex, MutexGuard};
+use crate::trace::{current_tid, format_line, TraceWriter};
 
 /// Well-known counter names used across the pipeline.
 pub mod counters {
@@ -72,7 +71,8 @@ pub mod counters {
     /// expired mid-FBDT (deadline-aware degradation, step above the
     /// majority-constant fallback).
     pub const CKPT_DEADLINE_PARTIAL_OUTPUTS: &str = "ckpt.deadline_partial_outputs";
-    /// Flight-recorder dumps written (by any trigger).
+    /// Flight-recorder dumps written (by any trigger); a dump whose
+    /// write failed is not counted.
     pub const FLIGHT_DUMPS: &str = "flight.dumps";
 }
 
@@ -122,6 +122,18 @@ struct LedgerCell {
     by_depth: BTreeMap<u64, u64>,
 }
 
+impl LedgerCell {
+    /// The fields of this cell's `attr` event.
+    fn attr_fields(&self, output: Option<u64>) -> [(&'static str, Json); 4] {
+        [
+            ("output", output.map(Json::from).unwrap_or(Json::Null)),
+            ("queries", Json::from(self.queries)),
+            ("query_ns", Json::from(self.query_ns)),
+            ("gates", Json::from(self.gates)),
+        ]
+    }
+}
+
 /// Minimum spacing between periodic `metrics` snapshot events on the
 /// trace stream.
 const METRICS_INTERVAL: Duration = Duration::from_millis(250);
@@ -148,49 +160,64 @@ fn write_status(payload: Option<(PathBuf, String)>) {
     }
 }
 
-/// Summarizes the shared histograms with any still-live per-thread
-/// recorder samples folded in — *without* mutating the shared
-/// histograms, so the eventual drop-merge cannot double-count. This is
-/// what makes a mid-run report snapshot (the panic / dump path)
-/// include samples that have not reached their join point yet.
-fn fold_histograms(
-    shared: &BTreeMap<String, Arc<Histogram>>,
-    live: &[(String, Weak<Histogram>)],
-) -> BTreeMap<String, crate::HistogramSummary> {
-    let mut pending: BTreeMap<&str, Vec<Arc<Histogram>>> = BTreeMap::new();
-    for (name, weak) in live {
-        if let Some(h) = weak.upgrade() {
-            if h.count() > 0 {
-                pending.entry(name.as_str()).or_default().push(h);
-            }
+/// Capacity of the flight log in bytes: a few hundred recent events.
+const FLIGHT_LOG_BYTES: usize = 32 * 1024;
+
+/// The always-on flight recorder: the most recent trace lines, whole
+/// and oldest first, at most [`FLIGHT_LOG_BYTES`] in total.
+///
+/// It lives in [`Inner`], so every append and every dump copy happens
+/// under the telemetry lock; lines are stamped with the log's own
+/// clock, so a dump has one timeline whether or not a trace stream is
+/// attached.
+struct FlightLog {
+    start: Instant,
+    lines: VecDeque<String>,
+    bytes: usize,
+}
+
+impl FlightLog {
+    fn new() -> FlightLog {
+        FlightLog {
+            start: Instant::now(),
+            lines: VecDeque::new(),
+            bytes: 0,
         }
     }
-    let mut out = BTreeMap::new();
-    for (name, h) in shared {
-        match pending.remove(name.as_str()) {
-            None => {
-                if h.count() > 0 {
-                    out.insert(name.clone(), h.summary());
-                }
-            }
-            Some(locals) => {
-                let folded = Histogram::new();
-                folded.merge(h);
-                for local in &locals {
-                    folded.merge(local);
-                }
-                out.insert(name.clone(), folded.summary());
-            }
-        }
+
+    /// Formats one event line in the standard envelope, stamped with
+    /// the log's clock and the calling thread's tid, without
+    /// recording it.
+    fn format(&self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) -> String {
+        let t_us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        format_line(t_us, current_tid(), kind, stage, fields)
     }
-    for (name, locals) in pending {
-        let folded = Histogram::new();
-        for local in &locals {
-            folded.merge(local);
+
+    /// Appends one `\n`-terminated line, evicting the oldest whole
+    /// lines until it fits. A line larger than the whole log is
+    /// dropped.
+    fn push(&mut self, line: String) {
+        if line.len() > FLIGHT_LOG_BYTES {
+            return;
         }
-        out.insert(name.to_owned(), folded.summary());
+        while self.bytes + line.len() > FLIGHT_LOG_BYTES {
+            let Some(oldest) = self.lines.pop_front() else {
+                break;
+            };
+            self.bytes -= oldest.len();
+        }
+        self.bytes += line.len();
+        self.lines.push_back(line);
     }
-    out
+
+    /// The recorded lines, oldest first, as one JSONL string.
+    fn contents(&self) -> String {
+        let mut out = String::with_capacity(self.bytes);
+        for line in &self.lines {
+            out.push_str(line);
+        }
+        out
+    }
 }
 
 struct Inner {
@@ -223,7 +250,7 @@ struct Inner {
     gauge_queries_per_s: u64,
     /// The always-on flight recorder (None only for handles that
     /// explicitly opted out).
-    flight: Option<FlightRecorder>,
+    flight: Option<FlightLog>,
     /// Where [`Telemetry::dump_flight`] writes its JSONL snapshot.
     flight_dump_path: Option<PathBuf>,
     /// Where the live status snapshot is atomically rewritten (the
@@ -231,10 +258,6 @@ struct Inner {
     status_path: Option<PathBuf>,
     /// Learner progress cursor: (outputs done, outputs total).
     progress: (u64, u64),
-    /// Live per-thread histogram recorders (weak, pruned on insert) so
-    /// a report snapshot taken mid-run — the panic path — can fold in
-    /// samples that have not drop-merged yet.
-    local_recorders: Vec<(String, Weak<Histogram>)>,
 }
 
 impl Inner {
@@ -344,16 +367,17 @@ impl Inner {
         }
     }
 
-    /// The tee point: every structural event goes to the attached
-    /// trace stream (if any) *and* into the calling thread's flight
-    /// ring (if the recorder is on). The flight copy is re-stamped
-    /// with the recorder's own clock so a dump has one timeline.
-    fn trace(&self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) {
+    /// The tee point: every event goes to the attached trace stream
+    /// (if any) *and* into the flight log (if the recorder is on). The
+    /// flight copy is stamped with the log's own clock so a dump has
+    /// one timeline.
+    fn trace(&mut self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) {
         if let Some(trace) = &self.trace {
             trace.emit(kind, stage, fields);
         }
-        if let Some(flight) = &self.flight {
-            flight.record_event(kind, stage, fields);
+        if let Some(flight) = &mut self.flight {
+            let line = flight.format(kind, stage, fields);
+            flight.push(line);
         }
     }
 
@@ -468,11 +492,10 @@ impl Telemetry {
                 metrics_last: Instant::now(),
                 metrics_last_queries: 0,
                 gauge_queries_per_s: 0,
-                flight: Some(FlightRecorder::new(crate::flight::DEFAULT_RING_BYTES)),
+                flight: Some(FlightLog::new()),
                 flight_dump_path: None,
                 status_path: None,
                 progress: (0, 0),
-                local_recorders: Vec::new(),
             }))),
         }
     }
@@ -492,9 +515,9 @@ impl Telemetry {
         self.inner
             .as_ref()
             // blocking-ok: the telemetry mutex is the documented
-            // aggregation point — uncontended in the single-threaded
-            // learner, skipped entirely when telemetry is disabled,
-            // and bypassed by hot loops via `trace_local` buffers.
+            // aggregation point — the learner records from one thread,
+            // so it is never contended, and a disabled handle skips it
+            // entirely.
             .map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
@@ -685,12 +708,6 @@ impl Telemetry {
         }
     }
 
-    /// The flight recorder handle, if recording (tests use it
-    /// directly).
-    pub fn flight(&self) -> Option<FlightRecorder> {
-        self.lock().and_then(|inner| inner.flight.clone())
-    }
-
     /// Writes a final status snapshot marked `done` (ignoring the
     /// throttle) so `cirlearn top` followers see the run finish.
     pub fn finalize_status(&self) {
@@ -698,36 +715,33 @@ impl Telemetry {
         write_status(payload);
     }
 
-    /// Dumps the flight recorder to the configured dump path: every
-    /// thread's recent events (consistent ring snapshots, sorted by
-    /// tid) plus a trailer — a `flight` marker carrying `reason`, a
-    /// final `metrics` snapshot and the attribution ledger — written
-    /// atomically as well-formed JSONL that `trace summary` and
-    /// `trace export --chrome` accept.
+    /// Dumps the flight recorder to the configured dump path: the
+    /// recent events (whole lines, oldest first) plus a trailer — a
+    /// `flight` marker carrying `reason`, a final `metrics` snapshot
+    /// and the attribution ledger — written atomically as well-formed
+    /// JSONL that `trace summary` and `trace export --chrome` accept.
     ///
     /// Returns the path written, or `None` when the recorder is off,
-    /// no dump path is set, or the write failed. Called on panic
+    /// no dump path is set, or the write failed; only a written dump
+    /// counts under [`counters::FLIGHT_DUMPS`]. Called on panic
     /// (drop-guard), fault degradation, deadline expiry, checkpoint
     /// suspension and SIGUSR1.
     pub fn dump_flight(&self, reason: &str) -> Option<PathBuf> {
-        // Ordering matters (the same bug class as the PR 6 drop-guard
-        // fix): drain per-thread trace buffers first so the trace
-        // stream on disk is not behind the dump that accompanies it.
+        // Flush the trace stream first so the file on disk is not
+        // behind the dump that accompanies it.
         self.flush_trace();
-        let (flight, path, trailer) = {
+        let (path, dump) = {
             // blocking-ok: flight dump path (crash/debug), not the
             // per-query path.
-            let mut inner = self.lock()?;
-            let flight = inner.flight.clone()?;
+            let inner = self.lock()?;
+            let flight = inner.flight.as_ref()?;
             let path = inner.flight_dump_path.clone()?;
             let stage = inner.current_path();
-            // Trailer lines are formatted with the flight clock but
-            // never recorded into a ring: they must sit *after* the
-            // ring snapshots in the dump, and the dumping thread's own
-            // ring lines all predate them, so per-tid monotonicity
-            // holds.
-            let mut trailer = String::new();
-            trailer.push_str(&flight.format_event(
+            // The trailer is formatted with the log's clock but never
+            // recorded into it: it must sit after the recorded lines,
+            // which all predate it, so timestamps stay monotone.
+            let mut dump = flight.contents();
+            dump.push_str(&flight.format(
                 "flight",
                 &stage,
                 &[
@@ -748,31 +762,17 @@ impl Telemetry {
             if let Some(kb) = peak_rss_kb() {
                 fields.push(("peak_rss_kb", Json::from(kb)));
             }
-            trailer.push_str(&flight.format_event("metrics", &stage, &fields));
+            dump.push_str(&flight.format("metrics", &stage, &fields));
             for ((lstage, output), cell) in &inner.ledger {
-                trailer.push_str(&flight.format_event(
-                    "attr",
-                    lstage,
-                    &[
-                        ("output", output.map(Json::from).unwrap_or(Json::Null)),
-                        ("queries", Json::from(cell.queries)),
-                        ("query_ns", Json::from(cell.query_ns)),
-                        ("gates", Json::from(cell.gates)),
-                    ],
-                ));
+                dump.push_str(&flight.format("attr", lstage, &cell.attr_fields(*output)));
             }
-            *inner
-                .counters
-                .entry(counters::FLIGHT_DUMPS.to_owned())
-                .or_insert(0) += 1;
-            (flight, path, trailer)
+            (path, dump)
         };
-        // Snapshot + atomic write happen outside the lock: the fsync
-        // pair can be slow and must never stall recording threads.
-        match flight.dump_to_file(&path, &trailer) {
-            Ok(()) => Some(path),
-            Err(_) => None,
-        }
+        // The atomic write happens outside the lock: the fsync pair
+        // can be slow and must never stall recording.
+        crate::persist::write_atomic(&path, dump).ok()?;
+        self.incr(counters::FLIGHT_DUMPS);
+        Some(path)
     }
 
     /// Emits a `metrics` snapshot immediately (ignoring the periodic
@@ -799,14 +799,13 @@ impl Telemetry {
                 return;
             }
             let status = inner.maybe_emit_metrics(true);
-            for ((stage, output), cell) in &inner.ledger {
-                let fields = [
-                    ("output", output.map(Json::from).unwrap_or(Json::Null)),
-                    ("queries", Json::from(cell.queries)),
-                    ("query_ns", Json::from(cell.query_ns)),
-                    ("gates", Json::from(cell.gates)),
-                ];
-                inner.trace("attr", stage, &fields);
+            let cells: Vec<(String, [(&'static str, Json); 4])> = inner
+                .ledger
+                .iter()
+                .map(|((stage, output), cell)| (stage.clone(), cell.attr_fields(*output)))
+                .collect();
+            for (stage, fields) in &cells {
+                inner.trace("attr", stage, fields);
             }
             status
         } else {
@@ -863,7 +862,7 @@ impl Telemetry {
     pub fn trace(&self, kind: &str, fields: &[(&'static str, Json)]) {
         // blocking-ok: `Telemetry::lock` — uncontended telemetry
         // mutex, justified at its definition.
-        if let Some(inner) = self.lock() {
+        if let Some(mut inner) = self.lock() {
             if inner.trace.is_some() || inner.flight.is_some() {
                 let stage = inner.current_path();
                 inner.trace(kind, &stage, fields);
@@ -871,8 +870,7 @@ impl Telemetry {
         }
     }
 
-    /// Flushes the attached trace stream, if any — draining any
-    /// outstanding per-thread buffers first.
+    /// Flushes the attached trace stream, if any.
     pub fn flush_trace(&self) {
         // blocking-ok: `Telemetry::lock` — uncontended telemetry
         // mutex, justified at its definition.
@@ -880,29 +878,6 @@ impl Telemetry {
             if let Some(trace) = &inner.trace {
                 trace.flush();
             }
-        }
-    }
-
-    /// A per-thread buffered trace emitter bound to the current span
-    /// path, or `None` when neither a trace stream nor the flight
-    /// recorder is attached. Hot loops (the FBDT node loop) emit
-    /// through it without touching the telemetry mutex per event;
-    /// dropping it flushes the buffer.
-    ///
-    /// With the always-on flight recorder this returns `Some` even
-    /// when `--trace` is off: the local then records only into the
-    /// calling thread's bounded flight ring, which is what makes the
-    /// black box capture hot-path `node` events for free.
-    pub fn trace_local(&self) -> Option<TraceLocal> {
-        // blocking-ok: `Telemetry::lock` taken once per span to mint
-        // the buffered local; per-event emits then bypass the mutex.
-        let inner = self.lock()?;
-        let stage = inner.current_path();
-        match (&inner.trace, &inner.flight) {
-            (Some(trace), Some(flight)) => Some(trace.local(&stage).with_flight(flight.clone())),
-            (Some(trace), None) => Some(trace.local(&stage)),
-            (None, Some(flight)) => Some(TraceLocal::flight_only(flight.clone(), &stage)),
-            (None, None) => None,
         }
     }
 
@@ -922,48 +897,18 @@ impl Telemetry {
         }
     }
 
-    /// Records one duration sample into the named histogram.
+    /// Records one duration sample into the named histogram, creating
+    /// it on first use.
     pub fn record_time(&self, name: &str, elapsed: Duration) {
-        self.histogram_handle(name).record_duration(elapsed);
-    }
-
-    /// A per-thread recorder for the named histogram: samples land in
-    /// a private histogram and merge into the shared one when the
-    /// recorder drops (the join point). Worker threads use this to
-    /// record without sharing a cache line; the merge path is the one
-    /// model-checked by the loom suite.
-    ///
-    /// Live recorders are also weak-registered so a report snapshot
-    /// taken mid-run (the panic / dump path) folds their samples in
-    /// without waiting for the drop-merge — without double counting,
-    /// because the fold never mutates the shared histogram.
-    pub fn local_recorder(&self, name: &str) -> LocalRecorder {
-        // blocking-ok: `Telemetry::lock` taken once per recorder
-        // creation; per-sample records go to the local histogram.
-        match self.lock() {
-            None => LocalRecorder::default(),
-            Some(mut inner) => {
-                let shared = Arc::clone(
-                    inner
-                        .histograms
-                        .entry(name.to_owned())
-                        .or_insert_with(|| Arc::new(Histogram::new())),
-                );
-                let local = Arc::new(Histogram::new());
-                // Hot loops create a recorder per iteration; prune dead
-                // registrations before inserting so the registry stays
-                // bounded by the number of *live* recorders.
-                if inner.local_recorders.len() >= 16 {
-                    inner
-                        .local_recorders
-                        .retain(|(_, weak)| weak.strong_count() > 0);
-                }
-                inner
-                    .local_recorders
-                    .push((name.to_owned(), Arc::downgrade(&local)));
-                LocalRecorder {
-                    local,
-                    shared: Some(shared),
+        // blocking-ok: `Telemetry::lock` — uncontended telemetry
+        // mutex, justified at its definition.
+        if let Some(mut inner) = self.lock() {
+            match inner.histograms.get(name) {
+                Some(h) => h.record_duration(elapsed),
+                None => {
+                    let h = Arc::new(Histogram::new());
+                    h.record_duration(elapsed);
+                    inner.histograms.insert(name.to_owned(), h);
                 }
             }
         }
@@ -1108,7 +1053,12 @@ impl Telemetry {
                 elapsed: inner.start.elapsed(),
                 faults: crate::report::FaultsReport::from_counters(&inner.counters),
                 counters: inner.counters.clone(),
-                histograms: fold_histograms(&inner.histograms, &inner.local_recorders),
+                histograms: inner
+                    .histograms
+                    .iter()
+                    .filter(|(_, h)| h.count() > 0)
+                    .map(|(name, h)| (name.clone(), h.summary()))
+                    .collect(),
                 stages: inner.stages.values().cloned().collect(),
                 passes: inner.passes.clone(),
                 checkpoints: inner.checkpoints.clone(),
@@ -1195,65 +1145,6 @@ impl Drop for OutputScope {
         if let Some(mut inner) = self.telemetry.lock() {
             inner.context_output = self.prev;
             inner.context_depth = None;
-        }
-    }
-}
-
-/// A per-thread histogram recorder from [`Telemetry::local_recorder`].
-///
-/// Samples accumulate in a thread-private [`Histogram`] and are merged
-/// into the shared named histogram exactly once, when the recorder
-/// drops. With disabled telemetry every call is a no-op.
-///
-/// While live, the recorder is weak-registered with its telemetry so
-/// mid-run report snapshots can fold its samples in (see
-/// [`Telemetry::local_recorder`]); the `Arc` exists only for that
-/// registration — the owning thread is the sole writer.
-#[derive(Debug, Default)]
-pub struct LocalRecorder {
-    local: Arc<Histogram>,
-    shared: Option<Arc<Histogram>>,
-}
-
-impl LocalRecorder {
-    /// A no-op recorder.
-    pub fn disabled() -> Self {
-        LocalRecorder::default()
-    }
-
-    /// Whether samples will reach a shared histogram.
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// Records one sample locally.
-    pub fn record(&self, value: u64) {
-        if self.shared.is_some() {
-            self.local.record(value);
-        }
-    }
-
-    /// Records `n` samples of the same value locally.
-    pub fn record_n(&self, value: u64, n: u64) {
-        if self.shared.is_some() {
-            self.local.record_n(value, n);
-        }
-    }
-
-    /// Records a duration as nanoseconds locally.
-    pub fn record_duration(&self, elapsed: Duration) {
-        if self.shared.is_some() {
-            self.local.record_duration(elapsed);
-        }
-    }
-}
-
-impl Drop for LocalRecorder {
-    fn drop(&mut self) {
-        if let Some(shared) = &self.shared {
-            if self.local.count() > 0 {
-                shared.merge(&self.local);
-            }
         }
     }
 }
@@ -1643,65 +1534,27 @@ mod tests {
         assert_eq!(attrs[0].get("query_ns").and_then(Json::as_u64), Some(700));
     }
 
-    #[test]
-    fn local_recorders_merge_into_the_shared_histogram_on_drop() {
-        let t = Telemetry::recording();
-        {
-            let local = t.local_recorder(crate::histograms::FBDT_NODE_NS);
-            assert!(local.is_enabled());
-            local.record(1_000);
-            local.record_duration(Duration::from_micros(2));
-            // Not yet drop-merged, but a mid-run snapshot (the panic /
-            // dump path) folds the live recorder's samples in.
-            let mid = t.report();
-            assert_eq!(mid.histograms[crate::histograms::FBDT_NODE_NS].count, 2);
-        }
-        // After the drop-merge the count is unchanged: the fold never
-        // mutates the shared histogram, so nothing double-counts.
-        let report = t.report();
-        assert_eq!(report.histograms[crate::histograms::FBDT_NODE_NS].count, 2);
-    }
-
-    #[test]
-    fn live_recorder_registry_is_pruned_not_leaked() {
-        let t = Telemetry::recording();
-        // Simulate a hot loop creating one recorder per iteration.
-        for _ in 0..10_000 {
-            let local = t.local_recorder(crate::histograms::FBDT_NODE_NS);
-            local.record(1);
-        }
-        let held = t.local_recorder(crate::histograms::FBDT_NODE_NS);
-        held.record(7);
-        let inner = t.inner.as_ref().expect("enabled").lock().expect("lock");
-        assert!(
-            inner.local_recorders.len() <= 17,
-            "dead registrations must be pruned, found {}",
-            inner.local_recorders.len()
-        );
-        drop(inner);
-        let report = t.report();
-        assert_eq!(
-            report.histograms[crate::histograms::FBDT_NODE_NS].count,
-            10_001
-        );
-    }
-
-    #[test]
-    fn disabled_local_recorder_is_inert() {
-        let t = Telemetry::disabled();
-        let local = t.local_recorder("x");
-        assert!(!local.is_enabled());
-        local.record(5);
-        drop(local);
-        let standalone = LocalRecorder::disabled();
-        standalone.record_n(1, 2);
-    }
-
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("cirlearn-telemetry-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir
+    }
+
+    /// Dumps `t`'s flight recorder into a scratch dir and returns the
+    /// recorded lines ahead of the `flight` marker.
+    fn recorded_lines(t: &Telemetry, tag: &str) -> String {
+        let dir = scratch_dir(tag);
+        let path = dir.join("flight.jsonl");
+        t.set_flight_dump_path(Some(path.clone()));
+        t.dump_flight("test")
+            .expect("recorder on and dump path set");
+        let dump = std::fs::read_to_string(&path).expect("dump exists");
+        let _ = std::fs::remove_dir_all(&dir);
+        dump.lines()
+            .take_while(|l| !l.contains("\"kind\":\"flight\""))
+            .map(|l| format!("{l}\n"))
+            .collect()
     }
 
     #[test]
@@ -1711,25 +1564,31 @@ mod tests {
         {
             let _span = t.span("learn");
             t.event(Level::Debug, "expanding");
-            let local = t.trace_local().expect("flight-only local exists");
-            local.emit("node", &[("depth", Json::from(2u64))]);
+            t.trace("node", &[("depth", Json::from(2u64))]);
         }
-        let lines: String = t
-            .flight()
-            .expect("always-on recorder")
-            .snapshot_lines()
-            .into_iter()
-            .map(|(_, text)| text)
-            .collect();
+        let lines = recorded_lines(&t, "capture");
         for expected in ["span_open", "event", "node", "span_close"] {
             assert!(
                 lines.contains(&format!("\"kind\":\"{expected}\"")),
-                "flight ring is missing {expected}: {lines}"
+                "flight log is missing {expected}: {lines}"
             );
         }
+        // Every line is one event in the standard envelope.
         for line in lines.lines() {
-            Json::parse(line).expect("every ring line is valid JSON");
+            let parsed = Json::parse(line).expect("every recorded line is valid JSON");
+            assert!(parsed.get("t_us").and_then(Json::as_u64).is_some());
+            assert_eq!(
+                parsed.get("tid").and_then(Json::as_u64),
+                Some(current_tid())
+            );
         }
+        let node = lines
+            .lines()
+            .find(|l| l.contains("\"node\""))
+            .expect("node");
+        let node = Json::parse(node).expect("parses");
+        assert_eq!(node.get("stage").and_then(Json::as_str), Some("learn"));
+        assert_eq!(node.get("depth").and_then(Json::as_u64), Some(2));
     }
 
     #[test]
@@ -1765,15 +1624,78 @@ mod tests {
             assert!(t_us >= *prev, "per-tid timestamps are monotone: {line}");
             *prev = t_us;
         }
-        let flight_pos = kinds.iter().position(|k| k == "flight");
-        assert!(flight_pos.is_some(), "dump carries the flight marker");
-        assert!(kinds.iter().any(|k| k == "metrics"), "final metrics line");
-        assert!(kinds.iter().any(|k| k == "attr"), "attribution trailer");
-        assert!(kinds.iter().any(|k| k == "span_open"), "ring content");
+        let flight_pos = kinds
+            .iter()
+            .position(|k| k == "flight")
+            .expect("dump carries the flight marker");
+        assert!(
+            kinds[..flight_pos].iter().any(|k| k == "span_open"),
+            "recorded content"
+        );
+        // The trailer follows every recorded line: the marker, one
+        // final metrics line, then the attribution ledger.
+        assert_eq!(kinds[flight_pos + 1], "metrics", "final metrics line");
+        assert_eq!(&kinds[flight_pos + 2..], ["attr"], "attribution trailer");
         let flight_line = text.lines().find(|l| l.contains("\"flight\"")).expect("");
         let parsed = Json::parse(flight_line).expect("parses");
         assert_eq!(parsed.get("reason").and_then(Json::as_str), Some("test"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flight_event_lines_parse_with_the_standard_envelope() {
+        let t = Telemetry::recording();
+        {
+            let _span = t.span("learn");
+            let _inner = t.span("fbdt");
+            t.trace("event", &[("message", Json::from("hi"))]);
+        }
+        let lines = recorded_lines(&t, "envelope");
+        let line = lines
+            .lines()
+            .find(|l| l.contains("\"kind\":\"event\""))
+            .expect("the event is recorded");
+        let parsed = Json::parse(line).expect("valid JSON");
+        assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("event"));
+        assert_eq!(
+            parsed.get("stage").and_then(Json::as_str),
+            Some("learn/fbdt")
+        );
+        assert_eq!(
+            parsed.get("tid").and_then(Json::as_u64),
+            Some(current_tid()),
+            "the stamped tid is the recording thread's"
+        );
+        assert_eq!(parsed.get("message").and_then(Json::as_str), Some("hi"));
+        assert!(parsed.get("t_us").and_then(Json::as_u64).is_some());
+    }
+
+    #[test]
+    fn flight_dump_appends_the_trailer_after_recorded_lines() {
+        let dir = scratch_dir("trailer");
+        let path = dir.join("flight.jsonl");
+        let t = Telemetry::recording();
+        t.set_flight_dump_path(Some(path.clone()));
+        t.trace("node", &[]);
+        t.dump_flight("test").expect("dump path set");
+        let text = std::fs::read_to_string(&path).expect("dump exists");
+        let _ = std::fs::remove_dir_all(&dir);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[0].contains("\"kind\":\"node\""),
+            "recorded line first"
+        );
+        assert!(lines[1].contains("\"kind\":\"flight\""), "then the marker");
+        // Same thread, later stamp: the trailer is never dated before
+        // the lines it follows.
+        let t_us = |line: &str| {
+            Json::parse(line)
+                .expect("parses")
+                .get("t_us")
+                .and_then(Json::as_u64)
+                .expect("t_us")
+        };
+        assert!(t_us(lines[0]) <= t_us(lines[1]));
     }
 
     #[test]
@@ -1786,17 +1708,128 @@ mod tests {
 
     #[test]
     fn disabled_flight_recorder_stops_the_tee() {
+        let (trace, sink) = crate::trace::TraceWriter::to_shared_buffer();
         let t = Telemetry::recording();
         t.disable_flight();
-        assert!(t.flight().is_none());
+        t.trace("node", &[]);
+        assert!(sink.take_string().is_empty(), "nothing to record into");
+        t.set_trace(trace);
+        t.trace("node", &[]);
         assert!(
-            t.trace_local().is_none(),
-            "no trace stream and no flight: nothing to record into"
+            sink.take_string().contains("\"node\""),
+            "the trace still sees it"
         );
         let dir = scratch_dir("flight-off");
-        t.set_flight_dump_path(Some(dir.join("never.jsonl")));
+        let path = dir.join("never.jsonl");
+        t.set_flight_dump_path(Some(path.clone()));
         assert_eq!(t.dump_flight("test"), None);
+        assert!(!path.exists());
+        assert_eq!(t.counter(counters::FLIGHT_DUMPS), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_dump_is_not_counted() {
+        let t = Telemetry::recording();
+        t.event(Level::Info, "hello");
+        let dir = scratch_dir("dump-fails");
+        t.set_flight_dump_path(Some(dir.join("missing").join("flight.jsonl")));
+        assert_eq!(t.dump_flight("test"), None);
+        assert_eq!(t.counter(counters::FLIGHT_DUMPS), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A self-identifying line of `len` payload bytes: `"<i>:xxx…\n"`.
+    fn numbered_line(i: usize, len: usize) -> String {
+        format!("{i}:{}\n", "x".repeat(len))
+    }
+
+    #[test]
+    fn flight_log_evicts_oldest_whole_lines() {
+        let mut log = FlightLog::new();
+        for i in 0..100 {
+            log.push(numbered_line(i, 1_000));
+        }
+        let text = log.contents();
+        assert!(text.len() <= FLIGHT_LOG_BYTES);
+        let kept: Vec<usize> = text
+            .lines()
+            .map(|l| {
+                l.split_once(':')
+                    .and_then(|(i, _)| i.parse().ok())
+                    .expect("whole line")
+            })
+            .collect();
+        // The newest lines survive, consecutive and oldest first, and
+        // the log holds as many as fit: one more would overflow it.
+        assert_eq!(kept.last(), Some(&99));
+        assert!(kept.windows(2).all(|w| w[1] == w[0] + 1));
+        let next_older = numbered_line(kept[0] - 1, 1_000);
+        assert!(text.len() + next_older.len() > FLIGHT_LOG_BYTES);
+    }
+
+    #[test]
+    fn flight_log_below_capacity_is_exact() {
+        let mut log = FlightLog::new();
+        log.push("alpha\n".to_owned());
+        log.push("beta\n".to_owned());
+        assert_eq!(log.contents(), "alpha\nbeta\n");
+    }
+
+    #[test]
+    fn flight_log_drops_a_line_larger_than_itself() {
+        let mut log = FlightLog::new();
+        log.push("kept\n".to_owned());
+        log.push(numbered_line(1, FLIGHT_LOG_BYTES));
+        assert_eq!(
+            log.contents(),
+            "kept\n",
+            "earlier lines stay, the oversize one is dropped"
+        );
+        let exact = numbered_line(2, FLIGHT_LOG_BYTES - 3);
+        assert_eq!(exact.len(), FLIGHT_LOG_BYTES);
+        log.push(exact.clone());
+        assert_eq!(
+            log.contents(),
+            exact,
+            "a line of exactly the capacity fits alone"
+        );
+    }
+
+    #[test]
+    fn other_threads_record_into_the_one_flight_log() {
+        let t = Telemetry::recording();
+        t.trace("a", &[]);
+        let t2 = t.clone();
+        std::thread::spawn(move || t2.trace("b", &[]))
+            .join()
+            .expect("join");
+        t.trace("c", &[]);
+        let recorded = recorded_lines(&t, "threads");
+        let parsed: Vec<Json> = recorded
+            .lines()
+            .map(|l| Json::parse(l).expect("parses"))
+            .collect();
+        let kinds: Vec<&str> = parsed
+            .iter()
+            .map(|p| p.get("kind").and_then(Json::as_str).expect("kind"))
+            .collect();
+        assert_eq!(kinds, ["a", "b", "c"], "one log, in append order");
+        let tid = |i: usize| parsed[i].get("tid").and_then(Json::as_u64).expect("tid");
+        assert_eq!(tid(0), tid(2));
+        assert_ne!(tid(0), tid(1), "each line keeps its thread's tid");
+    }
+
+    #[test]
+    fn distinct_handles_keep_separate_flight_logs() {
+        let a = Telemetry::recording();
+        let b = Telemetry::recording();
+        a.trace("a", &[]);
+        b.trace("b", &[]);
+        let at = recorded_lines(&a, "distinct-a");
+        let bt = recorded_lines(&b, "distinct-b");
+        assert!(at.contains("\"kind\":\"a\"") && !at.contains("\"kind\":\"b\""));
+        assert!(bt.contains("\"kind\":\"b\"") && !bt.contains("\"kind\":\"a\""));
     }
 
     #[test]
@@ -1867,19 +1900,12 @@ mod tests {
         t.set_trace(trace);
         {
             let _span = t.span("fbdt");
-            let local = t.trace_local().expect("tracing");
-            local.emit("node", &[("depth", Json::from(1u64))]);
+            t.trace("node", &[("depth", Json::from(1u64))]);
         }
         t.flush_trace();
         assert!(sink.take_string().contains("\"node\""));
-        let ring: String = t
-            .flight()
-            .expect("recorder on")
-            .snapshot_lines()
-            .into_iter()
-            .map(|(_, text)| text)
-            .collect();
-        assert!(ring.contains("\"node\""), "flight ring also got it");
+        let recorded = recorded_lines(&t, "tee");
+        assert!(recorded.contains("\"node\""), "flight log also got it");
     }
 
     #[test]

@@ -35,24 +35,13 @@
 //! Unlike [`Reporter`](crate::Reporter) events, the trace stream is
 //! not level-filtered: it records everything, because it exists for
 //! offline analysis rather than live reading.
-//!
-//! # Per-thread buffers
-//!
-//! Hot paths (the FBDT node loop) can take a [`TraceLocal`] via
-//! [`TraceWriter::local`]: an emitter that formats lines into a
-//! thread-private buffer, touching the shared sink only when the
-//! buffer fills or the local is dropped. Every local registers itself
-//! with the writer, so [`TraceWriter::flush`] — which the CLI drop
-//! guard runs on panic — drains outstanding buffers before any
-//! subsequent structural event, keeping the stream well-formed JSONL
-//! with no lost `node`/`metrics` lines ahead of the `aborted` marker.
 
 use std::io::Write;
 use std::time::Instant;
 
 use crate::json::Json;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex, Weak};
+use crate::sync::{Arc, Mutex};
 
 /// Global allocator of small per-thread trace ids.
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
@@ -76,14 +65,10 @@ struct TraceInner {
 }
 
 impl TraceInner {
-    /// Writes pre-formatted JSONL text (one or more `\n`-terminated
-    /// lines) to the sink, updating the line count and the sticky
-    /// failure flag.
-    fn write_text(&mut self, text: &str) -> bool {
-        if text.is_empty() {
-            return true;
-        }
-        if self.out.write_all(text.as_bytes()).is_err() {
+    /// Writes one pre-formatted `\n`-terminated line to the sink,
+    /// updating the line count and the sticky failure flag.
+    fn write_line(&mut self, line: &str) -> bool {
+        if self.out.write_all(line.as_bytes()).is_err() {
             if !self.failed {
                 // blocking-ok: one-shot failure notice on a sticky
                 // error path, never repeated.
@@ -92,7 +77,7 @@ impl TraceInner {
             self.failed = true;
             return false;
         }
-        self.lines += text.bytes().filter(|&b| b == b'\n').count() as u64;
+        self.lines += 1;
         true
     }
 }
@@ -100,10 +85,6 @@ impl TraceInner {
 struct TraceShared {
     start: Instant,
     inner: Mutex<TraceInner>,
-    /// Per-thread buffers handed out by [`TraceWriter::local`]; kept
-    /// weakly so a dropped local unregisters itself for free, and
-    /// drained by [`TraceWriter::flush`].
-    locals: Mutex<Vec<Weak<Mutex<String>>>>,
 }
 
 /// Formats one event line (without writing it anywhere).
@@ -180,7 +161,6 @@ impl TraceWriter {
                     lines: 0,
                     failed: false,
                 }),
-                locals: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -206,10 +186,10 @@ impl TraceWriter {
     pub fn emit(&self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) {
         let t_us = u64::try_from(self.shared.start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let line = format_line(t_us, current_tid(), kind, stage, fields);
-        // blocking-ok: direct emit is for rare structural events; hot
-        // loops emit through the lock-free `TraceLocal` buffer.
+        // blocking-ok: the learner records from one thread, so the
+        // stream mutex is never contended.
         let mut inner = self.shared.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if !inner.write_text(&line) {
+        if !inner.write_line(&line) {
             return;
         }
         // Structural events are rare and mark progress worth keeping
@@ -220,34 +200,7 @@ impl TraceWriter {
         }
     }
 
-    /// A per-thread buffered emitter bound to the given span path.
-    ///
-    /// The local formats events into a private buffer and hands them
-    /// to the shared sink only when the buffer fills, when
-    /// [`TraceLocal::flush`] is called, or on drop (the join point).
-    /// The writer keeps a weak registration so [`TraceWriter::flush`]
-    /// can drain buffers the owning threads have not flushed yet.
-    pub fn local(&self, stage: &str) -> TraceLocal {
-        let buf = Arc::new(Mutex::new(String::new()));
-        // blocking-ok: registration lock taken once per span, not per
-        // event.
-        self.shared
-            .locals
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(Arc::downgrade(&buf));
-        TraceLocal {
-            sink: Some(LocalSink {
-                shared: Arc::clone(&self.shared),
-                buf,
-            }),
-            flight: None,
-            stage: stage.to_owned(),
-        }
-    }
-
-    /// Lines successfully written so far (thread-local buffers count
-    /// once drained).
+    /// Lines successfully written so far.
     pub fn lines(&self) -> u64 {
         // blocking-ok: stats accessor used by tests and reports, not
         // the per-event path.
@@ -258,131 +211,12 @@ impl TraceWriter {
             .lines
     }
 
-    /// Drains every registered per-thread buffer into the sink, then
-    /// flushes the underlying writer.
+    /// Flushes the underlying writer.
     pub fn flush(&self) {
-        let chunks: Vec<String> = {
-            // blocking-ok: flush is a join point (span close, dump,
-            // finish), not the per-event path.
-            let mut locals = self.shared.locals.lock().unwrap_or_else(|p| p.into_inner());
-            locals.retain(|w| w.strong_count() > 0);
-            locals
-                .iter()
-                .filter_map(Weak::upgrade)
-                // blocking-ok: same join point as above.
-                .map(|buf| std::mem::take(&mut *buf.lock().unwrap_or_else(|p| p.into_inner())))
-                .filter(|s| !s.is_empty())
-                .collect()
-        };
-        // blocking-ok: same join point as above.
+        // blocking-ok: flush is a join point (span close, dump,
+        // finish), not the per-event path.
         let mut inner = self.shared.inner.lock().unwrap_or_else(|p| p.into_inner());
-        for chunk in &chunks {
-            inner.write_text(chunk);
-        }
         let _ = inner.out.flush();
-    }
-}
-
-/// How many buffered bytes a [`TraceLocal`] accumulates before handing
-/// its chunk to the shared sink.
-const LOCAL_FLUSH_BYTES: usize = 16 * 1024;
-
-/// The trace-stream half of a [`TraceLocal`]: the shared sink plus the
-/// thread's registered chunk buffer.
-struct LocalSink {
-    shared: Arc<TraceShared>,
-    buf: Arc<Mutex<String>>,
-}
-
-/// A per-thread buffered trace emitter (see [`TraceWriter::local`]).
-///
-/// Events are stamped with the monotonic timestamp and the emitting
-/// thread's `tid` at [`TraceLocal::emit`] time, then buffered; the
-/// shared sink's mutex is touched only per ~16 KiB chunk. Dropping the
-/// local flushes it — that is the merge-at-join point.
-///
-/// A local can also (or only) feed the always-on
-/// [`FlightRecorder`](crate::FlightRecorder): when no `--trace` stream
-/// is attached, [`Telemetry::trace_local`](crate::Telemetry::trace_local)
-/// hands out flight-only locals so the hot path keeps recording into
-/// the bounded per-thread rings. Flight events are stamped with the
-/// flight recorder's own clock (the one the rest of the dump uses), so
-/// each sink sees a consistent timeline.
-pub struct TraceLocal {
-    sink: Option<LocalSink>,
-    flight: Option<crate::FlightRecorder>,
-    stage: String,
-}
-
-impl TraceLocal {
-    /// A local that records only into the flight recorder's rings.
-    pub(crate) fn flight_only(flight: crate::FlightRecorder, stage: &str) -> TraceLocal {
-        TraceLocal {
-            sink: None,
-            flight: Some(flight),
-            stage: stage.to_owned(),
-        }
-    }
-
-    /// Attaches a flight recorder: subsequent events go to both the
-    /// trace stream and the calling thread's flight ring.
-    pub(crate) fn with_flight(mut self, flight: crate::FlightRecorder) -> TraceLocal {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Buffers one event line under the local's captured stage path.
-    pub fn emit(&self, kind: &str, fields: &[(&'static str, Json)]) {
-        if let Some(sink) = &self.sink {
-            let t_us = u64::try_from(sink.shared.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let line = format_line(t_us, current_tid(), kind, &self.stage, fields);
-            let full = {
-                // blocking-ok: per-thread buffer mutex — only this
-                // thread and the draining flusher ever touch it, so it
-                // is uncontended in steady state.
-                let mut buf = sink.buf.lock().unwrap_or_else(|p| p.into_inner());
-                buf.push_str(&line);
-                buf.len() >= LOCAL_FLUSH_BYTES
-            };
-            if full {
-                self.flush();
-            }
-        }
-        if let Some(flight) = &self.flight {
-            // Re-stamped with the flight clock so the ring's timeline
-            // matches the other lines in an eventual dump.
-            flight.record_event(kind, &self.stage, fields);
-        }
-    }
-
-    /// Hands the buffered chunk to the shared sink (without forcing
-    /// the sink itself to disk — buffered kinds ride the `BufWriter`).
-    /// Flight-ring events need no flushing (the ring is the store).
-    pub fn flush(&self) {
-        let Some(sink) = &self.sink else { return };
-        // blocking-ok: buffer hand-off at the fill/close boundary, not
-        // per event.
-        let chunk = std::mem::take(&mut *sink.buf.lock().unwrap_or_else(|p| p.into_inner()));
-        if chunk.is_empty() {
-            return;
-        }
-        // blocking-ok: same fill/close boundary as above.
-        let mut inner = sink.shared.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.write_text(&chunk);
-    }
-}
-
-impl Drop for TraceLocal {
-    fn drop(&mut self) {
-        self.flush();
-        let Some(sink) = &self.sink else { return };
-        // Unregister eagerly so the writer's registry stays small even
-        // if flush() is never called on the writer itself.
-        sink.shared
-            .locals
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .retain(|w| w.strong_count() > 0 && !w.ptr_eq(&Arc::downgrade(&sink.buf)));
     }
 }
 
@@ -470,56 +304,6 @@ mod tests {
         trace.emit("event", "", &[]);
         trace.emit("event", "", &[]);
         assert_eq!(trace.lines(), 0);
-    }
-
-    #[test]
-    fn local_buffers_until_dropped_then_lines_appear() {
-        let (trace, sink) = TraceWriter::to_shared_buffer();
-        {
-            let local = trace.local("learn/fbdt");
-            local.emit("node", &[("depth", Json::from(3u64))]);
-            local.emit("node", &[("depth", Json::from(4u64))]);
-            // Still buffered: nothing in the sink yet.
-            assert_eq!(trace.lines(), 0);
-        }
-        assert_eq!(trace.lines(), 2, "drop flushes the local buffer");
-        let text = sink.take_string();
-        for line in text.lines() {
-            let parsed = Json::parse(line).expect("valid JSON");
-            assert_eq!(
-                parsed.get("stage").and_then(Json::as_str),
-                Some("learn/fbdt")
-            );
-            assert!(parsed.get("tid").and_then(Json::as_u64).is_some());
-        }
-    }
-
-    #[test]
-    fn writer_flush_drains_live_locals() {
-        let (trace, sink) = TraceWriter::to_shared_buffer();
-        let local = trace.local("fbdt");
-        local.emit("node", &[]);
-        assert_eq!(trace.lines(), 0);
-        // The drop guard path: flush() on the writer must rescue lines
-        // still sitting in per-thread buffers.
-        trace.flush();
-        assert_eq!(trace.lines(), 1);
-        assert_eq!(sink.take_string().lines().count(), 1);
-        drop(local);
-    }
-
-    #[test]
-    fn local_chunk_flushes_on_size_threshold() {
-        let (trace, _sink) = TraceWriter::to_shared_buffer();
-        let local = trace.local("fbdt");
-        let payload = "x".repeat(512);
-        let mut emitted = 0u64;
-        while trace.lines() == 0 {
-            local.emit("node", &[("pad", Json::from(payload.as_str()))]);
-            emitted += 1;
-            assert!(emitted < 1_000, "size threshold never triggered");
-        }
-        assert_eq!(trace.lines(), emitted, "the whole chunk lands at once");
     }
 
     #[test]

@@ -1,108 +1,108 @@
-//! Property tests for the flight-recorder ring (tier-1, default
-//! backend).
+//! Property tests for the flight recorder's bounded log (tier-1,
+//! default backend).
 //!
-//! Randomized evidence on real `std` atomics for the recorder's core
-//! bounded-history contract: however line lengths and ring capacities
-//! interleave across the wrap boundary, a snapshot is always a whole-
-//! line **suffix** of the append history — oldest events are evicted,
-//! never torn, and the newest line always survives.
+//! Randomized evidence, through the public `Telemetry` API, for the
+//! recorder's bounded-history contract: however line lengths
+//! interleave across the eviction boundary, the lines a dump records
+//! ahead of its `flight` marker are a whole-line **suffix** of the
+//! append history — oldest events are evicted, never torn, the newest
+//! line always survives, and a line larger than the whole log is
+//! dropped without disturbing the others.
 
 #![cfg(not(any(loom, race)))]
 
-use cirlearn_telemetry::FlightRing;
+use cirlearn_telemetry::json::Json;
+use cirlearn_telemetry::Telemetry;
 use proptest::prelude::*;
 
-/// An append history: each entry is one line's payload length (the
-/// line is `"<index>:<'x' * len>\n"`, so every line is unique and
-/// self-identifying).
-fn lines(lens: &[usize]) -> Vec<String> {
-    lens.iter()
-        .enumerate()
-        .map(|(i, len)| format!("{i}:{}\n", "x".repeat(*len)))
+/// The flight log's capacity in bytes.
+const LOG_BYTES: usize = 32 * 1024;
+
+/// Payload length of a line that cannot fit the log on its own.
+const OVERSIZE: usize = LOG_BYTES + 1;
+
+/// Records one self-identifying `line` event per entry of `lens` (the
+/// entry is the `pad` payload length), dumps the recorder and returns
+/// the dumped lines ahead of the `flight` marker, as raw text.
+fn record_and_dump(lens: &[usize], tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!(
+        "cirlearn-flight-props-{tag}-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("flight.jsonl");
+    let t = Telemetry::recording();
+    t.set_flight_dump_path(Some(path.clone()));
+    for (i, len) in lens.iter().enumerate() {
+        t.trace(
+            "line",
+            &[("i", Json::from(i)), ("pad", Json::from("x".repeat(*len)))],
+        );
+    }
+    t.dump_flight("props")
+        .expect("recorder on and dump path set");
+    let dump = std::fs::read_to_string(&path).expect("dump written");
+    let _ = std::fs::remove_dir_all(&dir);
+    dump.lines()
+        .take_while(|l| !l.contains("\"kind\":\"flight\""))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// The `i` of each recorded line, checking that the line is whole and
+/// carries the payload it was recorded with.
+fn indices(recorded: &str, lens: &[usize]) -> Vec<usize> {
+    recorded
+        .lines()
+        .map(|line| {
+            let parsed = Json::parse(line).expect("recorded lines are whole JSON");
+            let i = parsed.get("i").and_then(Json::as_u64).expect("index") as usize;
+            let pad = parsed.get("pad").and_then(Json::as_str).expect("payload");
+            assert_eq!(pad.len(), lens[i], "line {i} kept its whole payload");
+            i
+        })
         .collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn snapshot_is_a_whole_line_suffix_of_the_history(
-        cap_pow in 3u32..9,                                    // 8..256 bytes
-        lens in proptest::collection::vec(0usize..40, 1..60),
+        lens in proptest::collection::vec(
+            // One line in twenty is too large for the whole log.
+            (0usize..3_000, 0u8..20)
+                .prop_map(|(len, pick)| if pick == 0 { OVERSIZE } else { len }),
+            1..60,
+        ),
     ) {
-        let capacity = 1usize << cap_pow;
-        let ring = FlightRing::new(capacity);
-        let history = lines(&lens);
-        for line in &history {
-            ring.append(line.as_bytes());
-        }
-        let fits: Vec<&String> =
-            history.iter().filter(|l| l.len() <= capacity).collect();
-        let dropped = history.len() - fits.len();
-        prop_assert_eq!(
-            ring.oversize_dropped(),
-            dropped as u64,
-            "lines wider than the whole ring are counted, not wedged"
-        );
-        let bytes = ring.snapshot().expect("no concurrent writer");
-        let text = String::from_utf8(bytes).expect("snapshots are whole UTF-8 lines");
-        // The snapshot must be exactly the longest suffix of the
-        // appended (non-oversize) lines that fits the live window —
-        // whole lines only, so a torn or reordered byte anywhere
-        // breaks the equality.
-        let mut expected = String::new();
-        for line in fits.iter().rev() {
-            if expected.len() + line.len() > ring.capacity() {
-                break;
-            }
-            expected.insert_str(0, line);
-        }
-        // The trim-at-newline after a wrap may evict one extra whole
-        // line when the window boundary lands exactly on a line start;
-        // accept either the maximal suffix or the same suffix minus
-        // its oldest line — but never anything torn.
-        let minus_oldest = match expected.find('\n') {
-            Some(i) => &expected[i + 1..],
-            None => "",
-        };
-        prop_assert!(
-            text == expected || text == minus_oldest,
-            "snapshot {text:?} is not a whole-line suffix (expected {expected:?} \
-             or {minus_oldest:?})"
-        );
-        if let Some(newest) = fits.last() {
-            prop_assert!(
-                text.ends_with(newest.as_str()),
-                "the newest line always survives: {text:?} vs {newest:?}"
-            );
+        let recorded = record_and_dump(&lens, "suffix");
+        prop_assert!(recorded.len() <= LOG_BYTES, "the log stays within its capacity");
+        let kept = indices(&recorded, &lens);
+        // The survivors are exactly the newest lines that fit: the
+        // tail of the history with the oversize lines taken out.
+        let fits: Vec<usize> = (0..lens.len()).filter(|&i| lens[i] < OVERSIZE).collect();
+        prop_assert!(kept.len() <= fits.len());
+        prop_assert_eq!(&kept[..], &fits[fits.len() - kept.len()..]);
+        if !fits.is_empty() {
+            prop_assert!(!kept.is_empty(), "the newest line always survives");
         }
     }
 
     #[test]
     fn wrapped_ring_never_reports_stale_or_duplicate_lines(
-        lens in proptest::collection::vec(0usize..12, 20..80),
+        lens in proptest::collection::vec(0usize..12, 600..1_200),
     ) {
-        // Small fixed ring, many small lines: maximal wrap churn.
-        let ring = FlightRing::new(64);
-        let history = lines(&lens);
-        for line in &history {
-            ring.append(line.as_bytes());
-        }
-        let text = String::from_utf8(ring.snapshot().expect("quiescent"))
-            .expect("utf-8");
-        let mut indices = Vec::new();
-        for line in text.lines() {
-            let (idx, _) = line.split_once(':').expect("self-identifying line");
-            indices.push(idx.parse::<usize>().expect("intact index"));
-        }
+        // Many small lines: hundreds of evictions per run.
+        let recorded = record_and_dump(&lens, "churn");
+        let kept = indices(&recorded, &lens);
+        prop_assert!(kept.len() < lens.len(), "the history outgrew the log");
         // Surviving lines are a contiguous, strictly increasing run
         // ending at the newest append: no duplicates, no resurrection
         // of evicted lines, no gaps.
-        for pair in indices.windows(2) {
+        for pair in kept.windows(2) {
             prop_assert_eq!(pair[1], pair[0] + 1, "consecutive survivors");
         }
-        if let Some(&last) = indices.last() {
-            prop_assert_eq!(last, history.len() - 1, "newest line survives");
-        }
+        prop_assert_eq!(kept.last().copied(), Some(lens.len() - 1), "newest line survives");
     }
 }

@@ -113,9 +113,9 @@ fn snapshot_during_concurrent_record_is_coherent() {
 
 #[test]
 fn local_shard_drop_merge_races_a_snapshot_coherently() {
-    // The `LocalRecorder` path: a worker thread records into a private
+    // A sharded recording: a worker thread records into a private
     // histogram (uncontended) and publishes the whole shard via one
-    // `merge` when it drops, while the reporting thread snapshots the
+    // `merge`, while the reporting thread snapshots the
     // shared histogram concurrently. The snapshot may land before or
     // after the publish, but never in an incoherent in-between state.
     loom::model(|| {

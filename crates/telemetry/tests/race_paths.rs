@@ -1,50 +1,25 @@
-//! Running the happens-before race detector over the telemetry hot
-//! paths on real threads.
+//! Running the happens-before race detector over the telemetry's
+//! lock-free histogram path on real threads.
 //!
 //! Built only under `RUSTFLAGS="--cfg race"`: the crate's `sync` alias
 //! then routes every mutex and atomic through `vendor/tsan`'s
 //! instrumented wrappers, which ride vector clocks alongside the real
 //! full-speed operations. Threads are spawned with `tsan::thread` so
 //! fork/join edges are recorded; inside, the code under test is the
-//! unmodified production path — `TraceLocal` drain-on-drop,
-//! `LocalRecorder` drop-merge, and direct `Histogram` record/snapshot
+//! unmodified production path — direct `Histogram` record/snapshot
 //! traffic. A detected race panics with both conflicting stacks, which
 //! these tests would surface as a failed `join`.
 //!
 //! The final test seeds a genuine race through a `RacyCell` to prove
-//! the harness is live — that the clean runs above are clean because
-//! the paths synchronize, not because the detector is asleep.
+//! the harness is live — that the clean run above is clean because
+//! the path synchronizes, not because the detector is asleep.
 
 #![cfg(race)]
 
-use cirlearn_telemetry::json::Json;
-use cirlearn_telemetry::{histograms, Histogram, Telemetry, TraceWriter};
+use cirlearn_telemetry::Histogram;
 use tsan::RacyCell;
 
 use std::sync::Arc;
-
-#[test]
-fn local_recorder_drop_merges_are_race_free() {
-    let t = Telemetry::recording();
-    let workers: Vec<_> = (0..4)
-        .map(|k| {
-            let recorder = t.local_recorder(histograms::FBDT_NODE_NS);
-            tsan::thread::spawn(move || {
-                for i in 0..100 {
-                    recorder.record(1 + k * 100 + i);
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("no race on the drop-merge path");
-    }
-    let report = t.report();
-    let h = &report.histograms[histograms::FBDT_NODE_NS];
-    assert_eq!(h.count, 400);
-    assert_eq!(h.min, 1);
-    assert_eq!(h.max, 400);
-}
 
 #[test]
 fn direct_histogram_records_and_snapshots_are_race_free() {
@@ -78,77 +53,6 @@ fn direct_histogram_records_and_snapshots_are_race_free() {
     reader.join().expect("no race on the snapshot path");
     assert_eq!(h.count(), 400);
     assert_eq!(h.sum(), 2 * (1..=200u64).sum::<u64>());
-}
-
-#[test]
-fn trace_local_drains_are_race_free() {
-    let (trace, sink) = TraceWriter::to_shared_buffer();
-    let workers: Vec<_> = (0..3)
-        .map(|_| {
-            let local = trace.local("learn/fbdt");
-            let rescue = trace.clone();
-            tsan::thread::spawn(move || {
-                for depth in 0..20u64 {
-                    local.emit("node", &[("depth", Json::from(depth))]);
-                }
-                // Exercise the rescue path concurrently with the other
-                // workers' emits and drops.
-                rescue.flush();
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("no race on the drain path");
-    }
-    trace.flush();
-    assert_eq!(trace.lines(), 60, "no line lost or drained twice");
-    let text = sink.take_string();
-    let mut tids = std::collections::BTreeSet::new();
-    for line in text.lines() {
-        let parsed = Json::parse(line).expect("drained lines stay valid JSON");
-        tids.insert(parsed.get("tid").and_then(Json::as_u64).expect("tid"));
-    }
-    assert_eq!(tids.len(), 3, "one tid per emitting thread");
-}
-
-#[test]
-fn flight_ring_appends_and_snapshots_are_race_free() {
-    // The flight recorder's dump path: worker threads append into
-    // their per-thread rings at full speed while a dumper snapshots
-    // them. All cross-thread traffic rides the seqlock's atomics, so
-    // the detector must stay quiet — and every snapshot it takes must
-    // still be whole lines.
-    let recorder = cirlearn_telemetry::FlightRecorder::new(256);
-    let writers: Vec<_> = (0..3)
-        .map(|k| {
-            let recorder = recorder.clone();
-            tsan::thread::spawn(move || {
-                for i in 0..200u64 {
-                    recorder.record_line(&format!(
-                        "{{\"t_us\":{i},\"kind\":\"node\",\"stage\":\"w{k}\",\"tid\":0}}\n"
-                    ));
-                }
-            })
-        })
-        .collect();
-    let dumper = {
-        let recorder = recorder.clone();
-        tsan::thread::spawn(move || {
-            for _ in 0..50 {
-                for (_, text) in recorder.snapshot_lines() {
-                    for line in text.lines() {
-                        Json::parse(line).expect("snapshot lines are never torn");
-                    }
-                }
-            }
-        })
-    };
-    for w in writers {
-        w.join().expect("no race on the append path");
-    }
-    dumper.join().expect("no race on the snapshot path");
-    let rings = recorder.snapshot_lines();
-    assert_eq!(rings.len(), 3, "one ring per appending thread");
 }
 
 #[test]

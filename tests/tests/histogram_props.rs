@@ -1,10 +1,8 @@
 //! Property-based tests of the telemetry latency histogram: bucket
 //! bounds must stay monotone, merging must equal recording the union,
-//! quantiles must land within one log-bucket of the exact value, and
-//! per-thread local recorders must merge to exactly what one shared
-//! recorder would have seen.
+//! and quantiles must land within one log-bucket of the exact value.
 
-use cirlearn_telemetry::{histograms, Histogram, Telemetry};
+use cirlearn_telemetry::Histogram;
 use proptest::prelude::*;
 
 /// Strategy: a batch of latency samples mixing the regimes the
@@ -94,32 +92,6 @@ proptest! {
         for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
             prop_assert_eq!(merged.quantile(q), direct.quantile(q), "q = {}", q);
         }
-    }
-
-    #[test]
-    // Thread-readiness invariant: splitting a sample stream across any
-    // number of per-thread local recorders (any shard assignment, any
-    // interleaving — histograms are order-free) and merging them on
-    // drop must equal recording every sample on one shared histogram.
-    fn local_recorder_merge_equals_single_recorder(
-        assigned in prop::collection::vec((any::<u64>(), 0usize..4), 1..200),
-    ) {
-        let telemetry = Telemetry::recording();
-        {
-            let recorders: Vec<_> = (0..4)
-                .map(|_| telemetry.local_recorder(histograms::FBDT_NODE_NS))
-                .collect();
-            for &(v, shard) in &assigned {
-                recorders[shard].record(v % 1_000_000);
-            }
-            // Dropping merges each local shard into the shared histogram.
-        }
-        let report = telemetry.report();
-        let merged = &report.histograms[histograms::FBDT_NODE_NS];
-        let direct = record_all(
-            &assigned.iter().map(|&(v, _)| v % 1_000_000).collect::<Vec<_>>(),
-        );
-        prop_assert_eq!(merged, &direct.summary());
     }
 
     #[test]
