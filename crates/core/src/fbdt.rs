@@ -26,7 +26,7 @@ use std::time::Instant;
 use cirlearn_logic::{Cube, Sop, TruthTable, Var};
 use cirlearn_oracle::Oracle;
 use cirlearn_telemetry::json::Json;
-use cirlearn_telemetry::{histograms, Telemetry};
+use cirlearn_telemetry::{Counter, Hist, Telemetry};
 use rand::rngs::StdRng;
 
 use crate::budget::Budget;
@@ -147,10 +147,9 @@ impl FbdtStats {
     /// Adds these statistics onto the telemetry counters
     /// (`fbdt.splits`, `fbdt.leaves`, `fbdt.forced_leaves`).
     pub fn record(&self, telemetry: &cirlearn_telemetry::Telemetry) {
-        use cirlearn_telemetry::counters;
-        telemetry.add(counters::FBDT_SPLITS, self.splits as u64);
-        telemetry.add(counters::FBDT_LEAVES, self.leaves as u64);
-        telemetry.add(counters::FBDT_FORCED_LEAVES, self.forced_leaves as u64);
+        telemetry.add(Counter::FbdtSplits, self.splits as u64);
+        telemetry.add(Counter::FbdtLeaves, self.leaves as u64);
+        telemetry.add(Counter::FbdtForcedLeaves, self.forced_leaves as u64);
     }
 }
 
@@ -386,7 +385,7 @@ impl FbdtBuilder {
         }
         if telemetry.is_enabled() {
             let node_elapsed = node_start.elapsed();
-            telemetry.record_time(histograms::FBDT_NODE_NS, node_elapsed);
+            telemetry.record_time(Hist::FbdtNodeNs, node_elapsed);
             telemetry.trace(
                 "node",
                 &[

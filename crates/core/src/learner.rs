@@ -9,7 +9,7 @@ use cirlearn_aig::{Aig, Edge};
 use cirlearn_oracle::{InstrumentedOracle, Oracle};
 use cirlearn_synth::{optimize_with, OptimizeConfig};
 use cirlearn_telemetry::json::Json;
-use cirlearn_telemetry::{counters, histograms, Level, OutputReport, Telemetry};
+use cirlearn_telemetry::{Counter, Hist, Level, OutputReport, Telemetry};
 use rand::rngs::StdRng;
 
 use crate::budget::Budget;
@@ -757,7 +757,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
         let telemetry = self.telemetry;
         let (done, queries_used, elapsed_before) =
             (self.outputs_done(), self.queries_used, self.elapsed_before);
-        telemetry.incr(counters::CKPT_RESUMES);
+        telemetry.incr(Counter::CkptResumes);
         telemetry.trace(
             "resume",
             &[
@@ -1085,7 +1085,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
         let (cover, stats) = tree.builder.finish();
         stats.record(telemetry);
         if cut_short {
-            telemetry.incr(counters::CKPT_DEADLINE_PARTIAL_OUTPUTS);
+            telemetry.incr(Counter::CkptDeadlinePartialOutputs);
             self.cut_short[o] = true;
             telemetry.event(
                 Level::Warn,
@@ -1200,17 +1200,17 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
     fn cover_to_edge(&mut self, cover: &LearnedCover, var_map: &[Edge]) -> Edge {
         let started = Instant::now();
         let telemetry = self.telemetry;
-        telemetry.add(counters::CUBES_COLLECTED, cover.sop.cubes().len() as u64);
+        telemetry.add(Counter::CubesCollected, cover.sop.cubes().len() as u64);
         let gates_at = self.circuit.and_count();
         let edge = if cover.sop.cubes().len() <= self.config.espresso_cube_limit {
-            telemetry.incr(counters::ESPRESSO_CALLS);
+            telemetry.incr(Counter::EspressoCalls);
             cirlearn_synth::factor::sop_to_circuit(&cover.sop, &mut self.circuit, var_map)
         } else {
             let expr = cirlearn_synth::factor::factor(&cover.sop);
             expr.to_aig(&mut self.circuit, var_map)
         };
         telemetry.attribute_gates(self.circuit.and_count().saturating_sub(gates_at) as u64);
-        telemetry.record_time(histograms::COVER_BUILD_NS, started.elapsed());
+        telemetry.record_time(Hist::CoverBuildNs, started.elapsed());
         edge.complement_if(cover.complemented)
     }
 
@@ -1235,7 +1235,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             let majority = self.truth_bias[o].is_some_and(|r| r >= 0.5);
             self.edges[o] = Some(if majority { Edge::TRUE } else { Edge::FALSE });
             self.strategies[o] = Some(Strategy::Degraded);
-            self.telemetry.incr(counters::FAULT_DEGRADED_OUTPUTS);
+            self.telemetry.incr(Counter::FaultDegradedOutputs);
             self.telemetry.event(
                 Level::Warn,
                 &format!(
@@ -1342,8 +1342,8 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
 fn write_checkpoint(telemetry: &Telemetry, path: &std::path::Path, state: &LearnState) {
     match state.save(path) {
         Ok(bytes) => {
-            telemetry.incr(counters::CKPT_WRITES);
-            telemetry.add(counters::CKPT_BYTES, bytes as u64);
+            telemetry.incr(Counter::CkptWrites);
+            telemetry.add(Counter::CkptBytes, bytes as u64);
             telemetry.trace(
                 "ckpt",
                 &[
@@ -1364,6 +1364,7 @@ fn write_checkpoint(telemetry: &Telemetry, path: &std::path::Path, state: &Learn
 mod tests {
     use super::*;
     use cirlearn_oracle::{evaluate_accuracy, generate, CircuitOracle, EvalConfig};
+    use cirlearn_telemetry::{counters, histograms};
 
     fn check_exact(oracle: &CircuitOracle, result: &LearnResult) -> bool {
         cirlearn_sat::check_equivalence(oracle.reveal(), &result.circuit).is_equivalent()
@@ -1620,7 +1621,7 @@ mod degradation_tests {
         let mut learner = Learner::with_telemetry(LearnerConfig::fast(), telemetry.clone());
         let result = learner.learn(&mut oracle);
         assert_eq!(
-            telemetry.counter(counters::FAULT_DEGRADED_OUTPUTS),
+            telemetry.counter(Counter::FaultDegradedOutputs),
             result.degraded.len() as u64
         );
         let report = telemetry.report();
@@ -1785,9 +1786,12 @@ mod resume_tests {
         };
         let result = learner.learn_with(&mut oracle, &ctl).expect_completed();
         assert!(result.degraded.is_empty());
-        let writes = telemetry.counter(counters::CKPT_WRITES);
-        assert!(writes > 0, "cadence should have written checkpoints");
-        assert!(telemetry.counter(counters::CKPT_BYTES) > 0);
+        let writes = telemetry.counter(Counter::CkptWrites);
+        assert!(writes >= 2, "cadence should have written checkpoints");
+        // `ckpt.bytes` sums every write, so it exceeds the one file the
+        // last write left behind.
+        let on_disk = std::fs::metadata(&path).expect("checkpoint on disk").len();
+        assert!(telemetry.counter(Counter::CkptBytes) > on_disk);
         // The file on disk is a valid checkpoint of the finished run.
         let state = LearnState::load(&path).expect("valid checkpoint on disk");
         assert_eq!(state.output_names.len(), 2);
@@ -1844,10 +1848,7 @@ mod resume_tests {
             .expect_completed();
         assert_eq!(result.degraded, vec![0], "cut output reported degraded");
         assert_eq!(result.outputs[0].strategy, Strategy::Fbdt);
-        assert_eq!(
-            telemetry.counter(counters::CKPT_DEADLINE_PARTIAL_OUTPUTS),
-            1
-        );
+        assert_eq!(telemetry.counter(Counter::CkptDeadlinePartialOutputs), 1);
     }
 
     /// An oracle that dies after `delay` on its first call (the guard

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use cirlearn_logic::Assignment;
-use cirlearn_telemetry::{histograms, HistogramHandle, Telemetry};
+use cirlearn_telemetry::{Hist, Telemetry};
 
 use crate::oracle::Oracle;
 
@@ -19,11 +19,10 @@ use crate::oracle::Oracle;
 /// attribution context (output scope, FBDT depth) the learner has set
 /// at the time they are served.
 ///
-/// Latency lands in lock-free histograms whose handles are resolved
-/// once at construction: each answered call's round trip in
-/// `oracle.batch_ns`, with its pattern count in `oracle.batch_size`
-/// (one sample per call, so a batch's tail latency stays visible; a
-/// single query is a call of size 1).
+/// Latency lands in the handle's lock-free histograms: each answered
+/// call's round trip in `oracle.batch_ns`, with its pattern count in
+/// `oracle.batch_size` (one sample per call, so a batch's tail latency
+/// stays visible; a single query is a call of size 1).
 ///
 /// # Examples
 ///
@@ -31,7 +30,7 @@ use crate::oracle::Oracle;
 /// use cirlearn_aig::Aig;
 /// use cirlearn_logic::Assignment;
 /// use cirlearn_oracle::{CircuitOracle, InstrumentedOracle, Oracle};
-/// use cirlearn_telemetry::{counters, Telemetry};
+/// use cirlearn_telemetry::{Counter, Telemetry};
 ///
 /// let mut aig = Aig::new();
 /// let a = aig.add_input("a");
@@ -41,40 +40,19 @@ use crate::oracle::Oracle;
 /// let mut oracle =
 ///     InstrumentedOracle::new(CircuitOracle::new(aig), telemetry.clone());
 /// oracle.query(&Assignment::zeros(1));
-/// assert_eq!(telemetry.counter(counters::ORACLE_QUERIES), 1);
+/// assert_eq!(telemetry.counter(Counter::OracleQueries), 1);
 /// assert_eq!(oracle.queries(), 1);
 /// ```
 #[derive(Debug)]
 pub struct InstrumentedOracle<O> {
     inner: O,
     telemetry: Telemetry,
-    batch_latency: HistogramHandle,
-    batch_size: HistogramHandle,
 }
 
 impl<O: Oracle> InstrumentedOracle<O> {
     /// Wraps `inner`, reporting its query traffic to `telemetry`.
     pub fn new(inner: O, telemetry: Telemetry) -> Self {
-        InstrumentedOracle {
-            batch_latency: telemetry.histogram_handle(histograms::ORACLE_BATCH_NS),
-            batch_size: telemetry.histogram_handle(histograms::ORACLE_BATCH_SIZE),
-            inner,
-            telemetry,
-        }
-    }
-
-    /// Records one answered batch call of `n` patterns started at
-    /// `start`: one latency sample and one size sample. Returns the
-    /// call's elapsed nanoseconds (0 for an empty batch, which records
-    /// nothing).
-    fn record_batch(&self, start: Instant, n: usize) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.batch_latency.record(total);
-        self.batch_size.record(n as u64);
-        total
+        InstrumentedOracle { inner, telemetry }
     }
 
     /// The wrapped oracle.
@@ -110,12 +88,18 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
         inputs: &[Assignment],
     ) -> Result<Vec<Vec<bool>>, crate::oracle::OracleError> {
         // Counted only on success, matching the inner oracle's own
-        // accounting (a faulted batch served no answer).
+        // accounting (a faulted batch served no answer); an empty batch
+        // records nothing.
         let start = Instant::now();
         let out = self.inner.try_query_batch(inputs)?;
-        let total = self.record_batch(start, out.len());
-        self.telemetry
-            .record_oracle_queries(out.len() as u64, total);
+        if !out.is_empty() {
+            let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.telemetry.record(Hist::OracleBatchNs, total);
+            self.telemetry
+                .record(Hist::OracleBatchSize, out.len() as u64);
+            self.telemetry
+                .record_oracle_queries(out.len() as u64, total);
+        }
         Ok(out)
     }
 
@@ -180,7 +164,7 @@ mod tests {
     use super::*;
     use crate::CircuitOracle;
     use cirlearn_aig::Aig;
-    use cirlearn_telemetry::counters;
+    use cirlearn_telemetry::{counters, Counter};
 
     fn sample() -> CircuitOracle {
         let mut g = Aig::new();
@@ -198,7 +182,7 @@ mod tests {
         let z = Assignment::zeros(2);
         o.query(&z);
         o.query_batch(&[z.clone(), z.clone(), z.clone()]);
-        assert_eq!(telemetry.counter(counters::ORACLE_QUERIES), 4);
+        assert_eq!(telemetry.counter(Counter::OracleQueries), 4);
         assert_eq!(o.queries(), 4);
     }
 

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use cirlearn_logic::Assignment;
 use cirlearn_telemetry::json::Json;
-use cirlearn_telemetry::{counters, histograms, HistogramHandle, Level, Telemetry};
+use cirlearn_telemetry::{Counter, Hist, Level, Telemetry};
 
 use crate::oracle::{Oracle, OracleError};
 
@@ -206,11 +206,6 @@ pub struct ResilientOracle<O> {
     inner: O,
     policy: RetryPolicy,
     telemetry: Telemetry,
-    /// End-to-end latency per guarded call (a single query or a whole
-    /// batch), including backoff sleeps, respawns and replay probes —
-    /// the latency the learner actually experiences, as opposed to
-    /// `oracle.batch_ns` transport time.
-    latency: HistogramHandle,
     stats: FaultStats,
     /// First few successful (pattern, answer) pairs, replayed after a
     /// respawn to check the new incarnation is the same function.
@@ -234,12 +229,10 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
     /// Wraps `inner`, reporting fault counters to `telemetry`
     /// (`faults.retries`, `faults.timeouts`, `faults.respawns`).
     pub fn with_telemetry(inner: O, policy: RetryPolicy, telemetry: Telemetry) -> Self {
-        let latency = telemetry.histogram_handle(histograms::ORACLE_GUARDED_QUERY_NS);
         ResilientOracle {
             inner,
             policy,
             telemetry,
-            latency,
             stats: FaultStats::default(),
             probes: Vec::new(),
             deadline: None,
@@ -285,7 +278,7 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
         let timeout = matches!(e, OracleError::Timeout(_));
         if timeout {
             self.stats.timeouts += 1;
-            self.telemetry.incr(counters::FAULT_TIMEOUTS);
+            self.telemetry.incr(Counter::FaultTimeouts);
         }
         self.telemetry.trace(
             "fault",
@@ -318,7 +311,7 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
     fn respawn_and_verify(&mut self) -> Result<(), OracleError> {
         self.inner.respawn()?;
         self.stats.respawns += 1;
-        self.telemetry.incr(counters::FAULT_RESPAWNS);
+        self.telemetry.incr(Counter::FaultRespawns);
         self.check_probes()
     }
 
@@ -349,7 +342,8 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
         }
         let start = Instant::now();
         let out = self.query_guarded_inner(inputs);
-        self.latency.record_duration(start.elapsed());
+        self.telemetry
+            .record_time(Hist::OracleGuardedQueryNs, start.elapsed());
         out
     }
 
@@ -406,7 +400,7 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
                     }
                     attempt += 1;
                     self.stats.retries += 1;
-                    self.telemetry.incr(counters::FAULT_RETRIES);
+                    self.telemetry.incr(Counter::FaultRetries);
                 }
             }
         }
@@ -546,9 +540,9 @@ mod tests {
         for _ in 0..6 {
             o.try_query(&Assignment::zeros(6)).expect("recovers");
         }
-        assert!(telemetry.counter(counters::FAULT_RETRIES) >= 2);
-        assert_eq!(telemetry.counter(counters::FAULT_TIMEOUTS), 1);
-        assert_eq!(telemetry.counter(counters::FAULT_RESPAWNS), 1);
+        assert!(telemetry.counter(Counter::FaultRetries) >= 2);
+        assert_eq!(telemetry.counter(Counter::FaultTimeouts), 1);
+        assert_eq!(telemetry.counter(Counter::FaultRespawns), 1);
         let report = telemetry.report();
         assert!(report.faults.any());
         assert_eq!(report.faults.timeouts, 1);

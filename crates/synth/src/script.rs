@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use cirlearn_aig::Aig;
 use cirlearn_analyze::audit_pass;
-use cirlearn_telemetry::{counters, histograms, Level, Telemetry};
+use cirlearn_telemetry::{Counter, Hist, Level, Telemetry};
 use cirlearn_verify::{verify_pass, VerifyConfig, VerifyLevel, Violation};
 
 use crate::{
@@ -136,7 +136,7 @@ impl<'a> CheckedPass<'a> {
         let verify_start = Instant::now();
         let verdict = verify_pass(before, &after, self.verify);
         let verify_elapsed = verify_start.elapsed();
-        self.telemetry.incr(counters::VERIFY_CHECKS);
+        self.telemetry.incr(Counter::VerifyChecks);
         match verdict {
             Ok(()) => CheckedOutcome {
                 circuit: after,
@@ -147,11 +147,11 @@ impl<'a> CheckedPass<'a> {
                 match &violation {
                     Violation::Lint(violations) => self
                         .telemetry
-                        .add(counters::VERIFY_LINT_VIOLATIONS, violations.len() as u64),
-                    Violation::Functional(_) => self.telemetry.incr(counters::VERIFY_WITNESSES),
+                        .add(Counter::VerifyLintViolations, violations.len() as u64),
+                    Violation::Functional(_) => self.telemetry.incr(Counter::VerifyWitnesses),
                     Violation::Interface { .. } => {}
                 }
-                self.telemetry.incr(counters::VERIFY_REJECTED_PASSES);
+                self.telemetry.incr(Counter::VerifyRejectedPasses);
                 self.telemetry.event(
                     Level::Error,
                     &format!("pass {} rejected: {violation}", self.name),
@@ -179,23 +179,23 @@ impl<'a> CheckedPass<'a> {
         let audit_start = Instant::now();
         let delta = audit_pass(before, after);
         self.telemetry
-            .record_time(histograms::ANALYZE_AUDIT_NS, audit_start.elapsed());
-        self.telemetry.incr(counters::ANALYZE_PASS_AUDITS);
+            .record_time(Hist::AnalyzeAuditNs, audit_start.elapsed());
+        self.telemetry.incr(Counter::AnalyzePassAudits);
         if delta.is_clean() {
             return;
         }
         self.telemetry
-            .add(counters::ANALYZE_DEAD_INTRODUCED, delta.dead_introduced);
+            .add(Counter::AnalyzeDeadIntroduced, delta.dead_introduced);
         self.telemetry.add(
-            counters::ANALYZE_DUPLICATES_INTRODUCED,
+            Counter::AnalyzeDuplicatesIntroduced,
             delta.duplicates_introduced,
         );
         self.telemetry.add(
-            counters::ANALYZE_CONSTANTS_INTRODUCED,
+            Counter::AnalyzeConstantsIntroduced,
             delta.constants_introduced,
         );
         self.telemetry
-            .add(counters::ANALYZE_STRUCTURAL_ERRORS, delta.structural_errors);
+            .add(Counter::AnalyzeStructuralErrors, delta.structural_errors);
         self.telemetry.event(
             Level::Debug,
             &format!("pass {} introduced detectable waste: {delta}", self.name),
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn checked_pass_accepts_sound_pass_and_rejects_broken_one() {
-        use cirlearn_telemetry::{counters, Telemetry};
+        use cirlearn_telemetry::Telemetry;
         let mut g = Aig::new();
         let a = g.add_input("a");
         let b = g.add_input("b");
@@ -504,14 +504,14 @@ mod tests {
         }
         // The rejected result was rolled back to the input circuit.
         assert!(check_equivalence(&g, &outcome.circuit).is_equivalent());
-        assert_eq!(telemetry.counter(counters::VERIFY_CHECKS), 2);
-        assert_eq!(telemetry.counter(counters::VERIFY_REJECTED_PASSES), 1);
-        assert_eq!(telemetry.counter(counters::VERIFY_WITNESSES), 1);
+        assert_eq!(telemetry.counter(Counter::VerifyChecks), 2);
+        assert_eq!(telemetry.counter(Counter::VerifyRejectedPasses), 1);
+        assert_eq!(telemetry.counter(Counter::VerifyWitnesses), 1);
     }
 
     #[test]
     fn checked_pass_off_level_skips_verification() {
-        use cirlearn_telemetry::{counters, Telemetry};
+        use cirlearn_telemetry::Telemetry;
         let mut g = Aig::new();
         let a = g.add_input("a");
         g.add_output(a, "y");
@@ -521,7 +521,7 @@ mod tests {
         let outcome = checked.run(&g, |before| before.clone());
         assert!(outcome.violation.is_none());
         assert_eq!(outcome.verify_elapsed, Duration::ZERO);
-        assert_eq!(telemetry.counter(counters::VERIFY_CHECKS), 0);
+        assert_eq!(telemetry.counter(Counter::VerifyChecks), 0);
     }
 
     #[test]
@@ -550,7 +550,7 @@ mod tests {
 
     #[test]
     fn sloppy_pass_trips_the_analyze_gate_without_being_rejected() {
-        use cirlearn_telemetry::{counters, Telemetry};
+        use cirlearn_telemetry::Telemetry;
         let mut g = Aig::new();
         let inputs = g.add_inputs("x", 3);
         let x = g.and(inputs[0], inputs[1]);
@@ -570,9 +570,9 @@ mod tests {
         });
         assert!(outcome.violation.is_none(), "the gate must not reject");
         assert_eq!(outcome.circuit.and_count(), g.and_count() + 1);
-        assert_eq!(telemetry.counter(counters::ANALYZE_PASS_AUDITS), 1);
-        assert_eq!(telemetry.counter(counters::ANALYZE_DEAD_INTRODUCED), 1);
-        assert_eq!(telemetry.counter(counters::ANALYZE_STRUCTURAL_ERRORS), 0);
+        assert_eq!(telemetry.counter(Counter::AnalyzePassAudits), 1);
+        assert_eq!(telemetry.counter(Counter::AnalyzeDeadIntroduced), 1);
+        assert_eq!(telemetry.counter(Counter::AnalyzeStructuralErrors), 0);
     }
 
     #[test]

@@ -120,15 +120,8 @@ impl<const N: usize> RawHistogram<N> {
         // panic-ok: compile-time-constant guard, once per histogram
         // construction.
         assert!(N > 0 && N <= NUM_BUCKETS, "bucket count {N} out of range");
-        // Atomics are not Copy; build the array through a Vec.
-        let buckets: Vec<AtomicU64> = (0..N).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; N]> = match buckets.into_boxed_slice().try_into() {
-            Ok(b) => b,
-            // panic-ok: the Vec was built with exactly N entries.
-            Err(_) => unreachable!("length matches N"),
-        };
         RawHistogram {
-            buckets,
+            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),

@@ -6,13 +6,14 @@
 //! - **Spans** ([`Telemetry::span`]): RAII stage guards that time
 //!   nested pipeline stages (`support`, `fbdt`, `optimize`, ...) and
 //!   attribute counter activity to them.
-//! - **Counters** ([`Telemetry::add`], [`counters`]): monotonic
+//! - **Counters** ([`Telemetry::add`], [`Counter`]): monotonic
 //!   counters for oracle queries, FBDT expansion, cube collection,
-//!   espresso calls and optimization gate deltas. Queries are counted
-//!   at the source by the oracle crate's `InstrumentedOracle`, so the
-//!   top-level stage breakdown of `oracle.queries` sums to the run's
-//!   total query count by construction.
-//! - **Histograms** ([`Histogram`], [`histograms`]): lock-free
+//!   espresso calls and optimization gate deltas, each a typed id
+//!   with a lock-free table slot. Queries are counted at the source by
+//!   the oracle crate's `InstrumentedOracle`, so the top-level stage
+//!   breakdown of `oracle.queries` sums to the run's total query count
+//!   by construction. Reports key them by name ([`counters`]).
+//! - **Histograms** ([`Telemetry::record`], [`Hist`]): lock-free
 //!   log-bucketed latency distributions (p50/p90/p99/max) for oracle
 //!   round-trips, FBDT node expansion and synth passes.
 //! - **Traces** ([`TraceWriter`]): a JSONL event stream (span
@@ -28,7 +29,8 @@
 //!   [`AttributionRecord`]): a per-(stage, output) ledger of oracle
 //!   queries, query nanoseconds and gates built, fed by the span
 //!   context that `InstrumentedOracle` records into, emitted in the
-//!   report and as `attr` trace events.
+//!   report and as `attr` trace events. A batch is two atomic adds,
+//!   settled into the ledger when the context changes.
 //! - **Trace analysis** ([`analysis`]): offline parsing of trace
 //!   streams into span trees, hot-span summaries, critical paths,
 //!   Chrome trace-event exports and noise-floored run diffs — the
@@ -52,6 +54,7 @@
 pub mod analysis;
 pub mod histogram;
 pub mod json;
+mod metric;
 pub mod persist;
 mod report;
 mod reporter;
@@ -61,6 +64,7 @@ mod telemetry;
 mod trace;
 
 pub use crate::histogram::{Histogram, HistogramSummary, RawHistogram};
+pub use crate::metric::{counters, histograms, Counter, Hist};
 pub use crate::persist::write_atomic;
 pub use crate::report::{
     AttributionRecord, CheckpointReport, FaultsReport, OutputReport, PassReport, RunReport,
@@ -68,5 +72,5 @@ pub use crate::report::{
 };
 pub use crate::reporter::{BufferReporter, Level, NullReporter, Reporter, StderrReporter};
 pub use crate::status::{StatusAttr, StatusSnapshot, STATUS_SCHEMA_VERSION};
-pub use crate::telemetry::{counters, histograms, HistogramHandle, OutputScope, Span, Telemetry};
+pub use crate::telemetry::{OutputScope, Span, Telemetry};
 pub use crate::trace::{current_tid, SharedBuffer, TraceWriter};

@@ -151,17 +151,6 @@ impl FaultsReport {
     pub fn any(&self) -> bool {
         self.retries > 0 || self.timeouts > 0 || self.respawns > 0 || self.degraded_outputs > 0
     }
-
-    /// Derives the summary from a counter map.
-    pub fn from_counters(counters: &BTreeMap<String, u64>) -> Self {
-        let get = |name: &str| counters.get(name).copied().unwrap_or(0);
-        FaultsReport {
-            retries: get(crate::counters::FAULT_RETRIES),
-            timeouts: get(crate::counters::FAULT_TIMEOUTS),
-            respawns: get(crate::counters::FAULT_RESPAWNS),
-            degraded_outputs: get(crate::counters::FAULT_DEGRADED_OUTPUTS),
-        }
-    }
 }
 
 /// One cost-ledger cell: the resources attributed to a `(top-level
@@ -877,19 +866,6 @@ mod tests {
         assert_eq!(report.attribution_stage_queries("support"), 900);
         assert_eq!(report.attribution_stage_queries("fbdt"), 300);
         assert_eq!(report.attribution_stage_queries("nope"), 0);
-    }
-
-    #[test]
-    fn faults_derive_from_counters() {
-        let counters = BTreeMap::from([
-            (crate::counters::FAULT_RETRIES.to_owned(), 5),
-            (crate::counters::FAULT_RESPAWNS.to_owned(), 2),
-        ]);
-        let faults = FaultsReport::from_counters(&counters);
-        assert_eq!(faults.retries, 5);
-        assert_eq!(faults.respawns, 2);
-        assert_eq!(faults.timeouts, 0);
-        assert!(faults.any());
     }
 
     #[test]

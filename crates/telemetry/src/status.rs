@@ -93,7 +93,7 @@ pub struct StatusSnapshot {
     pub outputs_total: u64,
     /// Checkpoints written so far.
     pub ckpt_writes: u64,
-    /// Size in bytes of the most recent checkpoint payload.
+    /// Checkpoint payload bytes written so far, over every checkpoint.
     pub ckpt_bytes: u64,
     /// Outputs degraded to fallback circuits so far.
     pub degraded_outputs: u64,
@@ -227,7 +227,7 @@ impl StatusSnapshot {
         );
         let _ = writeln!(
             out,
-            "ckpt      {} written, last {} bytes — {} degraded outputs",
+            "ckpt      {} written, {} bytes in total — {} degraded outputs",
             self.ckpt_writes, self.ckpt_bytes, self.degraded_outputs
         );
         if !self.attribution.is_empty() {
@@ -321,6 +321,7 @@ mod tests {
         assert!(text.contains("100000 queries"));
         assert!(text.contains("8000 q/s"));
         assert!(text.contains("fbdt"));
+        assert!(text.contains("ckpt      2 written, 9999 bytes in total"));
         assert!(text.contains('#'), "progress bar renders: {text}");
     }
 

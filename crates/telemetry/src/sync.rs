@@ -20,8 +20,9 @@
 //! Invariant for the loom backend: `Mutex` stays the `std` mutex there
 //! (the shim serializes model threads, so a lock held across code with
 //! no scheduling points cannot block anyone), which requires critical
-//! sections to contain **no atomic operations**. Keep atomics outside
-//! mutex-guarded regions — the histogram and trace paths already do.
+//! sections a loom model runs to contain **no atomic operations**. The
+//! models check the lock-free histogram alone; `Telemetry` reads its
+//! counter table under its lock, so the race detector checks it.
 //
 // cirlearn-lint: allow(atomic-alias) — this module *is* the alias; it is
 // the one place in the crate allowed to name the backend sync types.

@@ -8,9 +8,16 @@
 //! flight dump is checked against the same stream: its recorded lines
 //! ahead of the trailer must be a whole-line suffix of it.
 //!
+//! The same run's `report().to_json()` is pinned the same way: with
+//! its clocks masked it fixes the counter names and totals, the
+//! per-stage counters, the attribution ledger with its `by_depth`
+//! buckets and the histogram names and sample counts, none of which
+//! the trace stream carries.
+//!
 //! On a mismatch the masked stream is written next to the system temp
-//! dir as `cirlearn-trace-golden.actual.jsonl`, so a deliberate change
-//! of the trace format can be reviewed and copied over the fixture.
+//! dir as `cirlearn-trace-golden.actual.jsonl` (the report as
+//! `cirlearn-report-golden.actual.json`), so a deliberate change of the
+//! format can be reviewed and copied over the fixture.
 
 use std::time::Duration;
 
@@ -19,6 +26,7 @@ use cirlearn_oracle::generate;
 use cirlearn_telemetry::{json::Json, Telemetry, TraceWriter};
 
 const FIXTURE: &str = include_str!("../data/trace_golden/neq_budgeted.jsonl");
+const REPORT_FIXTURE: &str = include_str!("../data/trace_golden/neq_budgeted.report.json");
 
 /// Fields that carry a clock reading (or, for `tid`, a per-process
 /// thread counter) and so vary from run to run.
@@ -61,11 +69,61 @@ fn mask(text: &str) -> String {
     out
 }
 
+/// Report fields that carry a clock reading: wall times of the run,
+/// its stages, outputs and passes, checkpoint stamps, histogram
+/// statistics other than `count`, and attributed query nanoseconds.
+const REPORT_MASKED: [&str; 11] = [
+    "elapsed_s",
+    "verify_s",
+    "at_s",
+    "remaining_s",
+    "sum",
+    "min",
+    "max",
+    "p50",
+    "p90",
+    "p99",
+    "query_ns",
+];
+
+/// Rewrites a run report into its clock-free shape: every non-null
+/// masked field, at any depth, becomes `0`. No counter, meta key or
+/// depth bucket shares a name with a masked field.
+fn mask_report(json: Json) -> Json {
+    match json {
+        Json::Object(pairs) => Json::Object(
+            pairs
+                .into_iter()
+                .map(|(k, v)| {
+                    if REPORT_MASKED.contains(&k.as_str()) && v != Json::Null {
+                        (k, Json::from(0u64))
+                    } else {
+                        (k, mask_report(v))
+                    }
+                })
+                .collect(),
+        ),
+        Json::Array(items) => Json::Array(items.into_iter().map(mask_report).collect()),
+        other => other,
+    }
+}
+
+/// What one budgeted run leaves behind: the raw trace text, the raw
+/// flight dump and the run report's JSON.
+struct Run {
+    trace: String,
+    dump: String,
+    report: Json,
+}
+
 /// Learns a two-output NEQ case under a query cap, with a trace
-/// stream and a flight dump path attached, and returns the raw trace
-/// text and the raw flight dump.
-fn budgeted_run() -> (String, String) {
-    let dir = std::env::temp_dir().join(format!("cirlearn-trace-golden-{}", std::process::id()));
+/// stream and a flight dump path attached. `tag` keeps the scratch
+/// directories of concurrent tests apart.
+fn budgeted_run(tag: &str) -> Run {
+    let dir = std::env::temp_dir().join(format!(
+        "cirlearn-trace-golden-{tag}-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let dump_path = dir.join("flight.jsonl");
 
@@ -95,12 +153,16 @@ fn budgeted_run() -> (String, String) {
     assert_eq!(written, dump_path);
     let dump = std::fs::read_to_string(&dump_path).expect("dump written");
     let _ = std::fs::remove_dir_all(&dir);
-    (sink.take_string(), dump)
+    Run {
+        trace: sink.take_string(),
+        dump,
+        report: telemetry.report().to_json(),
+    }
 }
 
 #[test]
 fn budgeted_run_matches_the_recorded_trace_shape() {
-    let (trace, dump) = budgeted_run();
+    let Run { trace, dump, .. } = budgeted_run("trace");
     let actual = mask(&trace);
     if actual != FIXTURE {
         let path = std::env::temp_dir().join("cirlearn-trace-golden.actual.jsonl");
@@ -169,4 +231,27 @@ fn budgeted_run_matches_the_recorded_trace_shape() {
             .count(),
         "one trailer attr line per ledger cell"
     );
+}
+
+#[test]
+fn budgeted_run_matches_the_recorded_report_shape() {
+    let Run { report, .. } = budgeted_run("report");
+    let actual = mask_report(report).to_pretty();
+    if actual != REPORT_FIXTURE {
+        let path = std::env::temp_dir().join("cirlearn-report-golden.actual.json");
+        let _ = std::fs::write(&path, &actual);
+        let first_diff = actual
+            .lines()
+            .zip(REPORT_FIXTURE.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| actual.lines().count().min(REPORT_FIXTURE.lines().count()));
+        panic!(
+            "masked report differs from the fixture at line {} ({} vs {} lines); \
+             actual report written to {}",
+            first_diff + 1,
+            actual.lines().count(),
+            REPORT_FIXTURE.lines().count(),
+            path.display()
+        );
+    }
 }

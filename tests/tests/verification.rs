@@ -8,7 +8,7 @@
 
 use cirlearn_aig::{Aig, Edge, NodeId};
 use cirlearn_synth::{optimize_with, CheckedPass, OptimizeConfig};
-use cirlearn_telemetry::{counters, Telemetry};
+use cirlearn_telemetry::{Counter, Telemetry};
 use cirlearn_verify::{
     lint, verify_pass, LintViolation, Linter, VerifyConfig, VerifyLevel, Violation,
 };
@@ -231,9 +231,9 @@ fn checked_pass_heals_a_corrupting_pass_and_counts_it() {
     // The harness hands back the pre-pass circuit, so the pipeline keeps
     // a provably correct result.
     assert!(cirlearn_sat::check_equivalence(&base, &outcome.circuit).is_equivalent());
-    assert_eq!(telemetry.counter(counters::VERIFY_CHECKS), 1);
-    assert_eq!(telemetry.counter(counters::VERIFY_REJECTED_PASSES), 1);
-    assert_eq!(telemetry.counter(counters::VERIFY_WITNESSES), 1);
+    assert_eq!(telemetry.counter(Counter::VerifyChecks), 1);
+    assert_eq!(telemetry.counter(Counter::VerifyRejectedPasses), 1);
+    assert_eq!(telemetry.counter(Counter::VerifyWitnesses), 1);
 }
 
 #[test]
@@ -257,12 +257,12 @@ fn optimization_under_every_verify_level_preserves_equivalence() {
             "level {level}: optimization changed the function"
         );
         assert_eq!(
-            telemetry.counter(counters::VERIFY_REJECTED_PASSES),
+            telemetry.counter(Counter::VerifyRejectedPasses),
             0,
             "level {level}: no bundled pass may be rejected"
         );
         if level != VerifyLevel::Off {
-            assert!(telemetry.counter(counters::VERIFY_CHECKS) > 0);
+            assert!(telemetry.counter(Counter::VerifyChecks) > 0);
         }
     }
 }
