@@ -41,13 +41,17 @@
 //! (`--allow-dangling` tolerates unreferenced AND nodes, which foreign
 //! exporters sometimes leave behind; files written by this CLI are
 //! compacted and pass the strict check). `analyze` goes further than
-//! `lint`: on top of the structural checks it runs the
-//! `cirlearn-analyze` dataflow suite — ternary constant propagation,
-//! dead-node detection, duplicate detection and structural metrics —
+//! `lint`: on top of the structural checks it runs
+//! [`cirlearn_verify::analyze`] — ternary constant propagation,
+//! high-fanout detection and structural metrics —
 //! prints a severity-ordered findings table, optionally writes a JSON
 //! report, and exits nonzero when any finding reaches the `--deny`
 //! severity (default `warning`), making it a drop-in CI quality gate
 //! for exported circuits.
+//!
+//! Output: a reader that closes stdout early (`cirlearn stats x.aag |
+//! head -1`) is not an error. The rest of stdout is dropped, and the
+//! command finishes its other work and exits as it would have.
 //!
 //! Crash safety: `--checkpoint <path>` makes `learn`/`learn-bb` write
 //! a versioned, checksummed snapshot of the full learning state at
@@ -103,8 +107,36 @@ use cirlearn_oracle::{
 };
 use cirlearn_telemetry::{persist, Level, StderrReporter, Telemetry, TraceWriter};
 
+/// `print!` for the subcommands, through [`write_stdout`]: evaluates to
+/// a `Result<(), String>`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the subcommands, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod top_cmd;
 mod trace_cmd;
+
+/// Writes to stdout the way `print!` does, except that a reader that
+/// has gone away is not an error: the text is dropped, where `print!`
+/// would panic. Any other write error is the command's error.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("writing to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Graceful-interrupt plumbing: SIGINT/SIGTERM set a shared flag the
 /// learner polls at its safe points, so an interrupted run suspends
@@ -656,13 +688,13 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
         },
     );
     let mapped = cirlearn_synth::map::map_gates(&result.circuit).gate_count();
-    println!(
+    outln!(
         "size={mapped} aig_ands={} accuracy={} time={:.3}s queries={}",
         result.circuit.gate_count(),
         acc,
         result.elapsed.as_secs_f64(),
         result.queries
-    );
+    )?;
     if let Some(path) = opts.value("o") {
         // Compact before export so the file passes strict `lint`.
         write_file(path, &result.circuit.cleanup().to_aiger_ascii())?;
@@ -796,12 +828,12 @@ fn cmd_learn_bb(args: &[String]) -> Result<(), String> {
         );
     }
     let mapped = cirlearn_synth::map::map_gates(&result.circuit).gate_count();
-    println!(
+    outln!(
         "size={mapped} aig_ands={} time={:.3}s queries={}",
         result.circuit.gate_count(),
         result.elapsed.as_secs_f64(),
         result.queries
-    );
+    )?;
     if let Some(path) = opts.value("o") {
         write_file(path, &result.circuit.cleanup().to_aiger_ascii())?;
         eprintln!("wrote {path}");
@@ -836,13 +868,13 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
             ..EvalConfig::default()
         },
     );
-    println!(
+    outln!(
         "accuracy={} hits={} total={} meets_bar={}",
         acc,
         acc.hits,
         acc.total,
         acc.meets_contest_bar()
-    );
+    )?;
     Ok(())
 }
 
@@ -873,7 +905,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
                 oracle.reveal().gate_count()
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }
@@ -894,7 +926,7 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
     let telemetry = telemetry_of(&opts)?;
     let before = aig.gate_count();
     let best = cirlearn_synth::optimize_with(&aig, &cfg, &telemetry);
-    println!("gates: {before} -> {}", best.gate_count());
+    outln!("gates: {before} -> {}", best.gate_count())?;
     if let Some(path) = opts.value("o") {
         write_file(path, &best.cleanup().to_aiger_ascii())?;
         eprintln!("wrote {path}");
@@ -927,7 +959,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         } else {
             dirty += 1;
             for v in &violations {
-                println!("{path}: {v}");
+                outln!("{path}: {v}")?;
             }
         }
     }
@@ -940,9 +972,9 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the full static-analysis suite (`cirlearn-analyze`) over one or
-/// more AIGER files: structural lint plus ternary constant propagation,
-/// dead-node and duplicate detection, and structural metrics.
+/// Runs [`cirlearn_verify::analyze`] over one or more AIGER files:
+/// the strict structural lint plus ternary constant propagation,
+/// high-fanout detection and structural metrics.
 ///
 /// Prints a severity-ordered findings table per file, writes a combined
 /// JSON report when `--report <path>` is given, and fails (nonzero
@@ -950,8 +982,8 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 /// `warning`; `--deny error` tolerates waste but not corruption,
 /// `--deny info` is the strictest gate).
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    use cirlearn_analyze::{AnalyzeConfig, Analyzer, Severity};
     use cirlearn_telemetry::json::Json;
+    use cirlearn_verify::Severity;
 
     let opts = Opts::parse(args, &["deny", "report", "fanout-threshold"])?;
     if opts.positional.is_empty() {
@@ -961,41 +993,34 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         None => Severity::Warning,
         Some(v) => v.parse().map_err(|e| format!("--deny: {e}"))?,
     };
-    let config = AnalyzeConfig {
-        fanout_threshold: opts.number(
-            "fanout-threshold",
-            AnalyzeConfig::default().fanout_threshold,
-        )?,
-        ..AnalyzeConfig::default()
-    };
-    let analyzer = Analyzer::with_config(config);
+    let fanout_threshold = opts.number("fanout-threshold", 64usize)?;
 
     let mut dirty = 0usize;
     let mut file_reports: Vec<Json> = Vec::new();
     for path in &opts.positional {
         let aig = read_aig(path)?;
-        let report = analyzer.analyze(&aig);
-        let denied = report.count_at_least(deny);
+        let analysis = cirlearn_verify::analyze(&aig, fanout_threshold);
+        let denied = analysis.count_at_least(deny);
         if denied == 0 {
             eprintln!(
                 "{path}: clean at --deny {deny} ({} finding(s) below the gate)",
-                report.findings.len()
+                analysis.findings.len()
             );
         } else {
             dirty += 1;
-            println!("{path}: {denied} finding(s) at or above {deny}");
+            outln!("{path}: {denied} finding(s) at or above {deny}")?;
         }
-        print!("{}", report.render_table());
+        out!("{}", analysis_table(&analysis))?;
         if opts.value("report").is_some() {
             let mut fields = vec![
                 ("path", Json::from(path.as_str())),
                 (
                     "findings",
-                    Json::Array(report.findings.iter().map(|f| f.to_json()).collect()),
+                    Json::Array(analysis.findings.iter().map(finding_json).collect()),
                 ),
             ];
-            if let Some(m) = &report.metrics {
-                fields.push(("metrics", m.to_json()));
+            if let Some(m) = &analysis.metrics {
+                fields.push(("metrics", metrics_json(m)));
             }
             file_reports.push(Json::object(fields));
         }
@@ -1016,6 +1041,104 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// A finding as `analyze` words it. Dead and duplicate ANDs read as
+/// facts about the node here; `lint` words them as violations.
+fn finding_message(finding: &cirlearn_verify::LintViolation) -> String {
+    use cirlearn_verify::LintViolation;
+    match *finding {
+        LintViolation::DanglingAnd { node } => {
+            format!("node {node}: unreachable from every output")
+        }
+        LintViolation::DuplicateFaninPair { node, first } => {
+            format!("node {node}: duplicates node {first} (same fanin pair)")
+        }
+        ref other => other.to_string(),
+    }
+}
+
+/// The `--report` JSON form of one finding.
+fn finding_json(finding: &cirlearn_verify::LintViolation) -> cirlearn_telemetry::json::Json {
+    use cirlearn_telemetry::json::Json;
+    let mut fields = vec![
+        ("analysis", Json::from(finding.analysis())),
+        ("severity", Json::from(finding.severity().as_str())),
+        ("message", Json::from(finding_message(finding).as_str())),
+    ];
+    if let Some(node) = finding.node() {
+        fields.push(("node", Json::from(node as u64)));
+    }
+    if let cirlearn_verify::LintViolation::ConstantOutput { output, .. } = *finding {
+        fields.push(("output", Json::from(output as u64)));
+    }
+    Json::object(fields)
+}
+
+/// The `--report` JSON form of the structural metrics.
+fn metrics_json(m: &cirlearn_verify::Metrics) -> cirlearn_telemetry::json::Json {
+    use cirlearn_telemetry::json::Json;
+    Json::object([
+        ("inputs", Json::from(m.num_inputs as u64)),
+        ("outputs", Json::from(m.num_outputs as u64)),
+        ("ands", Json::from(m.and_count as u64)),
+        ("live_ands", Json::from(m.live_ands as u64)),
+        ("dead_ands", Json::from(m.dead_ands as u64)),
+        ("depth", Json::from(m.depth as u64)),
+        ("max_fanout", Json::from(m.max_fanout as u64)),
+        (
+            "output_cones",
+            Json::Array(
+                m.output_cones
+                    .iter()
+                    .map(|&c| Json::from(c as u64))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+/// The human-readable findings table and metrics line of one file
+/// (empty when there are neither).
+fn analysis_table(analysis: &cirlearn_verify::Analysis) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    if !analysis.findings.is_empty() {
+        let _ = writeln!(
+            out,
+            "  {:<8} {:<8} {:>6}  finding",
+            "severity", "analysis", "node"
+        );
+        for f in &analysis.findings {
+            let node = f.node().map_or_else(|| "-".to_owned(), |n| n.to_string());
+            let _ = writeln!(
+                out,
+                "  {:<8} {:<8} {:>6}  {}",
+                f.severity(),
+                f.analysis(),
+                node,
+                finding_message(f)
+            );
+        }
+    }
+    if let Some(m) = &analysis.metrics {
+        let _ = write!(
+            out,
+            "  metrics: {} inputs, {} outputs, {} ands ({} live, {} dead), depth {}, max fanout {}",
+            m.num_inputs,
+            m.num_outputs,
+            m.and_count,
+            m.live_ands,
+            m.dead_ands,
+            m.depth,
+            m.max_fanout
+        );
+        if let Some(node) = m.max_fanout_node {
+            let _ = write!(out, " (node {node})");
+        }
+        let _ = writeln!(out);
+    }
+    out
 }
 
 /// Serves a deterministic synthetic benchmark over the
@@ -1082,10 +1205,12 @@ fn cmd_blackbox(args: &[String]) -> Result<(), String> {
                 .map(|b| if b { '1' } else { '0' })
                 .collect()
         };
-        writeln!(stdout, "{answer}").map_err(|e| format!("writing answer: {e}"))?;
-        stdout
-            .flush()
-            .map_err(|e| format!("flushing answer: {e}"))?;
+        match writeln!(stdout, "{answer}").and_then(|()| stdout.flush()) {
+            // The learner closed the pipe: the session is over.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
+            Err(e) => return Err(format!("writing answer: {e}")),
+            Ok(()) => {}
+        }
     }
     Ok(())
 }
@@ -1096,7 +1221,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         return Err("stats expects exactly one input file".to_owned());
     };
     let aig = read_aig(input)?;
-    println!(
+    outln!(
         "inputs={} outputs={} gates={} mapped={} depth={} nodes={}",
         aig.num_inputs(),
         aig.num_outputs(),
@@ -1104,10 +1229,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         cirlearn_synth::map::map_gates(&aig).gate_count(),
         aig.depth(),
         aig.node_count()
-    );
+    )?;
     for (k, (_, name)) in aig.outputs().iter().enumerate() {
         let sup = aig.output_support(k);
-        println!("  output {k} ({name}): structural support {}", sup.len());
+        outln!("  output {k} ({name}): structural support {}", sup.len())?;
     }
     Ok(())
 }

@@ -39,13 +39,18 @@ pub(crate) fn cmd_top(args: &[String]) -> Result<(), String> {
             }
         };
         if once {
-            print!("{}", snap.render());
+            out!("{}", snap.render())?;
             return Ok(());
         }
-        // Clear screen + home, like top(1).
-        print!("\x1b[2J\x1b[H{}", snap.render());
+        // Clear screen + home, like top(1). A reader that has gone away
+        // ends the follow loop.
         use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        let mut stdout = std::io::stdout().lock();
+        match write!(stdout, "\x1b[2J\x1b[H{}", snap.render()).and_then(|()| stdout.flush()) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
+            Err(e) => return Err(format!("writing to stdout: {e}")),
+            Ok(()) => {}
+        }
         if snap.done {
             return Ok(());
         }

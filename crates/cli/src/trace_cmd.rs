@@ -55,7 +55,7 @@ fn cmd_summary(args: &[String]) -> Result<(), String> {
     }
     let top = opts.number("top", 12usize)?;
     if let [input] = opts.positional.as_slice() {
-        print!("{}", load_summary(input)?.render(top));
+        out!("{}", load_summary(input)?.render(top))?;
         return Ok(());
     }
     // Several files = the segments of one checkpoint/resume run, in
@@ -71,12 +71,12 @@ fn cmd_summary(args: &[String]) -> Result<(), String> {
         .map(|s| s.counts_by_kind.get("resume").copied().unwrap_or(0))
         .sum();
     let merged = analysis::merge_summaries(&segments);
-    println!(
+    outln!(
         "merged {} trace segment(s) ({} resume event(s))",
         segments.len(),
         resumes
-    );
-    print!("{}", merged.render(top));
+    )?;
+    out!("{}", merged.render(top))?;
     Ok(())
 }
 
@@ -102,7 +102,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path} ({written} events)");
         }
-        None => println!("{}", chrome.to_pretty()),
+        None => outln!("{}", chrome.to_pretty())?,
     }
     Ok(())
 }
@@ -122,16 +122,16 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let new = load_summary(new_path)?;
     let deltas = analysis::diff(&old, &new, &cfg);
     if deltas.is_empty() {
-        println!(
+        outln!(
             "no regressions (+{:.0}% threshold, {}ms / {} query floors)",
             cfg.pct_threshold,
             cfg.min_us / 1000,
             cfg.min_queries
-        );
+        )?;
         return Ok(());
     }
     for d in &deltas {
-        println!("{d}");
+        outln!("{d}")?;
     }
     Err(format!(
         "{} regression(s) beyond the +{:.0}% threshold",

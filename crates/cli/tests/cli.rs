@@ -462,6 +462,53 @@ fn missing_file_is_a_clean_error() {
     assert!(stderr.contains("error: reading"), "{stderr}");
 }
 
+/// Runs `cirlearn <args>` with stdout on a pipe, reads one line, then
+/// closes the pipe while the command still has output to write.
+fn read_one_line_then_close(args: &[&str]) -> std::process::Output {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let mut child = bin()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cirlearn");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut line = String::new();
+    std::io::BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("read one line");
+    assert!(!line.is_empty(), "{args:?} printed nothing");
+    // The reader (and with it the pipe) is dropped here.
+    child.wait_with_output().expect("wait for cirlearn")
+}
+
+#[test]
+fn closed_stdout_ends_every_command_quietly() {
+    let dir = std::env::temp_dir().join(format!("cirlearn-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    // 20,000 outputs: `stats` prints one line per output, far more than
+    // the 64 KiB a pipe buffers.
+    let wide = dir.join("wide.aag");
+    let mut text = String::from("aag 1 1 0 20000 0\n2\n");
+    text.push_str(&"2\n".repeat(20_000));
+    std::fs::write(&wide, text).expect("write aag");
+    let wide = wide.to_str().expect("utf-8 temp path");
+
+    for args in [
+        vec!["stats", wide],
+        vec!["gen", "neq", "512", "256", "--seed", "1"],
+    ] {
+        let out = read_one_line_then_close(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn status_channel_feeds_the_top_subcommand() {
     use cirlearn_telemetry::{json::Json, StatusSnapshot};

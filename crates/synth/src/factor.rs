@@ -15,6 +15,8 @@
 //! it accounts for most of the size reductions the paper attributes to
 //! ABC postprocessing.
 
+use std::cell::Cell;
+
 use cirlearn_aig::{Aig, Edge};
 use cirlearn_logic::{Literal, Sop, Var};
 
@@ -110,22 +112,33 @@ pub fn factor(sop: &Sop) -> Expr {
     if let [cube] = sop.cubes() {
         return cube_expr(cube.literals().iter().copied());
     }
-    let mut cover = MaskCover::new(sop);
+    let mut cover = SCRATCH.take().unwrap_or_default();
+    cover.set_cover(sop);
     let n = sop.cubes().len();
     let mut all = vec![!0; n / 64];
     if !n.is_multiple_of(64) {
         all.push((1 << (n % 64)) - 1);
     }
-    cover.factor_set(all)
+    let expr = cover.factor_set(all);
+    SCRATCH.set(Some(cover));
+    expr
+}
+
+thread_local! {
+    /// The buffers of this thread's last [`MaskCover`], reused by the
+    /// next [`factor`] call: a small cover allocates nothing before its
+    /// first division.
+    static SCRATCH: Cell<Option<MaskCover>> = const { Cell::new(None) };
 }
 
 /// The conjunction of a cube's literals.
-fn cube_expr(literals: impl Iterator<Item = Literal>) -> Expr {
-    let mut lits: Vec<Expr> = literals.map(Expr::Lit).collect();
-    match lits.len() {
-        0 => Expr::Const(true),
-        1 => lits.pop().expect("one literal"),
-        _ => Expr::And(lits),
+fn cube_expr(mut literals: impl Iterator<Item = Literal>) -> Expr {
+    match (literals.next(), literals.next()) {
+        (None, _) => Expr::Const(true),
+        (Some(l), None) => Expr::Lit(l),
+        (Some(a), Some(b)) => {
+            Expr::And([a, b].into_iter().chain(literals).map(Expr::Lit).collect())
+        }
     }
 }
 
@@ -133,6 +146,7 @@ fn cube_expr(literals: impl Iterator<Item = Literal>) -> Expr {
 /// stands for the `i`-th variable of the cover's support in that phase,
 /// so literal order is [`Literal`] order. A set of cubes is a mask over
 /// cube indices, so every division keeps the cover's cube order.
+#[derive(Default)]
 struct MaskCover {
     /// The cover's variables, ascending.
     support: Vec<Var>,
@@ -153,33 +167,31 @@ struct MaskCover {
 }
 
 impl MaskCover {
-    fn new(sop: &Sop) -> MaskCover {
-        let mut support: Vec<Var> = Vec::with_capacity(sop.literal_count());
-        support.extend(sop.cubes().iter().flat_map(|c| c.vars()));
-        support.sort_unstable();
-        support.dedup();
-        let literals = 2 * support.len();
-        let literal_words = literals.div_ceil(64);
-        let mut cubes = vec![0; sop.cubes().len() * literal_words];
-        let mut columns = vec![0; sop.cubes().len().div_ceil(64) * literals];
+    /// Loads `sop` into the buffers, reusing their allocations.
+    fn set_cover(&mut self, sop: &Sop) {
+        self.support.clear();
+        self.support
+            .extend(sop.cubes().iter().flat_map(|c| c.vars()));
+        self.support.sort_unstable();
+        self.support.dedup();
+        self.literals = 2 * self.support.len();
+        self.literal_words = self.literals.div_ceil(64);
+        let literals = self.literals;
+        let literal_words = self.literal_words;
+        zeroed(&mut self.cubes, sop.cubes().len() * literal_words);
+        zeroed(&mut self.columns, sop.cubes().len().div_ceil(64) * literals);
+        zeroed(&mut self.divided, literal_words);
+        zeroed(&mut self.counts, literals);
         for (j, cube) in sop.cubes().iter().enumerate() {
             for lit in cube.literals() {
-                let i = support
+                let i = self
+                    .support
                     .binary_search(&lit.var())
                     .expect("a cube's variable is in the support");
                 let l = 2 * i + usize::from(lit.is_negated());
-                cubes[j * literal_words + l / 64] |= 1 << (l % 64);
-                columns[j / 64 * literals + l] |= 1 << (j % 64);
+                self.cubes[j * literal_words + l / 64] |= 1 << (l % 64);
+                self.columns[j / 64 * literals + l] |= 1 << (j % 64);
             }
-        }
-        MaskCover {
-            support,
-            literals,
-            literal_words,
-            cubes,
-            columns,
-            divided: vec![0; literal_words],
-            counts: vec![0; literals],
         }
     }
 
@@ -265,6 +277,12 @@ impl MaskCover {
     fn cube_expr(&self, j: usize) -> Expr {
         cube_expr(ones(self.undivided(j)).map(|l| self.literal(l)))
     }
+}
+
+/// Empties `v` and refills it with `len` zeros.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    v.resize(len, T::default());
 }
 
 /// The indices of the set bits of a mask of words, ascending.

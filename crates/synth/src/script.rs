@@ -3,8 +3,7 @@
 use std::time::{Duration, Instant};
 
 use cirlearn_aig::Aig;
-use cirlearn_analyze::audit_pass;
-use cirlearn_telemetry::{Counter, Hist, Level, Telemetry};
+use cirlearn_telemetry::{Counter, Level, Telemetry};
 use cirlearn_verify::{verify_pass, VerifyConfig, VerifyLevel, Violation};
 
 use crate::{
@@ -125,7 +124,6 @@ impl<'a> CheckedPass<'a> {
     /// Applies `pass` to `before` and verifies the result.
     pub fn run(&self, before: &Aig, pass: impl FnOnce(&Aig) -> Aig) -> CheckedOutcome {
         let after = pass(before);
-        self.audit(before, &after);
         if self.verify.level == VerifyLevel::Off {
             return CheckedOutcome {
                 circuit: after,
@@ -163,43 +161,6 @@ impl<'a> CheckedPass<'a> {
                 }
             }
         }
-    }
-
-    /// The pre-SAT static-analysis gate: an O(n) [`audit_pass`] run on
-    /// every pass result when telemetry is on. It never changes the
-    /// accept/reject decision — verification owns soundness — but a
-    /// pass that introduces dead, duplicate or constant-provable nodes
-    /// (or outputs a structurally broken graph) is counted under the
-    /// `analyze.*` counters and reported as a debug event, so sloppy
-    /// rewrites surface in run reports long before they cost SAT time.
-    fn audit(&self, before: &Aig, after: &Aig) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let audit_start = Instant::now();
-        let delta = audit_pass(before, after);
-        self.telemetry
-            .record_time(Hist::AnalyzeAuditNs, audit_start.elapsed());
-        self.telemetry.incr(Counter::AnalyzePassAudits);
-        if delta.is_clean() {
-            return;
-        }
-        self.telemetry
-            .add(Counter::AnalyzeDeadIntroduced, delta.dead_introduced);
-        self.telemetry.add(
-            Counter::AnalyzeDuplicatesIntroduced,
-            delta.duplicates_introduced,
-        );
-        self.telemetry.add(
-            Counter::AnalyzeConstantsIntroduced,
-            delta.constants_introduced,
-        );
-        self.telemetry
-            .add(Counter::AnalyzeStructuralErrors, delta.structural_errors);
-        self.telemetry.event(
-            Level::Debug,
-            &format!("pass {} introduced detectable waste: {delta}", self.name),
-        );
     }
 }
 
@@ -522,57 +483,6 @@ mod tests {
         assert!(outcome.violation.is_none());
         assert_eq!(outcome.verify_elapsed, Duration::ZERO);
         assert_eq!(telemetry.counter(Counter::VerifyChecks), 0);
-    }
-
-    #[test]
-    fn every_pass_attempt_is_audited() {
-        use cirlearn_telemetry::{counters, Telemetry};
-        let mut g = Aig::new();
-        let inputs = g.add_inputs("x", 4);
-        let a = g.and(inputs[0], inputs[1]);
-        let b = g.and(inputs[2], inputs[3]);
-        let y = g.or(a, b);
-        g.add_output(y, "y");
-        let telemetry = Telemetry::recording();
-        let best = optimize_with(&g, &OptimizeConfig::default(), &telemetry);
-        assert!(check_equivalence(&g, &best).is_equivalent());
-        let report = telemetry.report();
-        assert_eq!(
-            report.counter(counters::ANALYZE_PASS_AUDITS),
-            report.counter(counters::OPT_PASSES),
-            "the pre-SAT gate must audit exactly the attempted passes"
-        );
-        // The shipped passes emit cleaned-up graphs: nothing introduced.
-        assert_eq!(report.counter(counters::ANALYZE_DEAD_INTRODUCED), 0);
-        assert_eq!(report.counter(counters::ANALYZE_DUPLICATES_INTRODUCED), 0);
-        assert_eq!(report.counter(counters::ANALYZE_STRUCTURAL_ERRORS), 0);
-    }
-
-    #[test]
-    fn sloppy_pass_trips_the_analyze_gate_without_being_rejected() {
-        use cirlearn_telemetry::Telemetry;
-        let mut g = Aig::new();
-        let inputs = g.add_inputs("x", 3);
-        let x = g.and(inputs[0], inputs[1]);
-        let y = g.and(x, inputs[2]);
-        g.add_output(y, "y");
-        let cfg = VerifyConfig::at_level(VerifyLevel::Sat);
-        let telemetry = Telemetry::recording();
-        let checked = CheckedPass::new("sloppy", &cfg, &telemetry);
-        // Equivalent output (SAT accepts it) that drags a dead cone
-        // along — only the static gate can see the waste.
-        let outcome = checked.run(&g, |before| {
-            let mut out = before.clone();
-            let a = out.input_edge(0);
-            let b = out.input_edge(2);
-            let _stranded = out.and(!a, !b);
-            out
-        });
-        assert!(outcome.violation.is_none(), "the gate must not reject");
-        assert_eq!(outcome.circuit.and_count(), g.and_count() + 1);
-        assert_eq!(telemetry.counter(Counter::AnalyzePassAudits), 1);
-        assert_eq!(telemetry.counter(Counter::AnalyzeDeadIntroduced), 1);
-        assert_eq!(telemetry.counter(Counter::AnalyzeStructuralErrors), 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! The covers are seeded and random, drawn from small variable pools so
 //! that literal counts tie and cubes repeat, with sparse variable
 //! indices past 64 and 128, single-literal cubes that empty a quotient,
-//! and single-cube covers; plus every input and minimized cover of the
-//! espresso golden fixtures, which the learner really built.
+//! and single-cube covers; plus every one- and two-cube cover over three
+//! variables, and every input and minimized cover of the espresso golden
+//! fixtures, which the learner really built.
 
 use cirlearn_logic::{Cube, Literal, Sop, Var};
 use cirlearn_synth::factor::factor;
@@ -184,6 +185,35 @@ fn random_covers_match_the_reference() {
     }
     assert!(high_index, "some cover must use variable indices past 128");
     assert!(wide_support, "some cover must have more than 64 variables");
+}
+
+/// The smallest covers take the most calls relative to their work: all
+/// one- and two-cube covers over three variables (each cube has every
+/// variable in either phase or not at all), in both cube orders, and
+/// seeded ones over sparse variable indices.
+#[test]
+fn one_and_two_cube_covers_match_the_reference() {
+    let cubes: Vec<Cube> = (0..27usize)
+        .map(|code| {
+            let literals = (0..3u32).filter_map(|v| match code / 3usize.pow(v) % 3 {
+                0 => None,
+                phase => Some(Literal::new(Var::new(v), phase == 2)),
+            });
+            Cube::from_literals(literals).expect("one phase per variable")
+        })
+        .collect();
+    for (i, a) in cubes.iter().enumerate() {
+        assert_same(&Sop::from_cubes([a.clone()]), &format!("cube {i}"));
+        for (j, b) in cubes.iter().enumerate() {
+            let cover = Sop::from_cubes([a.clone(), b.clone()]);
+            assert_same(&cover, &format!("cubes {i}, {j}"));
+        }
+    }
+    for seed in 0..500 {
+        let cover = random_cover(seed, 2);
+        assert!(cover.cubes().len() <= 2);
+        assert_same(&cover, &format!("seed {seed}"));
+    }
 }
 
 /// Every cover of the espresso golden fixtures, input and minimized.

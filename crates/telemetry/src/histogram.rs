@@ -5,8 +5,8 @@
 //! [`SUB_BUCKETS`] linear sub-buckets, so any bucket's width is at most
 //! 1/[`SUB_BUCKETS`] (12.5%) of its lower bound. That bounds the error
 //! of every reported quantile to one bucket while keeping the whole
-//! structure a fixed 496-slot array: no allocation per sample, no
-//! rebinning, and two histograms merge by adding buckets.
+//! structure a fixed 496-slot array: no allocation per sample and no
+//! rebinning.
 //!
 //! Recording is lock-free: buckets are relaxed atomics, so a shared
 //! `Arc<Histogram>` can be hammered from a hot loop without taking the
@@ -86,7 +86,7 @@ pub fn bucket_lower_bound(index: usize) -> u64 {
     (SUB_BUCKETS + sub) << octave
 }
 
-/// A mergeable log-bucketed histogram, generic over its bucket count so
+/// A log-bucketed histogram, generic over its bucket count so
 /// the concurrency tests can run the exact production code path with a
 /// small `N` that keeps the model-checked schedule space tractable. The
 /// atomic type comes from [`crate::sync`] (std / loom / tsan, chosen at
@@ -227,34 +227,6 @@ impl<const N: usize> RawHistogram<N> {
         self.max()
     }
 
-    /// Adds every sample of `other` into `self` — equivalent (bucket
-    /// for bucket) to having recorded the union of both sample sets.
-    pub fn merge(&self, other: &RawHistogram<N>) {
-        // Acquire-gate on the source count *first*: it synchronizes with
-        // the writers behind those samples, so the bucket/extrema loads
-        // below see everything the count covers.
-        let n = other.count();
-        if n == 0 {
-            return;
-        }
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let b = theirs.load(Ordering::Relaxed);
-            if b > 0 {
-                // relaxed-ok: published by the Release `count` add below.
-                mine.fetch_add(b, Ordering::Relaxed);
-            }
-        }
-        // Same publication order as `record_n`: count strictly last.
-        // relaxed-ok: published by the Release `count` add below.
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        // relaxed-ok: published by the Release `count` add below.
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        // relaxed-ok: published by the Release `count` add below.
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Release);
-    }
-
     /// Snapshots the headline statistics.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
@@ -266,14 +238,6 @@ impl<const N: usize> RawHistogram<N> {
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),
         }
-    }
-}
-
-impl<const N: usize> Clone for RawHistogram<N> {
-    fn clone(&self) -> Self {
-        let h = RawHistogram::new();
-        h.merge(self);
-        h
     }
 }
 
@@ -385,23 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_min_survives_merge_and_clone() {
-        // Merging an empty histogram (whose internal min is the
-        // u64::MAX sentinel) must not poison the destination's min,
-        // and empty clones must still report 0.
-        let dst = Histogram::new();
-        let empty = Histogram::new();
-        dst.merge(&empty);
-        assert_eq!(dst.min(), 0);
-        assert_eq!(dst.max(), 0);
-        assert_eq!(empty.clone().min(), 0);
-        dst.record(42);
-        dst.merge(&empty);
-        assert_eq!(dst.min(), 42, "empty merge must not disturb a real min");
-        assert_eq!(dst.summary().min, 42);
-    }
-
-    #[test]
     fn quantiles_of_uniform_samples_are_close() {
         let h = Histogram::new();
         for v in 1..=10_000u64 {
@@ -418,23 +365,6 @@ mod tests {
                 "q={q}: estimate {got} not in the exact value's bucket ({exact})"
             );
         }
-    }
-
-    #[test]
-    fn merge_equals_recording_the_union() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let u = Histogram::new();
-        for v in [0u64, 1, 7, 8, 100, 1_000_000, u64::MAX] {
-            a.record(v);
-            u.record(v);
-        }
-        for v in [3u64, 99, 12_345, 1 << 40] {
-            b.record_n(v, 3);
-            u.record_n(v, 3);
-        }
-        a.merge(&b);
-        assert_eq!(a.summary(), u.summary());
     }
 
     #[test]
@@ -487,16 +417,6 @@ mod tests {
             prev = v;
         }
         assert_eq!(h.quantile(1.0), 10_000);
-    }
-
-    #[test]
-    fn clone_is_an_independent_copy() {
-        let a = Histogram::new();
-        a.record(5);
-        let b = a.clone();
-        b.record(9);
-        assert_eq!(a.count(), 1);
-        assert_eq!(b.count(), 2);
     }
 
     #[test]

@@ -82,17 +82,6 @@ metric_ids! {
     /// Outputs degraded to a baseline circuit after the oracle died or
     /// the budget expired mid-output.
     FaultDegradedOutputs = FAULT_DEGRADED_OUTPUTS("faults.degraded_outputs"),
-    /// Pass results audited by the static analyzer (pre-SAT gate).
-    AnalyzePassAudits = ANALYZE_PASS_AUDITS("analyze.pass_audits"),
-    /// Dead (output-unreachable) AND nodes introduced by passes.
-    AnalyzeDeadIntroduced = ANALYZE_DEAD_INTRODUCED("analyze.dead_introduced"),
-    /// Structurally duplicate AND nodes introduced by passes.
-    AnalyzeDuplicatesIntroduced = ANALYZE_DUPLICATES_INTRODUCED("analyze.duplicates_introduced"),
-    /// Ternary-provable constant AND nodes introduced by passes.
-    AnalyzeConstantsIntroduced = ANALYZE_CONSTANTS_INTRODUCED("analyze.constants_introduced"),
-    /// Structural lint errors observed by the pass audit (graphs unsafe
-    /// to run semantic analyses on).
-    AnalyzeStructuralErrors = ANALYZE_STRUCTURAL_ERRORS("analyze.structural_errors"),
     /// Checkpoints written (atomic tmp + fsync + rename completed).
     CkptWrites = CKPT_WRITES("ckpt.writes"),
     /// Checkpoint payload bytes written in total, over every completed
@@ -134,8 +123,6 @@ metric_ids! {
     CoverBuildNs = COVER_BUILD_NS("cover.build_ns"),
     /// Per-pass synthesis time (excluding verification).
     SynthPassNs = SYNTH_PASS_NS("synth.pass_ns"),
-    /// Per-pass static-analysis audit time (the pre-SAT gate).
-    AnalyzeAuditNs = ANALYZE_AUDIT_NS("analyze.audit_ns"),
 }
 
 #[cfg(test)]

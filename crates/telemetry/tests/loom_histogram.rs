@@ -6,8 +6,8 @@
 //! `Histogram` alias instantiates — with every atomic op a scheduling point
 //! and every load a value branch point. The checker exhaustively explores
 //! the interleavings (up to the preemption bound) *and* the stale-read
-//! behaviors the orderings permit for concurrent `record`, `merge` and
-//! snapshot calls.
+//! behaviors the orderings permit for concurrent `record` and snapshot
+//! calls.
 //!
 //! The publication discipline these tests pin down: writers update
 //! min/max/buckets/sum with relaxed RMWs and publish them with a Release
@@ -63,26 +63,6 @@ fn reader_never_observes_the_min_sentinel() {
 }
 
 #[test]
-fn record_and_merge_interleave_cleanly() {
-    loom::model(|| {
-        let src = ModelHistogram::new();
-        src.record(5); // populated before the threads race
-        let src = Arc::new(src);
-        let dst = Arc::new(ModelHistogram::new());
-        let (s2, d2) = (Arc::clone(&src), Arc::clone(&dst));
-        let t = loom::thread::spawn(move || {
-            d2.merge(&s2);
-        });
-        dst.record(1);
-        t.join().unwrap();
-        assert_eq!(dst.count(), 2);
-        assert_eq!(dst.sum(), 6);
-        assert_eq!(dst.min(), 1);
-        assert_eq!(dst.max(), 5);
-    });
-}
-
-#[test]
 fn snapshot_during_concurrent_record_is_coherent() {
     // A summary taken mid-write may or may not include the in-flight
     // sample, but it must never report impossible statistics: a nonzero
@@ -108,63 +88,5 @@ fn snapshot_during_concurrent_record_is_coherent() {
         }
         t.join().unwrap();
         assert_eq!(h.summary().count, 1);
-    });
-}
-
-#[test]
-fn local_shard_drop_merge_races_a_snapshot_coherently() {
-    // A sharded recording: a worker thread records into a private
-    // histogram (uncontended) and publishes the whole shard via one
-    // `merge`, while the reporting thread snapshots the
-    // shared histogram concurrently. The snapshot may land before or
-    // after the publish, but never in an incoherent in-between state.
-    loom::model(|| {
-        let shared = Arc::new(ModelHistogram::new());
-        let s2 = Arc::clone(&shared);
-        let t = loom::thread::spawn(move || {
-            // Thread-private recording: loom sees no scheduling points
-            // that matter here, only the merge below races the reader.
-            let local = ModelHistogram::new();
-            local.record(4);
-            local.record(8);
-            s2.merge(&local);
-        });
-        let s = shared.summary();
-        assert!(s.count <= 2, "shard published too many samples");
-        if s.count > 0 {
-            assert!(s.min == 4 || s.min == 8, "min sentinel leaked: {}", s.min);
-            assert!(s.max == 4 || s.max == 8, "impossible max: {}", s.max);
-            assert!(s.min <= s.max);
-        }
-        t.join().unwrap();
-        let end = shared.summary();
-        assert_eq!(end.count, 2);
-        assert_eq!(end.sum, 12);
-        assert_eq!(end.min, 4);
-        assert_eq!(end.max, 8);
-    });
-}
-
-#[test]
-fn concurrent_merges_from_two_shards_accumulate() {
-    // The telemetry counter/histogram aggregation pattern: worker shards
-    // merged into one accumulator from two threads at once.
-    loom::model(|| {
-        let a = ModelHistogram::new();
-        a.record(2);
-        let b = ModelHistogram::new();
-        b.record(9);
-        let (a, b) = (Arc::new(a), Arc::new(b));
-        let total = Arc::new(ModelHistogram::new());
-        let (t2, a2) = (Arc::clone(&total), Arc::clone(&a));
-        let t = loom::thread::spawn(move || {
-            t2.merge(&a2);
-        });
-        total.merge(&b);
-        t.join().unwrap();
-        assert_eq!(total.count(), 2);
-        assert_eq!(total.sum(), 11);
-        assert_eq!(total.min(), 2);
-        assert_eq!(total.max(), 9);
     });
 }

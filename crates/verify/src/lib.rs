@@ -16,7 +16,10 @@
 //!   equivalence check,
 //! * [`Witness`] — a concrete counterexample (input assignment plus
 //!   differing output index), minimized by greedy bit-flipping and
-//!   re-checkable by simulation via [`Witness::distinguishes`].
+//!   re-checkable by simulation via [`Witness::distinguishes`],
+//! * [`analyze`] — the strict linter plus one walk over the graph:
+//!   [`Ternary`] constant propagation, high fanout, dead ANDs and
+//!   structural [`Metrics`], every finding on one [`Severity`] scale.
 //!
 //! # Examples
 //!
@@ -44,10 +47,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod analyze;
 mod check;
 mod lint;
+mod ternary;
 mod witness;
 
+pub use analyze::{analyze, Analysis, Metrics};
 pub use check::{verify_pass, ParseVerifyLevelError, VerifyConfig, VerifyLevel, Violation};
-pub use lint::{lint, LintViolation, Linter};
+pub use lint::{lint, LintViolation, Linter, Severity};
+pub use ternary::{ternary_eval, Ternary};
 pub use witness::Witness;

@@ -11,9 +11,57 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cirlearn_aig::Aig;
+use cirlearn_aig::{Aig, NodeId};
 
-/// One structural defect found by the [`Linter`].
+/// How serious a finding is. The order is total: `Info < Warning <
+/// Error`, so a `--deny warning` gate trips on warnings *and* errors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Severity {
+    /// Observational: a fact worth surfacing, not a defect.
+    Info,
+    /// The circuit computes the right thing wastefully (dead nodes,
+    /// duplicates, provable constants) — a missed optimization.
+    Warning,
+    /// The graph violates a structural invariant and is unsafe to
+    /// simulate or encode.
+    Error,
+}
+
+impl Severity {
+    /// The lowercase name used in tables, JSON and `--deny` flags.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Severity::Info => "info",
+            Severity::Warning => "warning",
+            Severity::Error => "error",
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for Severity {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "info" => Ok(Severity::Info),
+            "warn" | "warning" => Ok(Severity::Warning),
+            "error" => Ok(Severity::Error),
+            other => Err(format!(
+                "unknown severity '{other}' (expected info|warning|error)"
+            )),
+        }
+    }
+}
+
+/// One finding about an AIG: a structural defect found by the
+/// [`Linter`], or one of the three facts only [`analyze`](crate::analyze)
+/// reports (provable constants and high fanout).
 ///
 /// Node and fanin ids are raw node indices (0 = constant, `1..=i` =
 /// inputs, the rest ANDs), matching [`cirlearn_aig::NodeId::index`].
@@ -78,11 +126,36 @@ pub enum LintViolation {
         /// The out-of-range node id the output points at.
         node: usize,
     },
+    /// Ternary propagation proved a live AND node constant under all
+    /// input assignments.
+    ConstantNode {
+        /// The provably constant AND node.
+        node: usize,
+        /// The constant value it always evaluates to.
+        value: bool,
+    },
+    /// Ternary propagation proved a primary output constant even though
+    /// it is driven by gate logic (a literal constant edge is fine).
+    ConstantOutput {
+        /// The output position.
+        output: usize,
+        /// The constant value the output always takes.
+        value: bool,
+    },
+    /// A node drives an unusually large number of fanins and outputs —
+    /// fine functionally, but a depth/congestion hotspot.
+    HighFanout {
+        /// The node with the large fanout.
+        node: usize,
+        /// How many fanin slots and outputs reference it.
+        fanout: usize,
+    },
 }
 
 impl LintViolation {
-    /// Returns the id of the node the violation anchors to.
-    pub fn node(&self) -> usize {
+    /// Returns the id of the node the finding anchors to (`None` for a
+    /// constant output, which anchors to an output position).
+    pub fn node(&self) -> Option<usize> {
         match *self {
             LintViolation::FaninOutOfRange { node, .. }
             | LintViolation::NonTopologicalFanin { node, .. }
@@ -91,7 +164,34 @@ impl LintViolation {
             | LintViolation::ConstantFanin { node, .. }
             | LintViolation::TrivialAnd { node }
             | LintViolation::DanglingAnd { node }
-            | LintViolation::OutputOutOfRange { node, .. } => node,
+            | LintViolation::OutputOutOfRange { node, .. }
+            | LintViolation::ConstantNode { node, .. }
+            | LintViolation::HighFanout { node, .. } => Some(node),
+            LintViolation::ConstantOutput { .. } => None,
+        }
+    }
+
+    /// Where the finding sits on the severity scale: structural
+    /// violations are errors, high fanout is informational, and
+    /// everything else is wasted area.
+    pub fn severity(&self) -> Severity {
+        match self {
+            v if v.is_structural() => Severity::Error,
+            LintViolation::HighFanout { .. } => Severity::Info,
+            _ => Severity::Warning,
+        }
+    }
+
+    /// The short name of the check that reports the finding in
+    /// [`analyze`](crate::analyze): `dead`, `dup`, `ternary`, `metrics`,
+    /// or `lint` for the rest.
+    pub fn analysis(&self) -> &'static str {
+        match self {
+            LintViolation::DanglingAnd { .. } => "dead",
+            LintViolation::DuplicateFaninPair { .. } => "dup",
+            LintViolation::ConstantNode { .. } | LintViolation::ConstantOutput { .. } => "ternary",
+            LintViolation::HighFanout { .. } => "metrics",
+            _ => "lint",
         }
     }
 
@@ -145,6 +245,19 @@ impl fmt::Display for LintViolation {
             }
             LintViolation::OutputOutOfRange { output, node } => {
                 write!(f, "output {output}: points outside the graph (node {node})")
+            }
+            LintViolation::ConstantNode { node, value } => {
+                write!(f, "node {node}: provably constant {}", *value as u8)
+            }
+            LintViolation::ConstantOutput { output, value } => {
+                write!(
+                    f,
+                    "output {output}: gate logic provably constant {}",
+                    *value as u8
+                )
+            }
+            LintViolation::HighFanout { node, fanout } => {
+                write!(f, "node {node}: fanout {fanout} exceeds the threshold")
             }
         }
     }
@@ -222,7 +335,7 @@ impl Linter {
                 violations.push(LintViolation::TrivialAnd { node: id });
             } else {
                 for (slot, e) in [a, b].into_iter().enumerate() {
-                    if e.node() == cirlearn_aig::NodeId::CONST {
+                    if e.node() == NodeId::CONST {
                         violations.push(LintViolation::ConstantFanin { node: id, slot });
                     }
                 }
@@ -251,40 +364,43 @@ impl Linter {
         }
 
         if !self.allow_dangling {
-            violations.extend(self.dangling(aig));
+            let live = reachable(aig);
+            violations.extend(
+                aig.ands()
+                    .filter(|(node, _, _)| !live[node.index()])
+                    .map(|(node, _, _)| LintViolation::DanglingAnd { node: node.index() }),
+            );
         }
         violations
     }
+}
 
-    /// Marks reachability from the (in-range) outputs and reports every
-    /// unreachable AND.
-    fn dangling(&self, aig: &Aig) -> Vec<LintViolation> {
-        let node_count = aig.node_count();
-        let mut reachable = vec![false; node_count];
-        let mut stack: Vec<usize> = aig
-            .outputs()
-            .iter()
-            .map(|(e, _)| e.node().index())
-            .filter(|&n| n < node_count)
-            .collect();
-        while let Some(n) = stack.pop() {
-            if reachable[n] || !aig.is_and(cirlearn_aig::NodeId::from_index(n)) {
-                continue;
-            }
-            reachable[n] = true;
-            let [a, b] = aig.fanins(cirlearn_aig::NodeId::from_index(n));
-            for e in [a, b] {
-                let fanin = e.node().index();
-                if fanin < n {
-                    stack.push(fanin);
-                }
+/// Which nodes lie in the cone of at least one primary output, indexed
+/// by node id. Out-of-range output references and fanins that break
+/// the topological order are skipped, so this never panics.
+pub(crate) fn reachable(aig: &Aig) -> Vec<bool> {
+    let n = aig.node_count();
+    let mut reachable = vec![false; n];
+    for (edge, _) in aig.outputs() {
+        if let Some(slot) = reachable.get_mut(edge.node().index()) {
+            *slot = true;
+        }
+    }
+    // Fanins precede their node, so one reverse sweep closes the cone:
+    // by the time a node is visited, every path from an output to it
+    // has already marked it.
+    for index in (aig.num_inputs() + 1..n).rev() {
+        if !reachable[index] {
+            continue;
+        }
+        for edge in aig.fanins(NodeId::from_index(index)) {
+            let fanin = edge.node().index();
+            if fanin < index {
+                reachable[fanin] = true;
             }
         }
-        aig.ands()
-            .filter(|(node, _, _)| !reachable[node.index()])
-            .map(|(node, _, _)| LintViolation::DanglingAnd { node: node.index() })
-            .collect()
     }
+    reachable
 }
 
 /// Lints with the strict default configuration.
@@ -408,6 +524,26 @@ mod tests {
     }
 
     #[test]
+    fn mirrored_pair_counts_as_duplicate() {
+        let mut g = Aig::new();
+        let inputs = g.add_inputs("x", 2);
+        let first = g.and(inputs[0], inputs[1]);
+        let second = g.and(first, inputs[0]);
+        g.add_output(second, "f");
+        // Swap the later node's fanins: same pair, mirrored order.
+        g.set_fanin_unchecked(second.node(), 0, inputs[1]);
+        g.set_fanin_unchecked(second.node(), 1, inputs[0]);
+        let v = lint(&g);
+        assert!(
+            v.contains(&LintViolation::DuplicateFaninPair {
+                node: second.node().index(),
+                first: first.node().index(),
+            }),
+            "{v:?}"
+        );
+    }
+
+    #[test]
     fn detects_constant_and_trivial_ands() {
         let mut g = clean_aig();
         let node = g.ands().next().expect("has an AND").0;
@@ -459,7 +595,7 @@ mod tests {
         let v = lint(&g);
         let text = v[0].to_string();
         assert!(text.contains(&node.index().to_string()), "{text}");
-        assert_eq!(v[0].node(), node.index());
+        assert_eq!(v[0].node(), Some(node.index()));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Fault-injection self-tests: each analysis must catch its defect
-//! class when injected through the `cirlearn-verify`-style unchecked
-//! mutators (`set_fanin_unchecked` / `set_output_unchecked`), driven
-//! through the full `Analyzer` driver rather than the analysis
-//! functions in isolation.
+//! Fault-injection self-tests: each check behind [`analyze`] must catch
+//! its defect class when injected through the unchecked mutators
+//! (`set_fanin_unchecked` / `set_output_unchecked`), driven through
+//! `analyze` itself rather than the individual checks.
 
 use cirlearn_aig::{Aig, Edge};
-use cirlearn_analyze::{AnalyzeConfig, Analyzer, Finding, FindingKind, Severity};
+use cirlearn_verify::{analyze, LintViolation, Severity};
+
+/// The default `cirlearn analyze --fanout-threshold`.
+const FANOUT_THRESHOLD: usize = 64;
 
 /// A healthy little circuit: two outputs over shared logic.
 fn healthy() -> Aig {
@@ -19,17 +21,18 @@ fn healthy() -> Aig {
     aig
 }
 
-fn findings_of(aig: &Aig) -> Vec<Finding> {
-    Analyzer::new().analyze(aig).findings
+fn findings_of(aig: &Aig) -> Vec<LintViolation> {
+    analyze(aig, FANOUT_THRESHOLD).findings
 }
 
 #[test]
 fn healthy_circuit_is_clean_at_default_severity() {
-    let report = Analyzer::new().analyze(&healthy());
-    assert!(
-        report.clean_at(Severity::Warning),
+    let analysis = analyze(&healthy(), FANOUT_THRESHOLD);
+    assert_eq!(
+        analysis.count_at_least(Severity::Warning),
+        0,
         "unexpected findings: {:?}",
-        report.findings
+        analysis.findings
     );
 }
 
@@ -39,14 +42,14 @@ fn injected_dead_cone_is_caught_by_the_dead_analysis() {
     // Redirect output 1 at an input: its private cone goes dead.
     aig.set_output_unchecked(1, aig.input_edge(0));
     let findings = findings_of(&aig);
-    let dead: Vec<&Finding> = findings
+    let dead: Vec<&LintViolation> = findings
         .iter()
-        .filter(|f| matches!(f.kind, FindingKind::DeadNode { .. }))
+        .filter(|f| matches!(f, LintViolation::DanglingAnd { .. }))
         .collect();
     assert!(!dead.is_empty(), "dead analysis missed the stranded cone");
     assert!(dead
         .iter()
-        .all(|f| f.analysis == "dead" && f.severity == Severity::Warning));
+        .all(|f| f.analysis() == "dead" && f.severity() == Severity::Warning));
 }
 
 #[test]
@@ -59,9 +62,9 @@ fn injected_duplicate_pair_is_caught_by_the_dup_analysis() {
     aig.set_fanin_unchecked(last, 1, a1);
     let findings = findings_of(&aig);
     assert!(
-        findings.iter().any(|f| f.analysis == "dup"
-            && f.kind
-                == FindingKind::DuplicateNode {
+        findings.iter().any(|f| f.analysis() == "dup"
+            && *f
+                == LintViolation::DuplicateFaninPair {
                     node: last.index(),
                     first: first.index(),
                 }),
@@ -76,8 +79,12 @@ fn injected_constant_fanin_is_caught_by_ternary_propagation() {
     aig.set_fanin_unchecked(first, 0, Edge::FALSE);
     let findings = findings_of(&aig);
     assert!(
-        findings.iter().any(|f| f.analysis == "ternary"
-            && matches!(f.kind, FindingKind::ConstantNode { node, value: false } if node == first.index())),
+        findings.iter().any(|f| f.analysis() == "ternary"
+            && *f
+                == LintViolation::ConstantNode {
+                    node: first.index(),
+                    value: false
+                }),
         "ternary analysis missed the injected constant: {findings:?}"
     );
 }
@@ -91,21 +98,17 @@ fn fanout_hotspot_is_caught_by_the_metrics_analysis() {
         let leaf = aig.and(hub, input);
         aig.add_output(leaf, format!("f{i}"));
     }
-    let analyzer = Analyzer::with_config(AnalyzeConfig {
-        fanout_threshold: 4,
-        ..AnalyzeConfig::default()
-    });
-    let report = analyzer.analyze(&aig);
+    let analysis = analyze(&aig, 4);
     assert!(
-        report.findings.iter().any(|f| f.analysis == "metrics"
-            && matches!(f.kind, FindingKind::HighFanout { node, fanout }
+        analysis.findings.iter().any(|f| f.analysis() == "metrics"
+            && matches!(*f, LintViolation::HighFanout { node, fanout }
                 if node == hub.node().index() && fanout >= 4)),
         "metrics analysis missed the fanout hotspot: {:?}",
-        report.findings
+        analysis.findings
     );
     // Info findings never trip the default (warning) gate.
-    assert!(report.clean_at(Severity::Warning));
-    assert!(!report.clean_at(Severity::Info));
+    assert_eq!(analysis.count_at_least(Severity::Warning), 0);
+    assert_ne!(analysis.count_at_least(Severity::Info), 0);
 }
 
 #[test]
@@ -113,15 +116,15 @@ fn structural_corruption_is_caught_by_the_lint_layer() {
     let mut aig = healthy();
     let (first, _, _) = aig.ands().next().unwrap();
     aig.set_fanin_unchecked(first, 0, Edge::from_code(40_000));
-    let report = Analyzer::new().analyze(&aig);
-    assert_eq!(report.max_severity(), Some(Severity::Error));
-    assert!(report
+    let analysis = analyze(&aig, FANOUT_THRESHOLD);
+    assert_ne!(analysis.count_at_least(Severity::Error), 0);
+    assert!(analysis
         .findings
         .iter()
-        .any(|f| f.analysis == "lint" && f.severity == Severity::Error));
-    // On a structurally unsafe graph the semantic analyses must stand
-    // down rather than walk out-of-range fanins.
-    assert!(report.metrics.is_none());
+        .any(|f| f.analysis() == "lint" && f.severity() == Severity::Error));
+    // On a structurally unsafe graph the walk must stand down rather
+    // than follow out-of-range fanins.
+    assert!(analysis.metrics.is_none());
 }
 
 #[test]
@@ -130,18 +133,18 @@ fn cleanup_removes_everything_the_analyses_flag() {
     // analyze-clean at the default severity even if the in-memory
     // source accumulated dead cones.
     let mut aig = healthy();
-    let stranded = {
-        let a = aig.input_edge(0);
-        let b = aig.input_edge(3);
-        aig.and(!a, !b)
-    };
-    let _ = stranded;
-    assert!(!Analyzer::new().analyze(&aig).clean_at(Severity::Warning));
-    let cleaned = aig.cleanup();
-    let report = Analyzer::new().analyze(&cleaned);
-    assert!(
-        report.clean_at(Severity::Warning),
+    let a = aig.input_edge(0);
+    let b = aig.input_edge(3);
+    let _stranded = aig.and(!a, !b);
+    assert_ne!(
+        analyze(&aig, FANOUT_THRESHOLD).count_at_least(Severity::Warning),
+        0
+    );
+    let analysis = analyze(&aig.cleanup(), FANOUT_THRESHOLD);
+    assert_eq!(
+        analysis.count_at_least(Severity::Warning),
+        0,
         "cleanup left analyzable waste: {:?}",
-        report.findings
+        analysis.findings
     );
 }

@@ -3,12 +3,12 @@
 //! The property: for a random AIG and a random ternary input vector,
 //! every concrete assignment *refining* that vector (each X input
 //! replaced by an arbitrary bit, pinned inputs kept) must produce, at
-//! every node and every output, a value the analyzer's ternary
-//! fixpoint admits. In particular an output the analyzer proves
+//! every node and every output, a value ternary propagation admits.
+//! In particular an output the propagation proves
 //! constant-0/1 must simulate to exactly that value on all refinements.
 
 use cirlearn_aig::{Aig, Edge};
-use cirlearn_analyze::{ternary_eval, Ternary};
+use cirlearn_verify::{ternary_eval, Ternary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +34,7 @@ fn random_aig(seed: u64, num_inputs: usize, gates: usize) -> Aig {
     aig
 }
 
-/// Concrete per-node simulation (independent of the dataflow engine).
+/// Concrete per-node simulation (independent of the ternary pass).
 fn simulate_nodes(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
     let mut values = vec![false; aig.node_count()];
     for (i, &b) in inputs.iter().enumerate() {
@@ -86,7 +86,7 @@ proptest! {
             {
                 prop_assert!(
                     abst.admits(conc),
-                    "node {index}: analyzer proved {abst:?} but simulation gave {conc} \
+                    "node {index}: propagation proved {abst:?} but simulation gave {conc} \
                      (seed {seed}, inputs {assignment:?})"
                 );
             }
