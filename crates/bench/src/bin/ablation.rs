@@ -6,7 +6,9 @@
 //! DIAG/DATA cases stay above 99.7% accuracy (the FBDT is robust), two
 //! drop to ~20%, and circuit size / runtime increase by 28× / 227× on
 //! average. This binary prints the with/without comparison per case so
-//! those three effects can be checked.
+//! those three effects can be checked. Each run goes through the
+//! shared harness at the `bench` scales (a 4M-query cap, or 40M with
+//! `--full`), so its rows equal the `bench` ablation suite's records.
 //!
 //! Usage:
 //!
@@ -25,10 +27,9 @@
 //! machine-readable summary comes from the same source as the text
 //! table and the two cannot drift.
 
-use std::time::{Duration, Instant};
-
-use cirlearn::{Learner, LearnerConfig};
-use cirlearn_oracle::{contest_suite, evaluate_accuracy, EvalConfig};
+use cirlearn::LearnerConfig;
+use cirlearn_bench::{run_learner_case, Scale};
+use cirlearn_oracle::contest_suite;
 use cirlearn_telemetry::json::Json;
 use cirlearn_telemetry::{Level, Reporter, StderrReporter, Telemetry, SCHEMA_VERSION};
 
@@ -48,11 +49,7 @@ fn main() {
         });
     let level = if verbose { Level::Debug } else { Level::Warn };
     let mut reporter = StderrReporter::new(level);
-    let (budget, eval_patterns) = if full {
-        (Duration::from_secs(300), 500_000)
-    } else {
-        (Duration::from_secs(15), 20_000)
-    };
+    let scale = if full { Scale::full() } else { Scale::quick() };
 
     let suite = contest_suite();
     let targets: Vec<_> = suite
@@ -84,29 +81,14 @@ fn main() {
                     if preprocessing { "on" } else { "off" }
                 ),
             );
-            let mut oracle = case.build();
             let mut cfg = LearnerConfig::fast();
             cfg.preprocessing = preprocessing;
-            cfg.time_budget = budget;
             let telemetry = Telemetry::new(Box::new(StderrReporter::new(level)));
-            telemetry.set_meta("case", case.name);
-            telemetry.set_meta("category", case.category);
             telemetry.set_meta("preprocessing", preprocessing);
-            let start = Instant::now();
-            let result = Learner::with_telemetry(cfg, telemetry.clone()).learn(&mut oracle);
-            let secs = start.elapsed().as_secs_f64();
-            let acc = evaluate_accuracy(
-                oracle.reveal(),
-                &result.circuit,
-                &EvalConfig {
-                    patterns_per_group: eval_patterns,
-                    ..EvalConfig::default()
-                },
-            );
-            let size = cirlearn_synth::map::map_gates(&result.circuit).gate_count();
-            telemetry.set_meta("size", size);
-            telemetry.set_meta("accuracy_pct", format!("{:.3}", acc.percent()));
-            telemetry.set_meta("seconds", format!("{secs:.3}"));
+            let row = run_learner_case(case, cfg, &scale, &telemetry);
+            telemetry.set_meta("size", row.size);
+            telemetry.set_meta("accuracy_pct", format!("{:.3}", row.accuracy));
+            telemetry.set_meta("seconds", format!("{:.3}", row.seconds));
             let report = telemetry.report();
             if verbose {
                 eprint!("{}", report.stage_breakdown());
@@ -114,7 +96,7 @@ fn main() {
             if report_path.is_some() {
                 runs.push(report.to_json());
             }
-            (size, acc.percent(), secs)
+            (row.size, row.accuracy, row.seconds)
         };
         let (s_on, a_on, t_on) = run(true);
         let (s_off, a_off, t_off) = run(false);

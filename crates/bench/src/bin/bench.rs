@@ -7,25 +7,26 @@
 //! (oracle query latency, per-node FBDT cost, per-pass synthesis
 //! cost). A separate `compare` mode diffs two such documents and
 //! exits nonzero on regressions, so the harness slots directly into
-//! CI as a performance gate.
+//! CI as a gate.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench run [--suite table2|ablation|all] [--smoke|--full]
-//!           [--out DIR] [case ...]
-//! bench compare <old.json> <new.json> [--threshold PCT]
+//! bench run [--suite table2|ablation|all] [--full] [--out DIR] [case ...]
+//! bench compare <old.json> <new.json>
 //! bench validate <file.json> ...
 //! ```
 //!
-//! `run` defaults to the quick scale over both suites; `--smoke`
-//! shrinks budgets and restricts each suite to its smallest cases
-//! (seconds of wall time, the CI mode), `--full` uses paper-faithful
-//! budgets. Positional case names restrict the table2 suite.
+//! `run` defaults to the quick scale (a 4M-query cap per case) over
+//! both suites; `--full` uses a 40M-query cap and the paper's
+//! evaluation size. The learner runs under the query cap alone, so a
+//! run's queries, gates and accuracy depend only on the seed and the
+//! scale. Positional case names restrict the table2 suite.
 //!
-//! `compare` prints each regression (`wall_s` / `queries` / `gates`
-//! beyond the threshold, absolute `accuracy` drops, or a benchmark
-//! missing from the new file) and exits 1 when any exist.
+//! `compare` is exact: it prints each regression (any rise in
+//! `queries` or `gates`, any drop in `accuracy`, or a benchmark
+//! missing from the new file) and exits 1 when any exist. It also
+//! prints each `wall_s` change, which never fails the comparison.
 //!
 //! `validate` parses each file against the BENCH schema and exits
 //! nonzero on the first invalid one.
@@ -35,7 +36,7 @@ use std::process::ExitCode;
 use std::collections::BTreeMap;
 
 use cirlearn::LearnerConfig;
-use cirlearn_bench::report::{compare, BenchRecord, BenchReport, CompareConfig, StageCost};
+use cirlearn_bench::report::{compare, BenchRecord, BenchReport, StageCost};
 use cirlearn_bench::{run_learner_case, Scale};
 use cirlearn_oracle::{contest_suite, Category, ContestCase};
 use cirlearn_telemetry::Telemetry;
@@ -61,8 +62,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  bench run [--suite table2|ablation|all] [--smoke|--full] [--out DIR] [case ...]
-  bench compare <old.json> <new.json> [--threshold PCT]
+  bench run [--suite table2|ablation|all] [--full] [--out DIR] [case ...]
+  bench compare <old.json> <new.json>
   bench validate <file.json> ...";
 
 /// Runs one learner configuration on one case and converts the row +
@@ -106,24 +107,12 @@ fn bench_record(
     }
 }
 
-/// The smallest cases of a suite slice, by input count — the smoke
-/// subset.
-fn smallest<'a>(cases: &[&'a ContestCase], n: usize) -> Vec<&'a ContestCase> {
-    let mut sorted: Vec<_> = cases.to_vec();
-    sorted.sort_by_key(|c| (c.num_inputs, c.name));
-    sorted.truncate(n);
-    sorted
-}
-
-fn run_table2(scale: &Scale, scale_name: &str, smoke: bool, wanted: &[String]) -> BenchReport {
+fn run_table2(scale: &Scale, scale_name: &str, wanted: &[String]) -> BenchReport {
     let suite = contest_suite();
-    let mut cases: Vec<&ContestCase> = suite
+    let cases: Vec<&ContestCase> = suite
         .iter()
         .filter(|c| wanted.is_empty() || wanted.iter().any(|w| w == c.name))
         .collect();
-    if smoke && wanted.is_empty() {
-        cases = smallest(&cases, 3);
-    }
     eprintln!(
         "bench: table2 suite, {} case(s) at {scale_name} scale",
         cases.len()
@@ -139,15 +128,12 @@ fn run_table2(scale: &Scale, scale_name: &str, smoke: bool, wanted: &[String]) -
     }
 }
 
-fn run_ablation(scale: &Scale, scale_name: &str, smoke: bool) -> BenchReport {
+fn run_ablation(scale: &Scale, scale_name: &str) -> BenchReport {
     let suite = contest_suite();
-    let mut cases: Vec<&ContestCase> = suite
+    let cases: Vec<&ContestCase> = suite
         .iter()
         .filter(|c| matches!(c.category, Category::Diag | Category::Data))
         .collect();
-    if smoke {
-        cases = smallest(&cases, 2);
-    }
     eprintln!(
         "bench: ablation suite, {} case(s) x 2 configs at {scale_name} scale",
         cases.len()
@@ -178,14 +164,12 @@ fn run_ablation(scale: &Scale, scale_name: &str, smoke: bool) -> BenchReport {
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut suite = "all".to_owned();
-    let mut smoke = false;
     let mut full = false;
     let mut out_dir = ".".to_owned();
     let mut wanted: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => smoke = true,
             "--full" => full = true,
             "--suite" | "--out" => {
                 let flag = args[i].clone();
@@ -205,12 +189,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         }
         i += 1;
     }
-    if smoke && full {
-        return Err("--smoke and --full are mutually exclusive".to_owned());
-    }
-    let (scale, scale_name) = if smoke {
-        (Scale::smoke(), "smoke")
-    } else if full {
+    let (scale, scale_name) = if full {
         (Scale::full(), "full")
     } else {
         (Scale::quick(), "quick")
@@ -221,10 +200,10 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 
     let mut reports = Vec::new();
     if suite == "table2" || suite == "all" {
-        reports.push(run_table2(&scale, scale_name, smoke, &wanted));
+        reports.push(run_table2(&scale, scale_name, &wanted));
     }
     if suite == "ablation" || suite == "all" {
-        reports.push(run_ablation(&scale, scale_name, smoke));
+        reports.push(run_ablation(&scale, scale_name));
     }
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
     for report in &reports {
@@ -242,24 +221,10 @@ fn load(path: &str) -> Result<BenchReport, String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
-    let mut cfg = CompareConfig::default();
-    let mut paths: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                let v = args.get(i).ok_or("--threshold expects a percentage")?;
-                cfg.pct_threshold = v
-                    .parse()
-                    .map_err(|_| format!("--threshold expects a number, got {v}"))?;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            path => paths.push(path),
-        }
-        i += 1;
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {flag}"));
     }
-    let [old_path, new_path] = paths.as_slice() else {
+    let [old_path, new_path] = args else {
         return Err("compare expects exactly two BENCH files".to_owned());
     };
     let old = load(old_path)?;
@@ -270,23 +235,26 @@ fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
             old.suite, new.suite
         );
     }
-    let regressions = compare(&old, &new, &cfg);
+    let (regressions, wall): (Vec<_>, Vec<_>) = compare(&old, &new)
+        .into_iter()
+        .partition(|d| d.is_regression());
+    for d in &wall {
+        println!("wall {d}");
+    }
     if regressions.is_empty() {
         println!(
-            "ok: no regressions across {} benchmark(s) (threshold {}%)",
-            old.records.len(),
-            cfg.pct_threshold
+            "ok: no regressions across {} benchmark(s) (queries, gates and accuracy exact; wall time not gated)",
+            old.records.len()
         );
         return Ok(ExitCode::SUCCESS);
     }
-    for r in &regressions {
-        println!("REGRESSION {r}");
+    for d in &regressions {
+        println!("REGRESSION {d}");
     }
     println!(
-        "{} regression(s) across {} benchmark(s) (threshold {}%)",
+        "{} regression(s) across {} benchmark(s)",
         regressions.len(),
-        old.records.len(),
-        cfg.pct_threshold
+        old.records.len()
     );
     Ok(ExitCode::FAILURE)
 }

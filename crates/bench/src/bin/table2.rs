@@ -9,9 +9,10 @@
 //!     [--full] [--ours-only] [--verbose] [--report <path>] [case ...]
 //! ```
 //!
-//! The default (quick) scale uses reduced budgets and 3×20k evaluation
-//! patterns; `--full` switches to the contest's 3×500k patterns and
-//! generous budgets. `--verbose` raises the narration level to debug
+//! The default (quick) scale caps our learner at 4M queries per case,
+//! gives each baseline a 15 s wall budget and evaluates on 3×20k
+//! patterns; `--full` switches to a 40M-query cap, 300 s baseline
+//! budgets and the contest's 3×500k patterns. `--verbose` raises the narration level to debug
 //! and prints a per-stage wall-clock / oracle-query breakdown after
 //! each of our learner's runs; `--report <path>` writes every run's
 //! telemetry report into one JSON document for offline analysis.

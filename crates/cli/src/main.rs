@@ -93,8 +93,8 @@
 //! (whose query total equals the run's query count) and the critical
 //! path; `trace export --chrome` converts the stream to Chrome
 //! trace-event JSON for Perfetto / `chrome://tracing`; `trace diff`
-//! compares two streams under the bench noise-floor discipline and
-//! exits nonzero on regressions.
+//! compares two streams under a relative threshold and absolute noise
+//! floors and exits nonzero on regressions.
 
 use std::process::ExitCode;
 use std::str::FromStr;

@@ -14,10 +14,9 @@
 //! their accounts (summing the per-segment ledgers, so the query total
 //! matches the resumed run's final count); `export --chrome` converts
 //! the stream into Chrome trace-event JSON loadable in Perfetto or
-//! `chrome://tracing`; `diff` compares two traces with the same
-//! noise-floor discipline as `bench compare` and exits nonzero when a
-//! regression clears both the relative threshold and the absolute
-//! floor.
+//! `chrome://tracing`; `diff` compares two traces and exits nonzero
+//! when a regression clears both the relative threshold and the
+//! absolute noise floor.
 
 use cirlearn_telemetry::analysis::{self, DiffConfig, TraceEvent, TraceSummary};
 use cirlearn_telemetry::json::Json;

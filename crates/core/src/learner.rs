@@ -263,7 +263,11 @@ pub struct LearnerConfig {
     /// Total wall-clock budget (the paper ran under 2700 s).
     pub time_budget: Duration,
     /// Optional total query budget: unlike wall-clock time it is
-    /// machine-independent, so budgeted runs reproduce exactly.
+    /// machine-independent, so budgeted runs reproduce exactly. It
+    /// caps the FBDTs only, split over the outputs still to learn:
+    /// support sampling and exhaustive conquest spend queries on top
+    /// of it (under a 4M cap the `bench` suite's case_18 spends
+    /// 4,349,394).
     pub max_queries: Option<u64>,
     /// Post-optimization settings; `None` skips optimization.
     pub optimize: Option<OptimizeConfig>,

@@ -41,7 +41,7 @@
 //!
 //! Each root carries the attribution-ledger *stage* its traffic lands
 //! on, with weights taken from the committed `BENCH_table2.json`
-//! baseline (on case_1, ~1.44 s of the 1.62 s wall clock is
+//! baseline (on case_1, about 70% of the wall clock is
 //! `oracle.query_ns`), so findings and the "hottest panic-reachable
 //! functions" table rank by measured cost attribution, not
 //! alphabetically.
@@ -89,9 +89,10 @@ impl RootSpec {
 ///
 /// Stage weights follow the committed attribution baseline
 /// (`BENCH_table2.json`): the oracle query surface dominates wall
-/// clock (~89% on case_1), support-identification sampling issues the
-/// bulk of those queries, FBDT expansion drives the learning loop, and
-/// packed simulation underlies the in-process oracle.
+/// clock (about 70% on case_1), support-identification sampling
+/// issues the bulk of those queries, FBDT expansion drives the
+/// learning loop, and packed simulation underlies the in-process
+/// oracle.
 pub fn default_roots() -> Vec<RootSpec> {
     vec![
         RootSpec::new("Oracle::query", "oracle", 5),

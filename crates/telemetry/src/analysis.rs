@@ -9,9 +9,9 @@
 //!   critical path through the span tree,
 //! - [`to_chrome_trace`]: a Chrome trace-event JSON document loadable
 //!   in Perfetto / `chrome://tracing`,
-//! - [`diff`]: a regression comparison of two summaries with the same
-//!   noise-floor discipline as `bench compare` (relative threshold AND
-//!   absolute floor, so tiny runs do not flag).
+//! - [`diff`]: a regression comparison of two summaries under a
+//!   relative threshold AND an absolute noise floor, so span-time
+//!   jitter on tiny runs does not flag.
 //!
 //! Everything here is pure and file-format driven — analyses run on
 //! traces from crashed runs too, where unclosed spans are closed at
@@ -596,9 +596,8 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
     ])
 }
 
-/// Noise-floor configuration for [`diff`], mirroring the `bench
-/// compare` discipline: a change flags only when it exceeds the
-/// relative threshold AND the metric's absolute floor.
+/// Noise-floor configuration for [`diff`]: a change flags only when
+/// it exceeds the relative threshold AND the metric's absolute floor.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffConfig {
     /// Relative growth (percent) below which changes are noise.

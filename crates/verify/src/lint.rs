@@ -142,8 +142,8 @@ pub enum LintViolation {
         /// The constant value the output always takes.
         value: bool,
     },
-    /// A node drives an unusually large number of fanins and outputs —
-    /// fine functionally, but a depth/congestion hotspot.
+    /// A node's fanout is at or above the analysis's fanout threshold
+    /// — fine functionally, but a depth/congestion hotspot.
     HighFanout {
         /// The node with the large fanout.
         node: usize,
@@ -257,7 +257,10 @@ impl fmt::Display for LintViolation {
                 )
             }
             LintViolation::HighFanout { node, fanout } => {
-                write!(f, "node {node}: fanout {fanout} exceeds the threshold")
+                write!(
+                    f,
+                    "node {node}: fanout {fanout} is at or above the threshold"
+                )
             }
         }
     }
