@@ -8,6 +8,15 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cirlearn"))
 }
 
+/// The u64 at `keys` in a written run report, 0 when absent: a counter
+/// that never moved is left out of the report.
+fn report_u64(json: &cirlearn_telemetry::json::Json, keys: &[&str]) -> u64 {
+    keys.iter()
+        .try_fold(json, |j, k| j.get(k))
+        .and_then(cirlearn_telemetry::json::Json::as_u64)
+        .unwrap_or(0)
+}
+
 fn tempdir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cirlearn-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -103,7 +112,7 @@ fn gen_learn_eval_roundtrip() {
 
 #[test]
 fn learn_report_stage_queries_sum_to_stdout_total() {
-    use cirlearn_telemetry::{counters, json::Json, RunReport};
+    use cirlearn_telemetry::{counters, json::Json};
 
     // Own directory: gen_learn_eval_roundtrip removes the shared one.
     let dir = std::env::temp_dir().join(format!("cirlearn-cli-report-{}", std::process::id()));
@@ -144,22 +153,49 @@ fn learn_report_stage_queries_sum_to_stdout_total() {
 
     let text = std::fs::read_to_string(&report).expect("report file written");
     let json = Json::parse(&text).expect("report is valid JSON");
-    let run = RunReport::from_json(&json).expect("report matches the schema");
+    let stages = json
+        .get("stages")
+        .and_then(Json::as_array)
+        .expect("report has stages");
+    let top_level_queries: u64 = stages
+        .iter()
+        .filter(|s| {
+            !s.get("path")
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .contains('/')
+        })
+        .map(|s| report_u64(s, &["counters", counters::ORACLE_QUERIES]))
+        .sum();
     assert_eq!(
-        run.top_level_counter_sum(counters::ORACLE_QUERIES),
-        queries,
+        top_level_queries, queries,
         "per-stage queries in {report:?} must sum to the stdout total"
     );
-    assert_eq!(run.counter(counters::ORACLE_QUERIES), queries);
-    assert!(!run.outputs.is_empty(), "report carries per-output stats");
-    assert_eq!(run.meta.get("command").map(String::as_str), Some("learn"));
+    assert_eq!(
+        report_u64(&json, &["counters", counters::ORACLE_QUERIES]),
+        queries
+    );
+    assert!(
+        !json
+            .get("outputs")
+            .and_then(Json::as_array)
+            .expect("report has outputs")
+            .is_empty(),
+        "report carries per-output stats"
+    );
+    assert_eq!(
+        json.get("meta")
+            .and_then(|m| m.get("command"))
+            .and_then(Json::as_str),
+        Some("learn")
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn learn_with_sat_checking_stays_clean_and_reports_counters() {
-    use cirlearn_telemetry::{counters, json::Json, RunReport};
+    use cirlearn_telemetry::{counters, json::Json};
 
     let dir = std::env::temp_dir().join(format!("cirlearn-cli-check-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -192,18 +228,18 @@ fn learn_with_sat_checking_stays_clean_and_reports_counters() {
 
     let text = std::fs::read_to_string(&report).expect("report file written");
     let json = Json::parse(&text).expect("report is valid JSON");
-    let run = RunReport::from_json(&json).expect("report matches the schema");
+    let counter = |name: &str| report_u64(&json, &["counters", name]);
     assert!(
-        run.counter(counters::VERIFY_CHECKS) > 0,
+        counter(counters::VERIFY_CHECKS) > 0,
         "SAT checking must verify at least one optimization pass"
     );
     assert_eq!(
-        run.counter(counters::VERIFY_REJECTED_PASSES),
+        counter(counters::VERIFY_REJECTED_PASSES),
         0,
         "no bundled pass may be rejected by the checker"
     );
-    assert_eq!(run.counter(counters::VERIFY_LINT_VIOLATIONS), 0);
-    assert_eq!(run.counter(counters::VERIFY_WITNESSES), 0);
+    assert_eq!(counter(counters::VERIFY_LINT_VIOLATIONS), 0);
+    assert_eq!(counter(counters::VERIFY_WITNESSES), 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -339,7 +375,7 @@ fn analyze_gates_on_severity_and_writes_a_report() {
 /// lint-clean circuit.
 #[test]
 fn learn_bb_survives_a_flaky_black_box() {
-    use cirlearn_telemetry::{json::Json, RunReport};
+    use cirlearn_telemetry::json::Json;
 
     let dir = std::env::temp_dir().join(format!("cirlearn-cli-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -411,12 +447,13 @@ done
     // The run report records the recovery.
     let text = std::fs::read_to_string(&report).expect("report file written");
     let json = Json::parse(&text).expect("report is valid JSON");
-    let run = RunReport::from_json(&json).expect("report matches the schema");
-    assert!(run.faults.retries > 0, "retries must be recorded: {text}");
-    assert!(run.faults.respawns > 0, "respawns must be recorded: {text}");
-    assert!(run.faults.timeouts > 0, "the hang must register: {text}");
+    let fault = |name: &str| report_u64(&json, &["faults", name]);
+    assert!(fault("retries") > 0, "retries must be recorded: {text}");
+    assert!(fault("respawns") > 0, "respawns must be recorded: {text}");
+    assert!(fault("timeouts") > 0, "the hang must register: {text}");
     assert_eq!(
-        run.faults.degraded_outputs, 0,
+        fault("degraded_outputs"),
+        0,
         "transient faults must be absorbed, not degraded: {text}"
     );
 

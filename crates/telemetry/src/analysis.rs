@@ -20,12 +20,14 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
+use crate::report::AttributionRecord;
 
 /// One parsed trace event: the standard envelope plus the full parsed
 /// object for kind-specific fields.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Microseconds since the trace started (monotone per `tid`).
+    /// Microseconds since the recording telemetry handle was created
+    /// (monotone per `tid`).
     pub t_us: u64,
     /// Emitting thread's stable trace id (0 for pre-tid streams).
     pub tid: u64,
@@ -210,39 +212,16 @@ pub fn span_stats(forest: &[SpanNode]) -> Vec<SpanStat> {
     stats
 }
 
-/// One row of the attribution table (from an `attr` trace event).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AttributionRow {
-    /// Top-level stage name.
-    pub stage: String,
-    /// Output index, or `None` for shared work.
-    pub output: Option<u64>,
-    /// Oracle queries attributed to this key.
-    pub queries: u64,
-    /// Total oracle nanoseconds attributed to this key.
-    pub query_ns: u64,
-    /// AND gates built under this key.
-    pub gates: u64,
-}
-
 /// Collects `attr` events into the attribution table. The ledger may
 /// be emitted more than once (a final flush after an earlier periodic
 /// one); the *last* event per (stage, output) key wins, since the
-/// ledger is cumulative.
-pub fn attribution_rows(events: &[TraceEvent]) -> Vec<AttributionRow> {
-    let mut rows: BTreeMap<(String, Option<u64>), AttributionRow> = BTreeMap::new();
+/// ledger is cumulative. `attr` events carry no `by_depth`, so each
+/// row's stays empty.
+pub fn attribution_rows(events: &[TraceEvent]) -> Vec<AttributionRecord> {
+    let mut rows: BTreeMap<(String, Option<u64>), AttributionRecord> = BTreeMap::new();
     for ev in events.iter().filter(|e| e.kind == "attr") {
-        let output = ev.field_u64("output");
-        rows.insert(
-            (ev.stage.clone(), output),
-            AttributionRow {
-                stage: ev.stage.clone(),
-                output,
-                queries: ev.field_u64("queries").unwrap_or(0),
-                query_ns: ev.field_u64("query_ns").unwrap_or(0),
-                gates: ev.field_u64("gates").unwrap_or(0),
-            },
-        );
+        let row = AttributionRecord::from_json(&ev.json);
+        rows.insert((row.stage.clone(), row.output), row);
     }
     rows.into_values().collect()
 }
@@ -288,7 +267,7 @@ pub struct TraceSummary {
     /// Per-path span statistics, hottest (self time) first.
     pub spans: Vec<SpanStat>,
     /// The attribution table, sorted by stage then output.
-    pub attribution: Vec<AttributionRow>,
+    pub attribution: Vec<AttributionRecord>,
     /// The critical path through the span forest.
     pub critical_path: Vec<CriticalHop>,
 }
@@ -412,7 +391,7 @@ impl TraceSummary {
 pub fn merge_summaries(segments: &[TraceSummary]) -> TraceSummary {
     let mut merged = TraceSummary::default();
     let mut spans: BTreeMap<String, SpanStat> = BTreeMap::new();
-    let mut attr: BTreeMap<(String, Option<u64>), AttributionRow> = BTreeMap::new();
+    let mut attr: BTreeMap<(String, Option<u64>), AttributionRecord> = BTreeMap::new();
     let mut longest: Option<&TraceSummary> = None;
     for seg in segments {
         merged.events += seg.events;
@@ -438,10 +417,10 @@ pub fn merge_summaries(segments: &[TraceSummary]) -> TraceSummary {
         for a in &seg.attribution {
             let e = attr
                 .entry((a.stage.clone(), a.output))
-                .or_insert_with(|| AttributionRow {
+                .or_insert_with(|| AttributionRecord {
                     stage: a.stage.clone(),
                     output: a.output,
-                    ..AttributionRow::default()
+                    ..AttributionRecord::default()
                 });
             e.queries += a.queries;
             e.query_ns += a.query_ns;

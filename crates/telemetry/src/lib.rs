@@ -17,8 +17,10 @@
 //!   log-bucketed latency distributions (p50/p90/p99/max) for oracle
 //!   round-trips, FBDT node expansion and synth passes.
 //! - **Traces** ([`TraceWriter`]): a JSONL event stream (span
-//!   open/close, node expansions, passes, checkpoints, events) with
-//!   monotonic timestamps, for offline replay and flamegraphs.
+//!   open/close, node expansions, passes, checkpoints, events) for
+//!   offline replay and flamegraphs. Each event is formatted once,
+//!   stamped with microseconds since the handle was created, and the
+//!   same line feeds the trace stream and the flight recorder.
 //! - **Reporters** ([`Reporter`]): pluggable human-readable event
 //!   sinks; [`StderrReporter`] replaces the old `--verbose` output.
 //! - **Run reports** ([`RunReport`]): machine-readable JSON snapshots
@@ -29,14 +31,15 @@
 //!   [`AttributionRecord`]): a per-(stage, output) ledger of oracle
 //!   queries, query nanoseconds and gates built, fed by the span
 //!   context that `InstrumentedOracle` records into, emitted in the
-//!   report and as `attr` trace events. A batch is two atomic adds,
-//!   settled into the ledger when the context changes.
+//!   report, the status snapshot and as `attr` trace events, all with
+//!   the one cell type. A batch is two atomic adds, settled into the
+//!   ledger when the context changes.
 //! - **Trace analysis** ([`analysis`]): offline parsing of trace
 //!   streams into span trees, hot-span summaries, critical paths,
 //!   Chrome trace-event exports and noise-floored run diffs — the
 //!   engine behind the `cirlearn trace` subcommands.
 //! - **Flight recorder** ([`Telemetry::dump_flight`]): an always-on
-//!   bounded log of the most recent trace events, kept under the
+//!   bounded log of the most recent trace lines, kept under the
 //!   telemetry lock and dumped atomically as JSONL on panic, fault,
 //!   deadline, suspension or SIGUSR1 — a black box for runs that were
 //!   not started with `--trace`.
@@ -71,6 +74,6 @@ pub use crate::report::{
     StageReport, SCHEMA_VERSION,
 };
 pub use crate::reporter::{BufferReporter, Level, NullReporter, Reporter, StderrReporter};
-pub use crate::status::{StatusAttr, StatusSnapshot, STATUS_SCHEMA_VERSION};
+pub use crate::status::{StatusSnapshot, STATUS_SCHEMA_VERSION};
 pub use crate::telemetry::{OutputScope, Span, Telemetry};
 pub use crate::trace::{current_tid, SharedBuffer, TraceWriter};

@@ -3,8 +3,8 @@
 //! A [`RunReport`] is a snapshot of everything a [`crate::Telemetry`]
 //! collected: per-stage wall clock and counter attribution, global
 //! counters, optimization pass deltas, budget checkpoints and
-//! per-output results. It serializes to JSON (schema below) and parses
-//! back, so bench harnesses can consume reports without this crate's
+//! per-output results. It serializes to JSON (schema below), so bench
+//! harnesses and scripts can read reports without this crate's
 //! in-memory types.
 //!
 //! JSON schema (version 1):
@@ -132,8 +132,7 @@ pub struct OutputReport {
 /// Mirrors the `faults.*` counters (see `counters` in this crate):
 /// the counts also appear in the flat counter map, but the dedicated
 /// section keeps dashboards and CI assertions independent of counter
-/// naming. Reports written before the fault-tolerance subsystem lack
-/// the section; parsing tolerates its absence (all zeros).
+/// naming.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultsReport {
     /// Queries retried after a transient oracle fault.
@@ -175,6 +174,55 @@ pub struct AttributionRecord {
     pub gates: u64,
     /// Queries issued per FBDT depth (empty outside the FBDT).
     pub by_depth: BTreeMap<u64, u64>,
+}
+
+impl AttributionRecord {
+    /// The cell's `output`, `queries`, `query_ns` and `gates` fields,
+    /// in the order the `attr` trace event, the status snapshot and
+    /// the run report all write them.
+    pub(crate) fn fields(&self) -> [(&'static str, Json); 4] {
+        [
+            ("output", self.output.map(Json::from).unwrap_or(Json::Null)),
+            ("queries", Json::from(self.queries)),
+            ("query_ns", Json::from(self.query_ns)),
+            ("gates", Json::from(self.gates)),
+        ]
+    }
+
+    /// The cell as one JSON object: `stage`, then [`fields`], then
+    /// `by_depth` when `with_depth` is set (the run report only).
+    ///
+    /// [`fields`]: AttributionRecord::fields
+    pub(crate) fn to_json(&self, with_depth: bool) -> Json {
+        let by_depth = with_depth.then(|| {
+            let buckets = self
+                .by_depth
+                .iter()
+                .map(|(d, q)| (d.to_string(), Json::from(*q)));
+            ("by_depth", Json::Object(buckets.collect()))
+        });
+        let stage = ("stage", Json::from(self.stage.as_str()));
+        Json::object(std::iter::once(stage).chain(self.fields()).chain(by_depth))
+    }
+
+    /// Reads a cell back from an `attr` trace line or a status
+    /// snapshot entry; missing counts read as zero and `by_depth`
+    /// stays empty.
+    pub(crate) fn from_json(value: &Json) -> AttributionRecord {
+        let u64_of = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
+        AttributionRecord {
+            stage: value
+                .get("stage")
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .to_owned(),
+            output: value.get("output").and_then(Json::as_u64),
+            queries: u64_of("queries"),
+            query_ns: u64_of("query_ns"),
+            gates: u64_of("gates"),
+            by_depth: BTreeMap::new(),
+        }
+    }
 }
 
 /// A full run snapshot; see the `report` module docs for the schema.
@@ -365,256 +413,9 @@ impl RunReport {
             ),
             (
                 "attribution",
-                Json::Array(
-                    self.attribution
-                        .iter()
-                        .map(|a| {
-                            Json::object([
-                                ("stage", Json::from(a.stage.clone())),
-                                ("output", a.output.map(Json::from).unwrap_or(Json::Null)),
-                                ("queries", Json::from(a.queries)),
-                                ("query_ns", Json::from(a.query_ns)),
-                                ("gates", Json::from(a.gates)),
-                                (
-                                    "by_depth",
-                                    Json::Object(
-                                        a.by_depth
-                                            .iter()
-                                            .map(|(d, q)| (d.to_string(), Json::from(*q)))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Array(self.attribution.iter().map(|a| a.to_json(true)).collect()),
             ),
         ])
-    }
-
-    /// Reconstructs a report from its JSON form.
-    pub fn from_json(json: &Json) -> Result<RunReport, String> {
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-            ));
-        }
-        let counters_of = |j: &Json| -> Result<BTreeMap<String, u64>, String> {
-            j.as_object()
-                .ok_or("counters must be an object")?
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64()
-                        .map(|v| (k.clone(), v))
-                        .ok_or_else(|| format!("counter {k} is not a u64"))
-                })
-                .collect()
-        };
-        let duration_of = |j: &Json, what: &str| -> Result<Duration, String> {
-            j.as_f64()
-                .filter(|s| *s >= 0.0)
-                .map(Duration::from_secs_f64)
-                .ok_or_else(|| format!("{what} is not a non-negative number"))
-        };
-        let str_of = |j: Option<&Json>, what: &str| -> Result<String, String> {
-            j.and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string field {what}"))
-        };
-        let u64_of = |j: Option<&Json>, what: &str| -> Result<u64, String> {
-            j.and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing u64 field {what}"))
-        };
-
-        let meta = json
-            .get("meta")
-            .and_then(Json::as_object)
-            .ok_or("missing meta")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|v| (k.clone(), v.to_owned()))
-                    .ok_or_else(|| format!("meta {k} is not a string"))
-            })
-            .collect::<Result<_, _>>()?;
-        let elapsed = duration_of(
-            json.get("elapsed_s").ok_or("missing elapsed_s")?,
-            "elapsed_s",
-        )?;
-        let counters = counters_of(json.get("counters").ok_or("missing counters")?)?;
-
-        // Absent in reports written before the performance
-        // observability layer; treat as empty rather than rejecting.
-        let histograms = match json.get("histograms") {
-            None | Some(Json::Null) => BTreeMap::new(),
-            Some(h) => h
-                .as_object()
-                .ok_or("histograms must be an object")?
-                .iter()
-                .map(|(k, v)| {
-                    HistogramSummary::from_json(v)
-                        .map(|s| (k.clone(), s))
-                        .map_err(|e| format!("histogram {k}: {e}"))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-
-        let stages = json
-            .get("stages")
-            .and_then(Json::as_array)
-            .ok_or("missing stages")?
-            .iter()
-            .map(|s| {
-                Ok(StageReport {
-                    path: str_of(s.get("path"), "stage.path")?,
-                    calls: u64_of(s.get("calls"), "stage.calls")?,
-                    elapsed: duration_of(
-                        s.get("elapsed_s").ok_or("missing stage.elapsed_s")?,
-                        "stage.elapsed_s",
-                    )?,
-                    counters: counters_of(s.get("counters").ok_or("missing stage.counters")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let passes = json
-            .get("passes")
-            .and_then(Json::as_array)
-            .ok_or("missing passes")?
-            .iter()
-            .map(|p| {
-                Ok(PassReport {
-                    stage: str_of(p.get("stage"), "pass.stage")?,
-                    pass: str_of(p.get("pass"), "pass.pass")?,
-                    round: u64_of(p.get("round"), "pass.round")?,
-                    gates_before: u64_of(p.get("gates_before"), "pass.gates_before")?,
-                    gates_after: u64_of(p.get("gates_after"), "pass.gates_after")?,
-                    levels_before: u64_of(p.get("levels_before"), "pass.levels_before")?,
-                    levels_after: u64_of(p.get("levels_after"), "pass.levels_after")?,
-                    elapsed: duration_of(
-                        p.get("elapsed_s").ok_or("missing pass.elapsed_s")?,
-                        "pass.elapsed_s",
-                    )?,
-                    // Absent in reports written before verification
-                    // existed; treat as zero rather than rejecting.
-                    verify_elapsed: match p.get("verify_s") {
-                        None | Some(Json::Null) => Duration::ZERO,
-                        Some(j) => duration_of(j, "pass.verify_s")?,
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let checkpoints = json
-            .get("checkpoints")
-            .and_then(Json::as_array)
-            .ok_or("missing checkpoints")?
-            .iter()
-            .map(|c| {
-                let remaining = match c.get("remaining_s") {
-                    None | Some(Json::Null) => None,
-                    Some(j) => Some(duration_of(j, "checkpoint.remaining_s")?),
-                };
-                Ok(CheckpointReport {
-                    stage: str_of(c.get("stage"), "checkpoint.stage")?,
-                    at: duration_of(c.get("at_s").ok_or("missing checkpoint.at_s")?, "at_s")?,
-                    remaining,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let outputs = json
-            .get("outputs")
-            .and_then(Json::as_array)
-            .ok_or("missing outputs")?
-            .iter()
-            .map(|o| {
-                Ok(OutputReport {
-                    output: u64_of(o.get("output"), "output.output")?,
-                    name: str_of(o.get("name"), "output.name")?,
-                    strategy: str_of(o.get("strategy"), "output.strategy")?,
-                    support: u64_of(o.get("support"), "output.support")?,
-                    forced_leaves: u64_of(o.get("forced_leaves"), "output.forced_leaves")?,
-                    queries: u64_of(o.get("queries"), "output.queries")?,
-                    elapsed: duration_of(
-                        o.get("elapsed_s").ok_or("missing output.elapsed_s")?,
-                        "output.elapsed_s",
-                    )?,
-                    gates_before_opt: u64_of(o.get("gates_before_opt"), "gates_before_opt")?,
-                    gates_after_opt: u64_of(o.get("gates_after_opt"), "gates_after_opt")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        // Absent in reports written before the fault-tolerance
-        // subsystem existed; treat as all-zero rather than rejecting.
-        let faults = match json.get("faults") {
-            None | Some(Json::Null) => FaultsReport::default(),
-            Some(f) => FaultsReport {
-                retries: u64_of(f.get("retries"), "faults.retries")?,
-                timeouts: u64_of(f.get("timeouts"), "faults.timeouts")?,
-                respawns: u64_of(f.get("respawns"), "faults.respawns")?,
-                degraded_outputs: u64_of(f.get("degraded_outputs"), "faults.degraded_outputs")?,
-            },
-        };
-
-        // Absent in reports written before the cost-attribution layer
-        // existed; treat as empty rather than rejecting.
-        let attribution = match json.get("attribution") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(a) => a
-                .as_array()
-                .ok_or("attribution must be an array")?
-                .iter()
-                .map(|r| {
-                    let output = match r.get("output") {
-                        None | Some(Json::Null) => None,
-                        Some(j) => Some(j.as_u64().ok_or("attribution.output is not a u64")?),
-                    };
-                    let by_depth = match r.get("by_depth") {
-                        None | Some(Json::Null) => BTreeMap::new(),
-                        Some(d) => d
-                            .as_object()
-                            .ok_or("attribution.by_depth must be an object")?
-                            .iter()
-                            .map(|(k, v)| {
-                                let depth =
-                                    k.parse::<u64>().map_err(|_| format!("bad depth key {k}"))?;
-                                let q = v.as_u64().ok_or_else(|| {
-                                    format!("attribution.by_depth[{k}] is not a u64")
-                                })?;
-                                Ok::<_, String>((depth, q))
-                            })
-                            .collect::<Result<_, _>>()?,
-                    };
-                    Ok(AttributionRecord {
-                        stage: str_of(r.get("stage"), "attribution.stage")?,
-                        output,
-                        queries: u64_of(r.get("queries"), "attribution.queries")?,
-                        query_ns: u64_of(r.get("query_ns"), "attribution.query_ns")?,
-                        gates: u64_of(r.get("gates"), "attribution.gates")?,
-                        by_depth,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-        };
-
-        Ok(RunReport {
-            meta,
-            elapsed,
-            counters,
-            histograms,
-            stages,
-            passes,
-            checkpoints,
-            outputs,
-            faults,
-            attribution,
-        })
     }
 
     /// A compact human-readable per-stage breakdown (one line per
@@ -752,111 +553,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_report() {
-        let report = sample_report();
-        let text = report.to_json().to_pretty();
-        let parsed = crate::json::Json::parse(&text).expect("valid JSON");
-        let back = RunReport::from_json(&parsed).expect("valid schema");
-        assert_eq!(back, report);
-    }
-
-    #[test]
     fn top_level_sum_ignores_nested_stages() {
         let report = sample_report();
         assert_eq!(report.top_level_counter_sum("oracle.queries"), 1200);
         assert_eq!(report.top_level_stages().count(), 2);
-    }
-
-    #[test]
-    fn from_json_tolerates_missing_verify_time() {
-        // Reports from before the verification subsystem lack
-        // "verify_s"; they must still parse, defaulting to zero.
-        let mut json = sample_report().to_json();
-        if let Json::Object(pairs) = &mut json {
-            for (key, value) in pairs.iter_mut() {
-                if key != "passes" {
-                    continue;
-                }
-                if let Json::Array(passes) = value {
-                    for p in passes {
-                        if let Json::Object(fields) = p {
-                            fields.retain(|(k, _)| k != "verify_s");
-                        }
-                    }
-                }
-            }
-        }
-        let back = RunReport::from_json(&json).expect("tolerant schema");
-        assert_eq!(back.passes[0].verify_elapsed, Duration::ZERO);
-    }
-
-    #[test]
-    fn from_json_tolerates_missing_histograms_section() {
-        // Reports from before the performance observability layer lack
-        // "histograms"; they must still parse, defaulting to empty.
-        let mut json = sample_report().to_json();
-        if let Json::Object(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "histograms");
-        }
-        let back = RunReport::from_json(&json).expect("tolerant schema");
-        assert!(back.histograms.is_empty());
-    }
-
-    #[test]
-    fn from_json_tolerates_missing_faults_section() {
-        // Reports from before the fault-tolerance subsystem lack
-        // "faults"; they must still parse, defaulting to all zeros.
-        let mut json = sample_report().to_json();
-        if let Json::Object(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "faults");
-        }
-        let back = RunReport::from_json(&json).expect("tolerant schema");
-        assert_eq!(back.faults, FaultsReport::default());
-        assert!(!back.faults.any());
-    }
-
-    #[test]
-    fn from_json_tolerates_missing_attribution_section() {
-        // Reports from before the cost-attribution layer lack
-        // "attribution"; they must still parse, defaulting to empty.
-        let mut json = sample_report().to_json();
-        if let Json::Object(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "attribution");
-        }
-        let back = RunReport::from_json(&json).expect("tolerant schema");
-        assert!(back.attribution.is_empty());
-        assert_eq!(back.attribution_total_queries(), 0);
-    }
-
-    #[test]
-    fn from_json_ignores_a_legacy_exec_section() {
-        // Older reports carry an "exec" section of executor counters;
-        // they must still parse, with the section ignored.
-        let report = sample_report();
-        let mut json = report.to_json();
-        if let Json::Object(pairs) = &mut json {
-            let at = pairs
-                .iter()
-                .position(|(k, _)| k == "attribution")
-                .expect("the sample report has an attribution section");
-            pairs.insert(
-                at,
-                (
-                    "exec".to_owned(),
-                    Json::object([
-                        ("pushes", Json::from(5_000u64)),
-                        ("pops", Json::from(4_200u64)),
-                        ("steals", Json::from(800u64)),
-                        ("steal_empty", Json::from(90u64)),
-                        ("steal_retry", Json::from(12u64)),
-                        ("depth_max", Json::from(64u64)),
-                        ("workers", Json::from(4u64)),
-                    ]),
-                ),
-            );
-        }
-        let back = RunReport::from_json(&json).expect("tolerant schema");
-        assert_eq!(back, report);
     }
 
     #[test]
@@ -866,15 +566,6 @@ mod tests {
         assert_eq!(report.attribution_stage_queries("support"), 900);
         assert_eq!(report.attribution_stage_queries("fbdt"), 300);
         assert_eq!(report.attribution_stage_queries("nope"), 0);
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_version() {
-        let mut json = sample_report().to_json();
-        if let Json::Object(pairs) = &mut json {
-            pairs[0].1 = Json::from(99u64);
-        }
-        assert!(RunReport::from_json(&json).is_err());
     }
 
     #[test]

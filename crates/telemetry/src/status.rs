@@ -11,59 +11,16 @@
 //! dashboard, `cirlearn top --follow`) always sees either the previous
 //! complete snapshot or the next one, never a torn file.
 //!
-//! Parsing is tolerant in the same way run reports are: missing fields
-//! default, unknown fields are ignored, so old readers keep working
-//! when fields are added.
+//! Parsing is tolerant: missing fields default and unknown fields are
+//! ignored, so old readers keep working when fields are added.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
+use crate::report::AttributionRecord;
 
 /// Version stamp written into every status snapshot.
 pub const STATUS_SCHEMA_VERSION: u64 = 1;
-
-/// One attribution cell on the status channel: the cost a
-/// `(top-level stage, output)` pair has accumulated so far.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatusAttr {
-    /// Top-level stage name (`support`, `fbdt`, `optimize`, ...).
-    pub stage: String,
-    /// Output index, when the cost was attributed to one.
-    pub output: Option<u64>,
-    /// Oracle queries attributed to this cell.
-    pub queries: u64,
-    /// Oracle nanoseconds attributed to this cell.
-    pub query_ns: u64,
-    /// AND gates built under this cell.
-    pub gates: u64,
-}
-
-impl StatusAttr {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("stage", Json::from(self.stage.as_str())),
-            ("output", self.output.map(Json::from).unwrap_or(Json::Null)),
-            ("queries", Json::from(self.queries)),
-            ("query_ns", Json::from(self.query_ns)),
-            ("gates", Json::from(self.gates)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> StatusAttr {
-        let u64_of = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
-        StatusAttr {
-            stage: value
-                .get("stage")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned(),
-            output: value.get("output").and_then(Json::as_u64),
-            queries: u64_of("queries"),
-            query_ns: u64_of("query_ns"),
-            gates: u64_of("gates"),
-        }
-    }
-}
 
 /// The live run-status snapshot (see the `status` module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -97,8 +54,9 @@ pub struct StatusSnapshot {
     pub ckpt_bytes: u64,
     /// Outputs degraded to fallback circuits so far.
     pub degraded_outputs: u64,
-    /// Top-K attribution cells by oracle nanoseconds, largest first.
-    pub attribution: Vec<StatusAttr>,
+    /// Top-K attribution cells by oracle nanoseconds, largest first;
+    /// their `by_depth` is not carried.
+    pub attribution: Vec<AttributionRecord>,
     /// Whether the run has finished (the final snapshot sets this).
     pub done: bool,
 }
@@ -134,7 +92,12 @@ impl StatusSnapshot {
             ("degraded_outputs", Json::from(self.degraded_outputs)),
             (
                 "attribution",
-                Json::Array(self.attribution.iter().map(StatusAttr::to_json).collect()),
+                Json::Array(
+                    self.attribution
+                        .iter()
+                        .map(|cell| cell.to_json(false))
+                        .collect(),
+                ),
             ),
             ("done", Json::Bool(self.done)),
         ])
@@ -174,7 +137,7 @@ impl StatusSnapshot {
             attribution: value
                 .get("attribution")
                 .and_then(Json::as_array)
-                .map(|items| items.iter().map(StatusAttr::from_json).collect())
+                .map(|items| items.iter().map(AttributionRecord::from_json).collect())
                 .unwrap_or_default(),
             done: matches!(value.get("done"), Some(Json::Bool(true))),
         }
@@ -285,12 +248,13 @@ mod tests {
             ckpt_writes: 2,
             ckpt_bytes: 9_999,
             degraded_outputs: 0,
-            attribution: vec![StatusAttr {
+            attribution: vec![AttributionRecord {
                 stage: "fbdt".to_owned(),
                 output: Some(2),
                 queries: 60_000,
                 query_ns: 3_000_000_000,
                 gates: 140,
+                by_depth: BTreeMap::new(),
             }],
             done: false,
         }

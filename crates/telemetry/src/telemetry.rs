@@ -13,28 +13,23 @@ use crate::report::{
     StageReport,
 };
 use crate::reporter::{Level, Reporter};
-use crate::status::{StatusAttr, StatusSnapshot};
+use crate::status::StatusSnapshot;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex, MutexGuard};
 use crate::trace::{current_tid, format_line, TraceWriter};
 
 struct ActiveSpan {
     id: u64,
-    name: String,
+    name: &'static str,
     /// The `/`-joined names of this span and every span below it.
     path: String,
     start: Instant,
     counters_at_entry: [u64; Counter::COUNT],
 }
 
-/// The fields of a ledger cell's `attr` event.
-fn attr_fields(cell: &AttributionRecord) -> [(&'static str, Json); 4] {
-    [
-        ("output", cell.output.map(Json::from).unwrap_or(Json::Null)),
-        ("queries", Json::from(cell.queries)),
-        ("query_ns", Json::from(cell.query_ns)),
-        ("gates", Json::from(cell.gates)),
-    ]
+/// The `/`-joined path of the innermost open span (`""` outside any).
+fn path(stack: &[ActiveSpan]) -> &str {
+    stack.last().map_or("", |s| s.path.as_str())
 }
 
 /// Minimum spacing between periodic `metrics` snapshot events on the
@@ -80,32 +75,16 @@ const FLIGHT_LOG_BYTES: usize = 32 * 1024;
 /// and oldest first, at most [`FLIGHT_LOG_BYTES`] in total.
 ///
 /// It lives in [`Inner`], so every append and every dump copy happens
-/// under the telemetry lock; lines are stamped with the log's own
-/// clock, so a dump has one timeline whether or not a trace stream is
-/// attached.
+/// under the telemetry lock. It records the very lines the trace
+/// stream gets, stamped with the run clock, so a dump and a trace of
+/// the same run share one timeline.
+#[derive(Default)]
 struct FlightLog {
-    start: Instant,
     lines: VecDeque<String>,
     bytes: usize,
 }
 
 impl FlightLog {
-    fn new() -> FlightLog {
-        FlightLog {
-            start: Instant::now(),
-            lines: VecDeque::new(),
-            bytes: 0,
-        }
-    }
-
-    /// Formats one event line in the standard envelope, stamped with
-    /// the log's clock and the calling thread's tid, without
-    /// recording it.
-    fn format(&self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) -> String {
-        let t_us = micros(self.start.elapsed());
-        format_line(t_us, current_tid(), kind, stage, fields)
-    }
-
     /// Appends one `\n`-terminated line, evicting the oldest whole
     /// lines until it fits. A line larger than the whole log is
     /// dropped.
@@ -182,8 +161,9 @@ struct Inner {
     context_output: Option<u64>,
     /// Attribution context: the FBDT depth currently being expanded.
     context_depth: Option<u64>,
-    /// The per-(top-level stage, output) cost ledger.
-    ledger: BTreeMap<(String, Option<u64>), AttributionRecord>,
+    /// The per-(top-level stage, output) cost ledger, keyed by the
+    /// top-level span's static name so that a settle allocates nothing.
+    ledger: BTreeMap<(&'static str, Option<u64>), AttributionRecord>,
     /// The `oracle.queries` and query-ns totals already in the ledger.
     settled: (u64, u64),
     /// Last AIG node count published by the learner (a gauge for
@@ -207,12 +187,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn current_path(&self) -> String {
-        self.stack
-            .last()
-            .map_or_else(String::new, |s| s.path.clone())
-    }
-
     /// Moves the queries and query nanoseconds recorded since the last
     /// settle into the current context's ledger cell (and depth bucket).
     /// Called before the context changes and before the ledger is read;
@@ -240,16 +214,14 @@ impl Inner {
     /// is the top-level one (`""` outside any span): top-level stages
     /// partition the run, so the cells sum to run totals.
     fn cell(&mut self) -> &mut AttributionRecord {
-        let stage = self
-            .stack
-            .first()
-            .map_or("", |s| s.name.as_str())
-            .to_owned();
+        let stage = self.stack.first().map_or("", |s| s.name);
         let output = self.context_output;
         self.ledger
-            .entry((stage.clone(), output))
+            .entry((stage, output))
             .or_insert_with(|| AttributionRecord {
-                stage,
+                // alloc-ok: a new cell names its stage once; settling
+                // into an existing cell allocates nothing.
+                stage: stage.to_owned(),
                 output,
                 ..AttributionRecord::default()
             })
@@ -300,9 +272,8 @@ impl Inner {
         if self.trace.is_none() && self.flight.is_none() && self.status_path.is_none() {
             return None;
         }
-        let stage = self.current_path();
         let fields = self.metrics_fields(shared);
-        self.trace("metrics", &stage, &fields);
+        self.trace(shared, "metrics", None, &fields);
         self.status_payload(shared, false)
     }
 
@@ -317,15 +288,13 @@ impl Inner {
     /// The current run state as a compact [`StatusSnapshot`].
     fn status_snapshot(&mut self, shared: &Shared, done: bool) -> StatusSnapshot {
         self.settle(shared);
-        let mut attribution: Vec<StatusAttr> = self
+        let mut attribution: Vec<AttributionRecord> = self
             .ledger
             .values()
-            .map(|cell| StatusAttr {
+            .map(|cell| AttributionRecord {
                 stage: cell.stage.clone(),
-                output: cell.output,
-                queries: cell.queries,
-                query_ns: cell.query_ns,
-                gates: cell.gates,
+                by_depth: BTreeMap::new(),
+                ..*cell
             })
             .collect();
         attribution.sort_by_key(|cell| std::cmp::Reverse(cell.query_ns));
@@ -334,7 +303,7 @@ impl Inner {
             pid: std::process::id() as u64,
             meta: self.meta.clone(),
             elapsed_s: shared.start.elapsed().as_secs_f64(),
-            stage: self.current_path(),
+            stage: path(&self.stack).to_owned(),
             queries: shared.counter(Counter::OracleQueries),
             queries_per_s: self.gauge_queries_per_s,
             aig_nodes: self.gauge_aig_nodes,
@@ -349,16 +318,28 @@ impl Inner {
         }
     }
 
-    /// The tee point: every event goes to the attached trace stream
-    /// (if any) *and* into the flight log (if the recorder is on). The
-    /// flight copy is stamped with the log's own clock so a dump has
-    /// one timeline.
-    fn trace(&mut self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) {
-        if let Some(trace) = &self.trace {
-            trace.emit(kind, stage, fields);
+    /// The tee point, and the one place an event becomes a line: the
+    /// event is formatted once, stamped with the run clock and tagged
+    /// with `stage` (the innermost open span's path when `None`); the
+    /// line goes to the attached trace stream (if any) and the same
+    /// `String` into the flight log (if the recorder is on).
+    fn trace(
+        &mut self,
+        shared: &Shared,
+        kind: &str,
+        stage: Option<&str>,
+        fields: &[(&'static str, Json)],
+    ) {
+        if self.trace.is_none() && self.flight.is_none() {
+            return;
+        }
+        let stage = stage.unwrap_or_else(|| path(&self.stack));
+        let t_us = micros(shared.start.elapsed());
+        let line = format_line(t_us, current_tid(), kind, stage, fields);
+        if let Some(trace) = &mut self.trace {
+            trace.write_line(kind, &line);
         }
         if let Some(flight) = &mut self.flight {
-            let line = flight.format(kind, stage, fields);
             flight.push(line);
         }
     }
@@ -373,13 +354,12 @@ impl Inner {
         let counters = shared.counters();
         while self.stack.len() > pos {
             let span = self.stack.pop().expect("nonempty");
-            let path = span.path;
             let elapsed = span.start.elapsed();
             let entry = self
                 .stages
-                .entry(path.clone())
+                .entry(span.path.clone())
                 .or_insert_with(|| StageReport {
-                    path: path.clone(),
+                    path: span.path.clone(),
                     ..StageReport::default()
                 });
             entry.calls += 1;
@@ -394,18 +374,23 @@ impl Inner {
                 }
             }
             self.trace(
+                shared,
                 "span_close",
-                &path,
+                Some(&span.path),
                 &[
                     ("id", Json::from(span.id)),
-                    ("name", Json::from(span.name.as_str())),
+                    ("name", Json::from(span.name)),
                     ("elapsed_us", Json::from(micros(elapsed))),
                 ],
             );
-            let parent = self.current_path();
+            let parent = path(&self.stack);
             self.reporter.event(
                 Level::Debug,
-                if parent.is_empty() { &path } else { &parent },
+                if parent.is_empty() {
+                    &span.path
+                } else {
+                    parent
+                },
                 &format!("{} done in {:.3}s", span.name, elapsed.as_secs_f64()),
             );
         }
@@ -479,7 +464,7 @@ impl Telemetry {
                 metrics_last: start,
                 metrics_last_queries: 0,
                 gauge_queries_per_s: 0,
-                flight: Some(FlightLog::new()),
+                flight: Some(FlightLog::default()),
                 flight_dump_path: None,
                 status_path: None,
                 progress: (0, 0),
@@ -521,42 +506,45 @@ impl Telemetry {
     /// Enters a stage span; the returned guard closes it on drop.
     /// Nested spans form `/`-joined paths; the counter increments that
     /// happen while a span is open are attributed to its path (and to
-    /// every enclosing path) when it closes.
+    /// every enclosing path) when it closes. `name` is a literal: a
+    /// top-level span's name keys its attribution-ledger cells.
     #[must_use = "the span closes when the guard drops"]
-    pub fn span(&self, name: &str) -> Span {
-        let Some((shared, mut inner)) = self.lock() else {
+    pub fn span(&self, name: &'static str) -> Span {
+        let Some((shared, mut guard)) = self.lock() else {
             return Span {
                 telemetry: Telemetry::disabled(),
                 id: 0,
             };
         };
+        let inner = &mut *guard;
         inner.settle(shared);
         let id = inner.next_span_id;
         inner.next_span_id += 1;
-        let parent = inner.current_path();
-        let path = if parent.is_empty() {
+        let parent = path(&inner.stack);
+        let joined = if parent.is_empty() {
             name.to_owned()
         } else {
             format!("{parent}/{name}")
         };
-        inner.trace(
-            "span_open",
-            &path,
-            &[("id", Json::from(id)), ("name", Json::from(name))],
-        );
         inner.reporter.event(
             Level::Trace,
-            if parent.is_empty() { name } else { &parent },
+            if parent.is_empty() { name } else { parent },
             &format!("enter {name}"),
+        );
+        inner.trace(
+            shared,
+            "span_open",
+            Some(&joined),
+            &[("id", Json::from(id)), ("name", Json::from(name))],
         );
         inner.stack.push(ActiveSpan {
             id,
-            name: name.to_owned(),
-            path,
+            name,
+            path: joined,
             start: Instant::now(),
             counters_at_entry: shared.counters(),
         });
-        drop(inner);
+        drop(guard);
         Span {
             telemetry: self.clone(),
             id,
@@ -698,25 +686,29 @@ impl Telemetry {
             let (shared, mut inner) = self.lock()?;
             inner.settle(shared);
             let flight = inner.flight.as_ref()?;
-            let path = inner.flight_dump_path.clone()?;
-            let stage = inner.current_path();
-            // The trailer is formatted with the log's clock but never
-            // recorded into it: it must sit after the recorded lines,
-            // which all predate it, so timestamps stay monotone.
+            let dump_path = inner.flight_dump_path.clone()?;
+            let stage = path(&inner.stack);
+            // The trailer is stamped with the run clock but never
+            // recorded into the log: it must sit after the recorded
+            // lines, which all predate it, so timestamps stay monotone.
+            let (t_us, tid) = (micros(shared.start.elapsed()), current_tid());
+            let line = |kind: &str, stage: &str, fields: &[(&'static str, Json)]| {
+                format_line(t_us, tid, kind, stage, fields)
+            };
             let mut dump = flight.contents();
-            dump.push_str(&flight.format(
+            dump.push_str(&line(
                 "flight",
-                &stage,
+                stage,
                 &[
                     ("reason", Json::from(reason)),
                     ("pid", Json::from(std::process::id() as u64)),
                 ],
             ));
-            dump.push_str(&flight.format("metrics", &stage, &inner.metrics_fields(shared)));
+            dump.push_str(&line("metrics", stage, &inner.metrics_fields(shared)));
             for cell in inner.ledger.values() {
-                dump.push_str(&flight.format("attr", &cell.stage, &attr_fields(cell)));
+                dump.push_str(&line("attr", &cell.stage, &cell.fields()));
             }
-            (path, dump)
+            (dump_path, dump)
         };
         // The atomic write happens outside the lock: the fsync pair
         // can be slow and must never stall recording.
@@ -750,14 +742,11 @@ impl Telemetry {
         }
         inner.settle(shared);
         let status = inner.maybe_emit_metrics(shared, true);
-        let cells: Vec<(String, [(&'static str, Json); 4])> = inner
-            .ledger
-            .values()
-            .map(|cell| (cell.stage.clone(), attr_fields(cell)))
-            .collect();
-        for (stage, fields) in &cells {
-            inner.trace("attr", stage, fields);
+        let ledger = std::mem::take(&mut inner.ledger);
+        for cell in ledger.values() {
+            inner.trace(shared, "attr", Some(&cell.stage), &cell.fields());
         }
+        inner.ledger = ledger;
         drop(inner);
         write_status(status);
     }
@@ -775,22 +764,24 @@ impl Telemetry {
     pub fn event(&self, level: Level, message: &str) {
         // blocking-ok: `Telemetry::lock` — uncontended telemetry
         // mutex, justified at its definition.
-        if let Some((_, mut inner)) = self.lock() {
-            let stage = inner.current_path();
+        if let Some((shared, mut guard)) = self.lock() {
+            let inner = &mut *guard;
             inner.trace(
+                shared,
                 "event",
-                &stage,
+                None,
                 &[
                     ("level", Json::from(level.name())),
                     ("message", Json::from(message)),
                 ],
             );
-            inner.reporter.event(level, &stage, message);
+            inner.reporter.event(level, path(&inner.stack), message);
         }
     }
 
-    /// Attaches a JSONL trace stream; subsequent spans, passes,
-    /// checkpoints and events are mirrored onto it.
+    /// Attaches a JSONL trace stream, which the handle then owns;
+    /// subsequent spans, passes, checkpoints and events are mirrored
+    /// onto it, stamped with the handle's clock.
     pub fn set_trace(&self, trace: TraceWriter) {
         self.update(|inner| inner.trace = Some(trace));
     }
@@ -800,11 +791,8 @@ impl Telemetry {
     pub fn trace(&self, kind: &str, fields: &[(&'static str, Json)]) {
         // blocking-ok: `Telemetry::lock` — uncontended telemetry
         // mutex, justified at its definition.
-        if let Some((_, mut inner)) = self.lock() {
-            if inner.trace.is_some() || inner.flight.is_some() {
-                let stage = inner.current_path();
-                inner.trace(kind, &stage, fields);
-            }
+        if let Some((shared, mut inner)) = self.lock() {
+            inner.trace(shared, kind, None, fields);
         }
     }
 
@@ -812,8 +800,8 @@ impl Telemetry {
     pub fn flush_trace(&self) {
         // blocking-ok: `Telemetry::lock` — uncontended telemetry
         // mutex, justified at its definition.
-        if let Some((_, inner)) = self.lock() {
-            if let Some(trace) = &inner.trace {
+        if let Some((_, mut inner)) = self.lock() {
+            if let Some(trace) = &mut inner.trace {
                 trace.flush();
             }
         }
@@ -856,11 +844,12 @@ impl Telemetry {
         verify_elapsed: Duration,
     ) {
         self.record_time(Hist::SynthPassNs, elapsed);
-        if let Some((_, mut inner)) = self.lock() {
-            let stage = inner.current_path();
+        if let Some((shared, mut guard)) = self.lock() {
+            let inner = &mut *guard;
             inner.trace(
+                shared,
                 "pass",
-                &stage,
+                None,
                 &[
                     ("pass", Json::from(pass)),
                     ("round", Json::from(round)),
@@ -872,9 +861,10 @@ impl Telemetry {
                     ("verify_us", Json::from(micros(verify_elapsed))),
                 ],
             );
+            let stage = path(&inner.stack);
             inner.reporter.event(
                 Level::Debug,
-                &stage,
+                stage,
                 &format!(
                     "pass {pass} (round {round}): {gates_before} -> {gates_after} gates, \
                      {levels_before} -> {levels_after} levels in {:.3}s",
@@ -882,7 +872,7 @@ impl Telemetry {
                 ),
             );
             inner.passes.push(PassReport {
-                stage,
+                stage: stage.to_owned(),
                 pass: pass.to_owned(),
                 round,
                 gates_before,
@@ -903,11 +893,12 @@ impl Telemetry {
     /// Records a budget checkpoint (see `Budget::checkpoint` in the
     /// core crate).
     pub fn checkpoint(&self, stage: &str, at: Duration, remaining: Option<Duration>) {
-        if let Some((_, mut inner)) = self.lock() {
-            let current = inner.current_path();
+        if let Some((shared, mut guard)) = self.lock() {
+            let inner = &mut *guard;
             inner.trace(
+                shared,
                 "checkpoint",
-                &current,
+                None,
                 &[
                     ("label", Json::from(stage)),
                     ("at_us", Json::from(micros(at))),
@@ -928,7 +919,9 @@ impl Telemetry {
                     at.as_secs_f64()
                 ),
             };
-            inner.reporter.event(Level::Debug, &current, &message);
+            inner
+                .reporter
+                .event(Level::Debug, path(&inner.stack), &message);
             inner.checkpoints.push(CheckpointReport {
                 stage: stage.to_owned(),
                 at,
@@ -1625,7 +1618,7 @@ mod tests {
 
     #[test]
     fn flight_log_evicts_oldest_whole_lines() {
-        let mut log = FlightLog::new();
+        let mut log = FlightLog::default();
         for i in 0..100 {
             log.push(numbered_line(i, 1_000));
         }
@@ -1649,7 +1642,7 @@ mod tests {
 
     #[test]
     fn flight_log_below_capacity_is_exact() {
-        let mut log = FlightLog::new();
+        let mut log = FlightLog::default();
         log.push("alpha\n".to_owned());
         log.push("beta\n".to_owned());
         assert_eq!(log.contents(), "alpha\nbeta\n");
@@ -1657,7 +1650,7 @@ mod tests {
 
     #[test]
     fn flight_log_drops_a_line_larger_than_itself() {
-        let mut log = FlightLog::new();
+        let mut log = FlightLog::default();
         log.push("kept\n".to_owned());
         log.push(numbered_line(1, FLIGHT_LOG_BYTES));
         assert_eq!(

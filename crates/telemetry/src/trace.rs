@@ -1,12 +1,15 @@
 //! A structured JSONL trace-event stream.
 //!
-//! A [`TraceWriter`] emits one JSON object per line so a run can be
-//! replayed, diffed or converted to a flamegraph offline. Every line
-//! carries:
+//! A [`TraceWriter`] receives one JSON object per line so a run can be
+//! replayed, diffed or converted to a flamegraph offline. The
+//! telemetry layer formats each event once, under its lock, and hands
+//! the same line to the trace stream and to the flight recorder, so
+//! the two agree byte for byte. Every line carries:
 //!
-//! - `t_us` — microseconds since the trace started, taken from a
-//!   monotonic clock (never wall time, so lines are ordered per
-//!   thread even across clock adjustments),
+//! - `t_us` — microseconds since the telemetry handle was created,
+//!   taken from a monotonic clock (never wall time, so lines are
+//!   ordered per thread even across clock adjustments); a stream
+//!   attached mid-run therefore starts at a nonzero stamp,
 //! - `kind` — the event kind (see below),
 //! - `stage` — the `/`-joined span path active when the event fired
 //!   (`""` at top level),
@@ -37,7 +40,6 @@
 //! offline analysis rather than live reading.
 
 use std::io::Write;
-use std::time::Instant;
 
 use crate::json::Json;
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -55,36 +57,6 @@ thread_local! {
 /// first use, dense across the threads that ever emitted an event.
 pub fn current_tid() -> u64 {
     TID.with(|t| *t)
-}
-
-struct TraceInner {
-    out: Box<dyn Write + Send>,
-    lines: u64,
-    /// First write error, if any; reported once instead of spamming.
-    failed: bool,
-}
-
-impl TraceInner {
-    /// Writes one pre-formatted `\n`-terminated line to the sink,
-    /// updating the line count and the sticky failure flag.
-    fn write_line(&mut self, line: &str) -> bool {
-        if self.out.write_all(line.as_bytes()).is_err() {
-            if !self.failed {
-                // blocking-ok: one-shot failure notice on a sticky
-                // error path, never repeated.
-                eprintln!("cirlearn: trace stream write failed; further events dropped");
-            }
-            self.failed = true;
-            return false;
-        }
-        self.lines += 1;
-        true
-    }
-}
-
-struct TraceShared {
-    start: Instant,
-    inner: Mutex<TraceInner>,
 }
 
 /// Formats one event line (without writing it anywhere).
@@ -108,17 +80,19 @@ pub(crate) fn format_line(
     line
 }
 
-/// A shared, clonable handle writing trace events as JSON lines.
+/// The sink of a JSONL trace stream, handed to
+/// [`Telemetry::set_trace`](crate::Telemetry::set_trace), which owns
+/// it and writes every event line into it under the telemetry lock.
 ///
 /// High-rate events (FBDT `node` lines, `pass` lines, `metrics`
 /// snapshots) stay in the sink's buffer; structural events — span
 /// open/close, faults, checkpoints — flush it, as does
-/// [`TraceWriter::flush`]. File streams wrap a `BufWriter`, so the hot
-/// path costs a formatted line and a memcpy instead of a syscall per
-/// event, while a crashed run (panic, which unwinds into the flushing
-/// drop guards) still keeps everything emitted before the crash and
-/// loses at most the node lines since the last structural event on an
-/// outright abort.
+/// [`Telemetry::flush_trace`](crate::Telemetry::flush_trace). File
+/// streams wrap a `BufWriter`, so the hot path costs a formatted line
+/// and a memcpy instead of a syscall per event, while a crashed run
+/// (panic, which unwinds into the flushing drop guards) still keeps
+/// everything emitted before the crash and loses at most the node
+/// lines since the last structural event on an outright abort.
 ///
 /// # Examples
 ///
@@ -139,9 +113,11 @@ pub(crate) fn format_line(
 ///     .collect();
 /// assert_eq!(kinds.len(), 3); // open, event, close
 /// ```
-#[derive(Clone)]
 pub struct TraceWriter {
-    shared: Arc<TraceShared>,
+    out: Box<dyn Write + Send>,
+    /// Set by the first write error, which is reported once instead of
+    /// spamming.
+    failed: bool,
 }
 
 impl std::fmt::Debug for TraceWriter {
@@ -151,18 +127,9 @@ impl std::fmt::Debug for TraceWriter {
 }
 
 impl TraceWriter {
-    /// A trace stream over any writer. The monotonic clock starts now.
+    /// A trace stream over any writer.
     pub fn to_writer(out: Box<dyn Write + Send>) -> TraceWriter {
-        TraceWriter {
-            shared: Arc::new(TraceShared {
-                start: Instant::now(),
-                inner: Mutex::new(TraceInner {
-                    out,
-                    lines: 0,
-                    failed: false,
-                }),
-            }),
-        }
+        TraceWriter { out, failed: false }
     }
 
     /// A trace stream writing to (truncating) the file at `path`,
@@ -181,42 +148,29 @@ impl TraceWriter {
         (TraceWriter::to_writer(Box::new(buffer.clone())), buffer)
     }
 
-    /// Emits one event line. `fields` are appended after the standard
-    /// `t_us` / `kind` / `stage` / `tid` quadruple.
-    pub fn emit(&self, kind: &str, stage: &str, fields: &[(&'static str, Json)]) {
-        let t_us = u64::try_from(self.shared.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let line = format_line(t_us, current_tid(), kind, stage, fields);
-        // blocking-ok: the learner records from one thread, so the
-        // stream mutex is never contended.
-        let mut inner = self.shared.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if !inner.write_line(&line) {
+    /// Writes one formatted `\n`-terminated line of event `kind`. A
+    /// failed write drops the line; structural kinds flush the sink.
+    pub(crate) fn write_line(&mut self, kind: &str, line: &str) {
+        if self.out.write_all(line.as_bytes()).is_err() {
+            if !self.failed {
+                // blocking-ok: one-shot failure notice on a sticky
+                // error path, never repeated.
+                eprintln!("cirlearn: trace stream write failed; further events dropped");
+            }
+            self.failed = true;
             return;
         }
         // Structural events are rare and mark progress worth keeping
         // on disk; per-node / per-pass / metrics events ride the
         // buffer.
         if !matches!(kind, "node" | "pass" | "metrics") {
-            let _ = inner.out.flush();
+            self.flush();
         }
     }
 
-    /// Lines successfully written so far.
-    pub fn lines(&self) -> u64 {
-        // blocking-ok: stats accessor used by tests and reports, not
-        // the per-event path.
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .lines
-    }
-
     /// Flushes the underlying writer.
-    pub fn flush(&self) {
-        // blocking-ok: flush is a join point (span close, dump,
-        // finish), not the per-event path.
-        let mut inner = self.shared.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = inner.out.flush();
+    pub(crate) fn flush(&mut self) {
+        let _ = self.out.flush();
     }
 }
 
@@ -254,13 +208,18 @@ impl Write for SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     #[test]
     fn every_line_is_valid_compact_json_with_the_standard_envelope() {
         let (trace, sink) = TraceWriter::to_shared_buffer();
-        trace.emit("event", "learn/fbdt", &[("message", Json::from("hi"))]);
-        trace.emit("checkpoint", "", &[("remaining_us", Json::Null)]);
-        assert_eq!(trace.lines(), 2);
+        let telemetry = Telemetry::recording();
+        telemetry.set_trace(trace);
+        {
+            let _span = telemetry.span("learn");
+            telemetry.trace("event", &[("message", Json::from("hi"))]);
+        }
+        telemetry.trace("checkpoint", &[("remaining_us", Json::Null)]);
         let text = sink.take_string();
         let mut prev_t = 0;
         for line in text.lines() {
@@ -275,17 +234,29 @@ mod tests {
                 "every event carries a tid: {line}"
             );
         }
-        assert_eq!(text.lines().count(), 2);
+        assert_eq!(text.lines().count(), 4);
     }
 
     #[test]
     fn clones_share_the_stream() {
         let (trace, sink) = TraceWriter::to_shared_buffer();
-        let t2 = trace.clone();
-        trace.emit("a", "", &[]);
-        t2.emit("b", "", &[]);
-        assert_eq!(trace.lines(), 2);
-        assert_eq!(sink.take_string().lines().count(), 2);
+        let telemetry = Telemetry::recording();
+        telemetry.set_trace(trace);
+        let t2 = telemetry.clone();
+        telemetry.trace("a", &[]);
+        t2.trace("b", &[]);
+        let text = sink.take_string();
+        let kinds: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                if l.contains("\"kind\":\"a\"") {
+                    "a"
+                } else {
+                    "b"
+                }
+            })
+            .collect();
+        assert_eq!(kinds, ["a", "b"], "one stream, in append order");
     }
 
     struct FailingSink;
@@ -300,10 +271,14 @@ mod tests {
 
     #[test]
     fn write_failures_drop_events_instead_of_panicking() {
-        let trace = TraceWriter::to_writer(Box::new(FailingSink));
-        trace.emit("event", "", &[]);
-        trace.emit("event", "", &[]);
-        assert_eq!(trace.lines(), 0);
+        let mut trace = TraceWriter::to_writer(Box::new(FailingSink));
+        trace.write_line("event", "{}\n");
+        assert!(trace.failed);
+        trace.write_line("event", "{}\n");
+        let telemetry = Telemetry::recording();
+        telemetry.set_trace(trace);
+        telemetry.trace("event", &[]);
+        telemetry.flush_trace();
     }
 
     #[test]

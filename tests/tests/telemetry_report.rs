@@ -1,11 +1,11 @@
 //! End-to-end telemetry: run the full learner with a recording
 //! [`Telemetry`] handle and check the structured run report against
-//! the learner's own results — per-stage oracle-query attribution must
-//! partition the total, and the report must survive a JSON round trip.
+//! the learner's own results: per-stage oracle-query attribution must
+//! partition the total, and stage time must fit in the run's time.
 
 use cirlearn::{Learner, LearnerConfig};
 use cirlearn_oracle::generate;
-use cirlearn_telemetry::{counters, json::Json, RunReport, Telemetry};
+use cirlearn_telemetry::{counters, RunReport, Telemetry};
 
 /// Learns one mixed case (templates + FBDT outputs) and returns the
 /// learner result plus the recorded report.
@@ -42,17 +42,6 @@ fn stage_query_counts_partition_the_learner_total() {
         result.queries
     );
     assert_eq!(report.outputs.len(), result.outputs.len());
-}
-
-#[test]
-fn run_report_round_trips_through_json() {
-    let (_, report) = learn_with_report();
-    assert!(!report.stages.is_empty(), "a real run records stages");
-
-    let text = report.to_json().to_pretty();
-    let parsed = Json::parse(&text).expect("report serializes to valid JSON");
-    let back = RunReport::from_json(&parsed).expect("report deserializes");
-    assert_eq!(back, report, "JSON round trip must be lossless");
 }
 
 #[test]

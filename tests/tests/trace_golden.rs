@@ -6,7 +6,9 @@
 //! budget binds), so the masked stream pins the event kinds, their
 //! order, stage paths and every non-clock field byte for byte. The
 //! flight dump is checked against the same stream: its recorded lines
-//! ahead of the trailer must be a whole-line suffix of it.
+//! ahead of the trailer must be a whole-line suffix of it, byte for
+//! byte with every clock, because each event is formatted once and the
+//! same line feeds both sinks.
 //!
 //! The same run's `report().to_json()` is pinned the same way: with
 //! its clocks masked it fixes the counter names and totals, the
@@ -183,7 +185,8 @@ fn budgeted_run_matches_the_recorded_trace_shape() {
     }
 
     // The dump: recorded lines, then the `flight` marker and its
-    // trailer. The recorded part is a whole-line suffix of the stream.
+    // trailer. The recorded part is a whole-line suffix of the stream,
+    // clocks included: one formatted line feeds both sinks.
     let marker = dump
         .lines()
         .position(|l| {
@@ -199,15 +202,13 @@ fn budgeted_run_matches_the_recorded_trace_shape() {
         .take(marker)
         .map(|l| format!("{l}\n"))
         .collect();
-    let recorded = mask(&recorded);
     assert!(!recorded.is_empty(), "the flight log kept recent events");
+    let evicted = trace
+        .strip_suffix(recorded.as_str())
+        .expect("the dump's recorded lines, timestamps included, end the trace");
     assert!(
-        actual.ends_with(&recorded),
-        "the dump's recorded lines are not a whole-line suffix of the trace"
-    );
-    assert!(
-        actual.len() > recorded.len(),
-        "the run outgrows the flight log, so the dump evicts old lines"
+        evicted.ends_with('\n'),
+        "the run outgrows the flight log, so the dump evicts whole old lines"
     );
     let trailer: Vec<String> = dump
         .lines()
