@@ -4,7 +4,8 @@
 //! node-major `u64` buffer: with `w` words per node, node `i`'s words
 //! sit at `i*w .. (i+1)*w`. The constant node's words stay zero, the
 //! input nodes are written from the caller's patterns (a 64×64 bit
-//! transpose of row-major assignments, or a copy of column vectors),
+//! transpose of row-major assignments, or a copy of column
+//! [`Assignment`]s, bit `k` of a column being pattern `k`),
 //! and the AND nodes are computed in topological order with complemented
 //! fanins applied as XOR masks, so no node allocates anything.
 //!
@@ -15,7 +16,7 @@
 //! `simulate_nodes` returns every word of every node, so its buffer
 //! holds them all and the kernel walks it slice by slice.
 
-use cirlearn_logic::{Assignment, SimVector};
+use cirlearn_logic::Assignment;
 
 use crate::{Aig, Edge};
 
@@ -24,20 +25,21 @@ const SLICE_WORDS: usize = 4;
 
 impl Aig {
     /// Simulates the whole graph on a block of patterns, returning one
-    /// [`SimVector`] per node (indexed by node id).
+    /// column [`Assignment`] per node (indexed by node id): bit `k` is
+    /// the node's value under pattern `k`.
     ///
-    /// `inputs[k]` holds the pattern bits of the `k`-th primary input.
-    /// All input vectors must have the same pattern count.
+    /// `inputs[i]` holds the pattern bits of the `i`-th primary input.
+    /// All input columns must have the same pattern count.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != num_inputs` or pattern counts differ.
-    pub fn simulate_nodes(&self, inputs: &[SimVector]) -> Vec<SimVector> {
+    pub fn simulate_nodes(&self, inputs: &[Assignment]) -> Vec<Assignment> {
         let patterns = self.check_columns(inputs);
         let words = patterns.div_ceil(64);
         if words == 0 {
             return (0..self.node_count())
-                .map(|_| SimVector::zeros(0))
+                .map(|_| Assignment::zeros(0))
                 .collect();
         }
         // The result holds every word of every node anyway, so the
@@ -51,17 +53,18 @@ impl Aig {
             self.and_words(&mut buf, words, offset, (words - offset).min(SLICE_WORDS));
         }
         buf.chunks_exact(words)
-            .map(|node| SimVector::from_words(node.to_vec(), patterns))
+            .map(|node| Assignment::from_words(node.to_vec(), patterns))
             .collect()
     }
 
-    /// Simulates the graph on a block of patterns, returning one
-    /// [`SimVector`] per primary output.
+    /// Simulates the graph on a block of patterns, returning one column
+    /// [`Assignment`] per primary output: bit `k` is the output's value
+    /// under pattern `k`.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != num_inputs` or pattern counts differ.
-    pub fn simulate(&self, inputs: &[SimVector]) -> Vec<SimVector> {
+    pub fn simulate(&self, inputs: &[Assignment]) -> Vec<Assignment> {
         let patterns = self.check_columns(inputs);
         let words = patterns.div_ceil(64);
         let mut outputs: Vec<Vec<u64>> = self
@@ -80,7 +83,7 @@ impl Aig {
         }
         outputs
             .into_iter()
-            .map(|words| SimVector::from_words(words, patterns))
+            .map(|words| Assignment::from_words(words, patterns))
             .collect()
     }
 
@@ -136,14 +139,14 @@ impl Aig {
     }
 
     /// Checks the column-vector contract and returns the pattern count.
-    fn check_columns(&self, inputs: &[SimVector]) -> usize {
+    fn check_columns(&self, inputs: &[Assignment]) -> usize {
         // panic-ok: documented `# Panics` contract guard, once per
         // simulated block (not per pattern).
         assert_eq!(inputs.len(), self.num_inputs(), "wrong input count");
-        let patterns = inputs.first().map_or(0, SimVector::len);
+        let patterns = inputs.first().map_or(0, Assignment::len);
         for v in inputs {
             // panic-ok: documented `# Panics` contract guard, once per
-            // input vector.
+            // input column.
             assert_eq!(v.len(), patterns, "pattern counts differ across inputs");
         }
         patterns
@@ -228,9 +231,9 @@ fn edge_word(nodes: &[u64], e: Edge, w: usize, k: usize) -> u64 {
         .map_or(0, |word| word ^ complement_mask(e))
 }
 
-/// Copies words `offset .. offset + w` of each column vector into its
+/// Copies words `offset .. offset + w` of each input column into its
 /// input node's words.
-fn fill_columns(inputs: &[SimVector], offset: usize, w: usize, dst: &mut [u64]) {
+fn fill_columns(inputs: &[Assignment], offset: usize, w: usize, dst: &mut [u64]) {
     for (node, column) in dst.chunks_exact_mut(w).zip(inputs) {
         for (word, src) in node.iter_mut().zip(column.words().iter().skip(offset)) {
             *word = *src;
@@ -325,7 +328,7 @@ mod tests {
         let mut g = Aig::new();
         let a = g.add_input("a");
         g.add_output(!a, "na");
-        let inputs = vec![SimVector::from_bits([true, false, true])];
+        let inputs = vec![Assignment::from_bits([true, false, true])];
         let out = g.simulate(&inputs);
         assert_eq!(out[0].iter().collect::<Vec<_>>(), vec![false, true, false]);
         // The complement does not leak into the bits past the last pattern.
@@ -343,7 +346,7 @@ mod tests {
     #[should_panic(expected = "wrong input count")]
     fn wrong_input_count_panics() {
         let g = sample_aig();
-        g.simulate(&[SimVector::zeros(4)]);
+        g.simulate(&[Assignment::zeros(4)]);
     }
 
     #[test]

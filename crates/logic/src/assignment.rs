@@ -1,4 +1,5 @@
-//! Packed full assignments to a set of Boolean variables.
+//! The packed bit vector: full assignments to a set of Boolean
+//! variables, and simulation columns.
 
 use std::fmt;
 
@@ -6,8 +7,14 @@ use rand::Rng;
 
 use crate::{Cube, Var};
 
-/// A full assignment `α : X → B` to a contiguous set of variables
-/// `x0 .. x(n-1)`, packed 64 variables per word.
+/// A packed bit vector of `len` bits, 64 per word: bit `k` is bit
+/// `k % 64` of word `k / 64`, and bits past `len` are zero.
+///
+/// Bit `k` is either variable `x_k` of a full assignment
+/// `α : X → B` to `x0 .. x(n-1)`, or pattern `k` of one simulated
+/// signal: bit-parallel simulation (fraiging, equivalence checking,
+/// accuracy evaluation) holds one `Assignment` per signal and evaluates
+/// 64 patterns per word operation.
 ///
 /// Assignments are the only thing a black-box IO generator accepts, so
 /// this type is optimized for fast random generation (optionally biased
@@ -81,6 +88,16 @@ impl Assignment {
             len += 1;
         }
         Assignment { words, len }
+    }
+
+    /// Creates an assignment of `len` bits from packed words, bit `k` at
+    /// bit `k % 64` of word `k / 64`. Missing words read as zero, extra
+    /// words are dropped, and bits past `len` are cleared.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(len.div_ceil(64), 0);
+        let mut a = Assignment { words, len };
+        a.mask_tail();
+        a
     }
 
     /// Creates a uniformly random assignment over `len` variables.
@@ -412,6 +429,27 @@ mod tests {
         assert_eq!(a, b);
         // count_ones must not count bits beyond len
         assert!(a.count_ones() <= 100);
+    }
+
+    #[test]
+    fn random_draws_one_u64_per_word() {
+        use rand::RngCore;
+        let mut r1 = StdRng::seed_from_u64(3);
+        let mut r2 = StdRng::seed_from_u64(3);
+        let a = Assignment::random(130, &mut r1);
+        let words = vec![r2.gen::<u64>(), r2.gen::<u64>(), r2.gen::<u64>()];
+        assert_eq!(a, Assignment::from_words(words, 130));
+        assert_eq!(r1.next_u64(), r2.next_u64(), "stream position differs");
+    }
+
+    #[test]
+    fn from_words_masks_and_resizes() {
+        let a = Assignment::from_words(vec![!0, !0, 7], 70);
+        assert_eq!(a.words().len(), 2);
+        assert_eq!(a.count_ones(), 70);
+        let short = Assignment::from_words(vec![1], 130);
+        assert_eq!(short.words(), &[1, 0, 0]);
+        assert_eq!(Assignment::from_words(Vec::new(), 0), Assignment::zeros(0));
     }
 
     #[test]

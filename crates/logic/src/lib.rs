@@ -7,13 +7,13 @@
 //! * [`Cube`] — conjunctions of literals, the currency of the paper's
 //!   free-binary-decision-tree (FBDT) learner,
 //! * [`Sop`] — sum-of-products expressions (disjunctions of cubes),
-//! * [`Assignment`] — packed full assignments used to query black-box
-//!   IO generators,
+//! * [`Assignment`] — the packed bit vector: a full assignment used to
+//!   query black-box IO generators, or one signal's values over a block
+//!   of simulated patterns (64 per word),
 //! * [`TruthTable`] — word-packed truth tables for functions of up to
 //!   [`TruthTable::MAX_VARS`] variables, with cofactoring, support
 //!   computation and irredundant SOP extraction (Minato–Morreale ISOP,
-//!   run on the table's words by [`isop::cover`]),
-//! * [`SimVector`] — 64-way bit-parallel simulation values.
+//!   run on the table's words by [`isop::cover`]).
 //!
 //! # Examples
 //!
@@ -40,7 +40,6 @@ mod error;
 pub mod isop;
 pub mod npn;
 mod parse;
-mod sim;
 mod sop;
 mod truth;
 mod var;
@@ -50,7 +49,6 @@ pub use cube::Cube;
 pub use error::{Error, Result};
 pub use npn::NpnTransform;
 pub use parse::ParseBooleanError;
-pub use sim::SimVector;
 pub use sop::Sop;
 pub use truth::TruthTable;
 pub use var::{Literal, Var};

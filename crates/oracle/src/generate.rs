@@ -380,24 +380,26 @@ pub fn case(category: Category, num_inputs: usize, num_outputs: usize, seed: u64
 /// on sampled patterns (mixing uniform and biased blocks) — a miter
 /// that is constant in practice would make the case degenerate.
 fn miter_is_nonconstant(aig: &Aig, edge: Edge, rng: &mut StdRng) -> bool {
-    use cirlearn_logic::SimVector;
+    use cirlearn_logic::Assignment;
     let mut saw_one = false;
     let mut saw_zero = false;
     for bias in [None, Some(0.25), Some(0.75)] {
         let patterns = 512;
-        let inputs: Vec<SimVector> = (0..aig.num_inputs())
+        let inputs: Vec<Assignment> = (0..aig.num_inputs())
             .map(|_| match bias {
-                None => SimVector::random(patterns, rng),
-                Some(p) => SimVector::from_bits((0..patterns).map(|_| rng.gen_bool(p))),
+                None => Assignment::random(patterns, rng),
+                Some(p) => Assignment::random_biased(patterns, p, rng),
             })
             .collect();
         let values = aig.simulate_nodes(&inputs);
-        let mut v = values[edge.node().index()].clone();
-        if edge.is_complemented() {
-            v.not_assign();
-        }
-        saw_one |= v.count_ones() > 0;
-        saw_zero |= v.count_ones() < v.len();
+        let node = &values[edge.node().index()];
+        let ones = if edge.is_complemented() {
+            node.len() - node.count_ones()
+        } else {
+            node.count_ones()
+        };
+        saw_one |= ones > 0;
+        saw_zero |= ones < node.len();
         if saw_one && saw_zero {
             return true;
         }

@@ -1,7 +1,7 @@
 //! Tseitin encoding of AIGs and SAT-sweeping equivalence checking.
 
 use cirlearn_aig::{Aig, Edge};
-use cirlearn_logic::{Assignment, SimVector};
+use cirlearn_logic::{Assignment, Var};
 
 use crate::{Lit, SolveResult, Solver, Sweep, SweepStats};
 
@@ -246,7 +246,8 @@ pub fn check_equivalence_with_stats(left: &Aig, right: &Aig) -> (Equivalence, Sw
     let signatures = miter.simulate_nodes(&patterns);
     for &(a, b) in &pairs {
         if let Some(k) = first_difference(&signatures, a, b) {
-            let inputs = Assignment::from_bits(patterns.iter().map(|p| p.bit(k)));
+            let pattern = Var::new(k as u32);
+            let inputs = Assignment::from_bits(patterns.iter().map(|p| p.get(pattern)));
             return (counterexample(left, right, inputs), SweepStats::default());
         }
     }
@@ -277,7 +278,7 @@ fn import_into(miter: &mut Aig, aig: &Aig) -> Vec<Edge> {
 
 /// The fixed simulation block: one column of [`SIM_PATTERNS`] bits per
 /// input, drawn from a splitmix64 stream seeded with [`SIM_SEED`].
-fn sim_patterns(inputs: usize) -> Vec<SimVector> {
+fn sim_patterns(inputs: usize) -> Vec<Assignment> {
     let mut state = SIM_SEED;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -289,14 +290,14 @@ fn sim_patterns(inputs: usize) -> Vec<SimVector> {
     (0..inputs)
         .map(|_| {
             let words = (0..SIM_PATTERNS / 64).map(|_| next()).collect();
-            SimVector::from_words(words, SIM_PATTERNS)
+            Assignment::from_words(words, SIM_PATTERNS)
         })
         .collect()
 }
 
 /// The first pattern on which edges `a` and `b` of the simulated miter
 /// differ.
-fn first_difference(signatures: &[SimVector], a: Edge, b: Edge) -> Option<usize> {
+fn first_difference(signatures: &[Assignment], a: Edge, b: Edge) -> Option<usize> {
     let flip = if a.is_complemented() == b.is_complemented() {
         0
     } else {

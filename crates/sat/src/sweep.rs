@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use cirlearn_aig::{Aig, Edge, NodeId};
-use cirlearn_logic::{Assignment, SimVector};
+use cirlearn_logic::Assignment;
 
 use crate::{AigCnf, SolveResult};
 
@@ -85,7 +85,7 @@ impl<'a> Sweep<'a> {
     /// class where it is, and returns the merges: entry `n` is the
     /// representative edge node `n` was proven equal to, or `None`.
     ///
-    /// `signatures` holds one simulation vector per node (as
+    /// `signatures` holds one simulation column per node (as
     /// [`Aig::simulate_nodes`] returns them). Classes are formed by
     /// signature up to complement over the constant, the inputs and the
     /// AND nodes, in topological order; only AND nodes are ever merged.
@@ -95,16 +95,16 @@ impl<'a> Sweep<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `signatures` does not hold one vector per node.
+    /// Panics if `signatures` does not hold one column per node.
     pub fn merge_classes(
         &mut self,
-        signatures: &[SimVector],
+        signatures: &[Assignment],
         max_solver_calls: usize,
     ) -> Vec<Option<Edge>> {
         let nodes = self.aig.node_count();
         assert_eq!(signatures.len(), nodes, "one signature per node");
         let width = signatures.first().map_or(0, |s| s.words().len());
-        let tail = match signatures.first().map_or(0, SimVector::len) % 64 {
+        let tail = match signatures.first().map_or(0, Assignment::len) % 64 {
             0 => !0,
             bits => (1u64 << bits) - 1,
         };
@@ -391,8 +391,8 @@ mod tests {
         let t_or_b = g.or(t, b);
         let dup = g.and(t, t_or_b); // == a & c
                                     // All eight minterms: the signatures are the truth tables.
-        let patterns: Vec<SimVector> = [0xAAAA, 0xCCCC, 0xF0F0]
-            .map(|w: u64| SimVector::from_words(vec![w * 0x0001_0001_0001_0001], 64))
+        let patterns: Vec<Assignment> = [0xAAAA, 0xCCCC, 0xF0F0]
+            .map(|w: u64| Assignment::from_words(vec![w * 0x0001_0001_0001_0001], 64))
             .to_vec();
         let signatures = g.simulate_nodes(&patterns);
         let mut sweep = Sweep::new(&g);

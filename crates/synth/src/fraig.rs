@@ -12,7 +12,7 @@
 //! what makes the tree-shaped learner output competitive in gate count.
 
 use cirlearn_aig::{Aig, Edge};
-use cirlearn_logic::SimVector;
+use cirlearn_logic::Assignment;
 use cirlearn_sat::{Sweep, SweepStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,8 +80,8 @@ pub fn fraig(aig: &Aig, config: &FraigConfig) -> Aig {
 pub fn fraig_with_stats(aig: &Aig, config: &FraigConfig) -> (Aig, SweepStats) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let patterns = config.patterns.max(64);
-    let inputs: Vec<SimVector> = (0..aig.num_inputs())
-        .map(|_| SimVector::random(patterns, &mut rng))
+    let inputs: Vec<Assignment> = (0..aig.num_inputs())
+        .map(|_| Assignment::random(patterns, &mut rng))
         .collect();
     let signatures = aig.simulate_nodes(&inputs);
     let mut sweep = Sweep::new(aig);

@@ -23,8 +23,6 @@ pub struct OptimizeConfig {
     /// Maximum number of script rounds (each round = balance, rewrite,
     /// fraig).
     pub max_rounds: usize,
-    /// Whether to run the (single) collapse attempt.
-    pub enable_collapse: bool,
     /// Whether to run the (single) SAT redundancy-removal attempt.
     pub enable_redundancy_removal: bool,
     /// Guards for the collapse pass.
@@ -45,7 +43,6 @@ impl Default for OptimizeConfig {
         OptimizeConfig {
             time_budget: Duration::from_secs(60),
             max_rounds: 3,
-            enable_collapse: true,
             enable_redundancy_removal: true,
             collapse: CollapseConfig::default(),
             fraig: FraigConfig::default(),
@@ -216,7 +213,7 @@ pub fn optimize_with(aig: &Aig, config: &OptimizeConfig, telemetry: &Telemetry) 
             if Instant::now() >= deadline {
                 return best;
             }
-            if pass == PassKind::Collapse && (collapsed || !config.enable_collapse) {
+            if pass == PassKind::Collapse && collapsed {
                 continue;
             }
             if pass == PassKind::Redundancy && (swept || !config.enable_redundancy_removal) {
@@ -483,20 +480,5 @@ mod tests {
         assert!(outcome.violation.is_none());
         assert_eq!(outcome.verify_elapsed, Duration::ZERO);
         assert_eq!(telemetry.counter(Counter::VerifyChecks), 0);
-    }
-
-    #[test]
-    fn disabled_collapse_is_honored() {
-        let mut g = Aig::new();
-        let a = g.add_input("a");
-        let b = g.add_input("b");
-        let y = g.xor(a, b);
-        g.add_output(y, "y");
-        let cfg = OptimizeConfig {
-            enable_collapse: false,
-            ..OptimizeConfig::default()
-        };
-        let best = optimize(&g, &cfg);
-        assert!(check_equivalence(&g, &best).is_equivalent());
     }
 }

@@ -33,7 +33,7 @@ mod reference {
     use std::collections::HashMap;
 
     use cirlearn_aig::{Aig, Edge, NodeId};
-    use cirlearn_logic::{Assignment, SimVector};
+    use cirlearn_logic::{Assignment, Var};
     use cirlearn_sat::{AigCnf, Counterexample, Equivalence, SolveResult};
     use cirlearn_synth::FraigConfig;
     use rand::rngs::StdRng;
@@ -42,8 +42,8 @@ mod reference {
     pub fn fraig(aig: &Aig, config: &FraigConfig) -> Aig {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let patterns = config.patterns.max(64);
-        let inputs: Vec<SimVector> = (0..aig.num_inputs())
-            .map(|_| SimVector::random(patterns, &mut rng))
+        let inputs: Vec<Assignment> = (0..aig.num_inputs())
+            .map(|_| Assignment::random(patterns, &mut rng))
             .collect();
         let signatures = aig.simulate_nodes(&inputs);
 
@@ -104,12 +104,12 @@ mod reference {
         out.cleanup()
     }
 
-    fn canonical_signature(sig: &SimVector) -> (Vec<u64>, bool) {
+    fn canonical_signature(sig: &Assignment) -> (Vec<u64>, bool) {
         let words = sig.words();
         let complement = words.first().is_some_and(|w| w & 1 == 1);
         if complement {
-            let mut c = sig.clone();
-            c.not_assign();
+            let negated = words.iter().map(|w| !w).collect();
+            let c = Assignment::from_words(negated, sig.len());
             (c.words().to_vec(), true)
         } else {
             (words.to_vec(), false)
@@ -137,7 +137,8 @@ mod reference {
         let signatures = miter.simulate_nodes(&patterns);
         for &(a, b) in &pairs {
             if let Some(k) = first_difference(&signatures, a, b) {
-                let inputs = Assignment::from_bits(patterns.iter().map(|p| p.bit(k)));
+                let pattern = Var::new(k as u32);
+                let inputs = Assignment::from_bits(patterns.iter().map(|p| p.get(pattern)));
                 return counterexample(left, right, inputs);
             }
         }
@@ -164,7 +165,7 @@ mod reference {
         aig.outputs().iter().map(|(e, _)| edge(&map, *e)).collect()
     }
 
-    fn sim_patterns(inputs: usize) -> Vec<SimVector> {
+    fn sim_patterns(inputs: usize) -> Vec<Assignment> {
         let mut state = SIM_SEED;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -176,12 +177,12 @@ mod reference {
         (0..inputs)
             .map(|_| {
                 let words = (0..SIM_PATTERNS / 64).map(|_| next()).collect();
-                SimVector::from_words(words, SIM_PATTERNS)
+                Assignment::from_words(words, SIM_PATTERNS)
             })
             .collect()
     }
 
-    fn first_difference(signatures: &[SimVector], a: Edge, b: Edge) -> Option<usize> {
+    fn first_difference(signatures: &[Assignment], a: Edge, b: Edge) -> Option<usize> {
         let flip = if a.is_complemented() == b.is_complemented() {
             0
         } else {
@@ -197,7 +198,7 @@ mod reference {
         })
     }
 
-    fn sweep(miter: &Aig, signatures: &[SimVector], cnf: &mut AigCnf) {
+    fn sweep(miter: &Aig, signatures: &[Assignment], cnf: &mut AigCnf) {
         use std::collections::hash_map::Entry;
         let mut classes: HashMap<Vec<u64>, Edge> = HashMap::new();
         let canonical = |node: usize| {

@@ -102,7 +102,7 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -242,7 +242,7 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

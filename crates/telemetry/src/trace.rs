@@ -41,7 +41,7 @@
 
 use std::io::Write;
 
-use crate::json::Json;
+use crate::json::{write_string, Json};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 
@@ -67,16 +67,23 @@ pub(crate) fn format_line(
     stage: &str,
     fields: &[(&'static str, Json)],
 ) -> String {
-    let mut pairs = Vec::with_capacity(4 + fields.len());
-    pairs.push(("t_us".to_owned(), Json::from(t_us)));
-    pairs.push(("kind".to_owned(), Json::from(kind)));
-    pairs.push(("stage".to_owned(), Json::from(stage)));
-    pairs.push(("tid".to_owned(), Json::from(tid)));
+    // alloc-ok: the one line both the trace sink and the flight log keep.
+    let mut line = String::new();
+    line.push_str("{\"t_us\":");
+    Json::Number(t_us as f64).write_compact(&mut line);
+    line.push_str(",\"kind\":");
+    write_string(&mut line, kind);
+    line.push_str(",\"stage\":");
+    write_string(&mut line, stage);
+    line.push_str(",\"tid\":");
+    Json::Number(tid as f64).write_compact(&mut line);
     for (k, v) in fields {
-        pairs.push(((*k).to_owned(), v.clone()));
+        line.push(',');
+        write_string(&mut line, k);
+        line.push(':');
+        v.write_compact(&mut line);
     }
-    let mut line = Json::Object(pairs).to_compact();
-    line.push('\n');
+    line.push_str("}\n");
     line
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use cirlearn_aig::Aig;
-use cirlearn_logic::{Assignment, SimVector};
+use cirlearn_logic::{Assignment, Var};
 use cirlearn_sat::{check_equivalence, Equivalence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,38 +87,27 @@ impl FromStr for VerifyLevel {
     }
 }
 
+/// Number of random patterns for the simulation differential check.
+const SIM_PATTERNS: usize = 256;
+
+/// Seed for the simulation patterns, so a check is deterministic.
+const SIM_SEED: u64 = 0xC1AC_1EA7;
+
 /// Configuration of the checked-pass harness.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The simulation check draws 256 random patterns from a fixed seed,
+/// and every functional witness is minimized by greedy bit-flipping
+/// before it is reported.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyConfig {
     /// How much verification to run after each pass.
     pub level: VerifyLevel,
-    /// Number of random patterns for the simulation differential check.
-    pub sim_patterns: usize,
-    /// Seed for the simulation patterns (deterministic by default).
-    pub seed: u64,
-    /// Whether to minimize witnesses by greedy bit-flipping before
-    /// reporting them.
-    pub minimize: bool,
-}
-
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        VerifyConfig {
-            level: VerifyLevel::Off,
-            sim_patterns: 256,
-            seed: 0xC1AC_1EA7,
-            minimize: true,
-        }
-    }
 }
 
 impl VerifyConfig {
-    /// A configuration at the given level with default knobs.
+    /// A configuration at the given level.
     pub fn at_level(level: VerifyLevel) -> Self {
-        VerifyConfig {
-            level,
-            ..VerifyConfig::default()
-        }
+        VerifyConfig { level }
     }
 }
 
@@ -200,20 +189,15 @@ pub fn verify_pass(before: &Aig, after: &Aig, config: &VerifyConfig) -> Result<(
         return Err(Violation::Lint(lints));
     }
     if config.level >= VerifyLevel::Sim {
-        if let Some(witness) = simulate_difference(before, after, config) {
-            return Err(Violation::Functional(finish(
-                witness, before, after, config,
-            )));
+        if let Some(witness) = simulate_difference(before, after) {
+            return Err(Violation::Functional(witness.minimize(before, after)));
         }
     }
     if config.level >= VerifyLevel::Sat {
         if let Equivalence::Counterexample(cex) = check_equivalence(before, after) {
-            return Err(Violation::Functional(finish(
-                Witness::from(cex),
-                before,
-                after,
-                config,
-            )));
+            return Err(Violation::Functional(
+                Witness::from(cex).minimize(before, after),
+            ));
         }
     }
     Ok(())
@@ -221,12 +205,11 @@ pub fn verify_pass(before: &Aig, after: &Aig, config: &VerifyConfig) -> Result<(
 
 /// Runs the bit-parallel random-simulation differential check,
 /// returning a raw witness on the first disagreement.
-fn simulate_difference(before: &Aig, after: &Aig, config: &VerifyConfig) -> Option<Witness> {
+fn simulate_difference(before: &Aig, after: &Aig) -> Option<Witness> {
     let n = before.num_inputs();
-    let patterns = config.sim_patterns.max(1);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let inputs: Vec<SimVector> = (0..n)
-        .map(|_| SimVector::random(patterns, &mut rng))
+    let mut rng = StdRng::seed_from_u64(SIM_SEED);
+    let inputs: Vec<Assignment> = (0..n)
+        .map(|_| Assignment::random(SIM_PATTERNS, &mut rng))
         .collect();
     let left = before.simulate(&inputs);
     let right = after.simulate(&inputs);
@@ -239,7 +222,8 @@ fn simulate_difference(before: &Aig, after: &Aig, config: &VerifyConfig) -> Opti
             .find(|(_, (a, b))| a != b);
         if let Some((word, (a, b))) = differing {
             let k = word * 64 + (a ^ b).trailing_zeros() as usize;
-            let assignment = Assignment::from_bits((0..n).map(|i| inputs[i].bit(k)));
+            let pattern = Var::new(k as u32);
+            let assignment = Assignment::from_bits(inputs.iter().map(|column| column.get(pattern)));
             return Some(Witness {
                 inputs: assignment,
                 output,
@@ -247,14 +231,6 @@ fn simulate_difference(before: &Aig, after: &Aig, config: &VerifyConfig) -> Opti
         }
     }
     None
-}
-
-fn finish(witness: Witness, before: &Aig, after: &Aig, config: &VerifyConfig) -> Witness {
-    if config.minimize {
-        witness.minimize(before, after)
-    } else {
-        witness
-    }
 }
 
 #[cfg(test)]
@@ -342,8 +318,8 @@ mod tests {
     #[test]
     fn rare_difference_caught_by_sat() {
         // before = AND of 16 inputs, after = constant 0: they differ on
-        // exactly one of 65536 patterns, which 8 random patterns will
-        // almost surely miss — the SAT stage must still find it.
+        // exactly one of 65536 patterns, which the simulation check
+        // misses — the SAT stage must still find it.
         let mut g = Aig::new();
         let xs = g.add_inputs("x", 16);
         let y = g.and_many(&xs);
@@ -351,11 +327,11 @@ mod tests {
         let mut broken = Aig::new();
         let _ = broken.add_inputs("x", 16);
         broken.add_output(Edge::FALSE, "y");
-        let cfg = VerifyConfig {
-            sim_patterns: 8,
-            ..VerifyConfig::at_level(VerifyLevel::Sat)
-        };
-        match verify_pass(&g, &broken, &cfg) {
+        assert_eq!(
+            verify_pass(&g, &broken, &VerifyConfig::at_level(VerifyLevel::Sim)),
+            Ok(())
+        );
+        match verify_pass(&g, &broken, &VerifyConfig::at_level(VerifyLevel::Sat)) {
             Err(Violation::Functional(w)) => {
                 assert!(w.distinguishes(&g, &broken));
                 // The only difference is the all-ones input.
@@ -427,16 +403,6 @@ mod tests {
         match verify_pass(&g, &broken, &cfg) {
             Err(Violation::Functional(w)) => {
                 assert_eq!(w.inputs.count_ones(), 1);
-            }
-            other => panic!("expected functional violation, got {other:?}"),
-        }
-        let raw = VerifyConfig {
-            minimize: false,
-            ..cfg
-        };
-        match verify_pass(&g, &broken, &raw) {
-            Err(Violation::Functional(w)) => {
-                assert!(w.distinguishes(&g, &broken));
             }
             other => panic!("expected functional violation, got {other:?}"),
         }
