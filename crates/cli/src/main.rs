@@ -23,7 +23,7 @@
 //! cirlearn stats <input.aag>
 //! cirlearn trace summary <trace.jsonl> [--top N]
 //! cirlearn trace export <trace.jsonl> --chrome [-o out.json]
-//! cirlearn trace diff <old.jsonl> <new.jsonl> [--pct P] [--min-ms N] [--min-queries N]
+//! cirlearn trace diff <old.jsonl> <new.jsonl> [--pct P] [--min-ms N]
 //! ```
 //!
 //! `learn` treats the input circuit as a black box (only its query
@@ -273,8 +273,7 @@ const USAGE: &str = "usage:
   cirlearn top <status.json> [--once] [--interval SECS]
   cirlearn trace summary <trace.jsonl> [...] [--top N]
   cirlearn trace export <trace.jsonl> --chrome [-o out.json]
-  cirlearn trace diff <old.jsonl> <new.jsonl>
-                 [--pct P] [--min-ms N] [--min-queries N]
+  cirlearn trace diff <old.jsonl> <new.jsonl> [--pct P] [--min-ms N]
 
   learn/learn-bb also accept [--status status.json] (live progress
   snapshots for `cirlearn top`) and [--flight <path|off>] (where the

@@ -4,8 +4,7 @@
 //! ```text
 //! cirlearn trace summary <trace.jsonl> [...] [--top N]
 //! cirlearn trace export <trace.jsonl> --chrome [-o out.json]
-//! cirlearn trace diff <old.jsonl> <new.jsonl>
-//!                     [--pct P] [--min-ms N] [--min-queries N]
+//! cirlearn trace diff <old.jsonl> <new.jsonl> [--pct P] [--min-ms N]
 //! ```
 //!
 //! `summary` prints the hot-span table, the per-(stage, output)
@@ -15,8 +14,8 @@
 //! matches the resumed run's final count); `export --chrome` converts
 //! the stream into Chrome trace-event JSON loadable in Perfetto or
 //! `chrome://tracing`; `diff` compares two traces and exits nonzero
-//! when a regression clears both the relative threshold and the
-//! absolute noise floor.
+//! when an attribution cell's queries rose at all, or a span's time
+//! clears both the relative threshold and the absolute noise floor.
 
 use cirlearn_telemetry::analysis::{self, DiffConfig, TraceEvent, TraceSummary};
 use cirlearn_telemetry::json::Json;
@@ -107,7 +106,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["pct", "min-ms", "min-queries"])?;
+    let opts = Opts::parse(args, &["pct", "min-ms"])?;
     let [old_path, new_path] = opts.positional.as_slice() else {
         return Err("trace diff expects two trace files".to_owned());
     };
@@ -115,26 +114,20 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let cfg = DiffConfig {
         pct_threshold: opts.number("pct", default.pct_threshold)?,
         min_us: opts.number("min-ms", default.min_us / 1000)? * 1000,
-        min_queries: opts.number("min-queries", default.min_queries)?,
     };
     let old = load_summary(old_path)?;
     let new = load_summary(new_path)?;
     let deltas = analysis::diff(&old, &new, &cfg);
     if deltas.is_empty() {
         outln!(
-            "no regressions (+{:.0}% threshold, {}ms / {} query floors)",
+            "no regressions (exact queries; spans +{:.0}% threshold, {}ms floor)",
             cfg.pct_threshold,
-            cfg.min_us / 1000,
-            cfg.min_queries
+            cfg.min_us / 1000
         )?;
         return Ok(());
     }
     for d in &deltas {
         outln!("{d}")?;
     }
-    Err(format!(
-        "{} regression(s) beyond the +{:.0}% threshold",
-        deltas.len(),
-        cfg.pct_threshold
-    ))
+    Err(format!("{} regression(s)", deltas.len()))
 }

@@ -1,17 +1,16 @@
-//! Project concurrency lints for the cirlearn workspace.
+//! Project lints for the cirlearn workspace.
 //!
 //! `cargo run -p cirlearn-lint` scans every `.rs` file under
-//! `crates/`, `vendor/`, and `tests/` and enforces the conventions the
-//! concurrency toolkit (weak-memory loom, the happens-before race
-//! detector, miri in CI) relies on to stay meaningful:
+//! `crates/`, `vendor/`, and `tests/` and enforces the conventions
+//! that keep `unsafe` code and the few shared atomics reviewable:
 //!
 //! - **unsafe-safety-comment** — every `unsafe` block, `unsafe impl`,
 //!   and `unsafe trait` carries a `SAFETY:` comment on the same line or
 //!   in the contiguous comment block directly above it. An argument
 //!   that was never written down cannot be reviewed.
 //! - **static-mut** — `static mut` is banned outright; it is a data
-//!   race waiting for a second thread. Use an atomic from the crate's
-//!   `sync` alias or a lock instead.
+//!   race waiting for a second thread. Use an atomic or a lock
+//!   instead.
 //! - **relaxed-store** — a `Relaxed` *store* (plain store, swap, or
 //!   `fetch_*` read-modify-write, or the success ordering of a
 //!   compare-exchange) publishes nothing and is almost always a bug in
@@ -21,13 +20,6 @@
 //!   compare-exchange *failure* orderings are exempt: the failure
 //!   ordering governs a load. Applies to `src/` trees only — litmus
 //!   tests and seeded-bug tests legitimately use `Relaxed` everywhere.
-//! - **atomic-alias** — the concurrency-touched crate
-//!   (`crates/telemetry`) must route atomics through its cfg-switchable
-//!   `sync` alias rather than naming `std::sync::atomic`,
-//!   `loom::sync::`, or `tsan::sync::` directly; a direct use silently
-//!   escapes the model checker and the race detector. The alias module
-//!   itself opts out with a `cirlearn-lint: allow(atomic-alias)` file
-//!   marker.
 //!
 //! The scanner is deliberately syn-free: a line/token scanner over a
 //! small state machine that strips string literals and separates
@@ -76,8 +68,6 @@ pub enum Rule {
     StaticMut,
     /// A `Relaxed` store outside the `// relaxed-ok:` allow-list.
     RelaxedStore,
-    /// A direct atomic import in an alias-enforced crate.
-    AtomicAlias,
     /// A panic-capable construct (`unwrap`/`expect`/`panic!`/`assert!`/
     /// `unreachable!`/slice indexing) in a function reachable from a
     /// hot-path root, without a `// panic-ok:` justification.
@@ -98,7 +88,6 @@ impl Rule {
             Rule::UnsafeSafetyComment => "unsafe-safety-comment",
             Rule::StaticMut => "static-mut",
             Rule::RelaxedStore => "relaxed-store",
-            Rule::AtomicAlias => "atomic-alias",
             Rule::HotPanic => "hot-panic",
             Rule::HotAlloc => "hot-alloc",
             Rule::HotBlocking => "hot-blocking",
@@ -112,7 +101,6 @@ impl Rule {
             Rule::UnsafeSafetyComment
             | Rule::StaticMut
             | Rule::RelaxedStore
-            | Rule::AtomicAlias
             | Rule::HotPanic
             | Rule::HotBlocking => Severity::Deny,
             Rule::HotAlloc => Severity::Warn,
@@ -402,26 +390,12 @@ const STORE_CALLS: &[&str] = &[
     "fetch_update(",
 ];
 
-/// Crate source trees that must route atomics through their `sync`
-/// alias (relative, `/`-separated paths).
-const ALIAS_ENFORCED: &[&str] = &["crates/telemetry/src"];
-
-/// File marker opting an alias module itself out of the atomic-alias
-/// rule.
-const ALIAS_MARKER: &str = "cirlearn-lint: allow(atomic-alias)";
-
-/// Paths the atomic-alias rule flags when used directly in enforced
-/// crates.
-const DIRECT_ATOMICS: &[&str] = &["std::sync::atomic", "loom::sync::", "tsan::sync::"];
-
 /// Scan one file's contents. `path` is the root-relative,
 /// `/`-separated path used both for diagnostics and for path-scoped
 /// rules.
 pub fn scan_source(path: &str, contents: &str) -> Vec<Violation> {
     let lines = split_lines(contents);
     let in_src = path.contains("/src/") || path.starts_with("src/");
-    let alias_enforced =
-        ALIAS_ENFORCED.iter().any(|d| path.starts_with(d)) && !contents.contains(ALIAS_MARKER);
     let mut out = Vec::new();
     let mut push = |line: usize, rule: Rule, message: String| {
         out.push(Violation {
@@ -461,9 +435,7 @@ pub fn scan_source(path: &str, contents: &str) -> Vec<Violation> {
             push(
                 idx,
                 Rule::StaticMut,
-                "`static mut` is banned; use an atomic from the crate's \
-                 `sync` alias or a lock"
-                    .to_string(),
+                "`static mut` is banned; use an atomic or a lock".to_string(),
             );
         }
 
@@ -483,23 +455,6 @@ pub fn scan_source(path: &str, contents: &str) -> Vec<Violation> {
                      justification on this line or directly above"
                         .to_string(),
                 );
-            }
-        }
-
-        // Rule: atomic-alias (enforced crates only).
-        if alias_enforced {
-            for direct in DIRECT_ATOMICS {
-                if code.contains(direct) {
-                    push(
-                        idx,
-                        Rule::AtomicAlias,
-                        format!(
-                            "direct use of `{direct}` in an alias-enforced \
-                             crate; route through the crate's `sync` alias \
-                             so loom and the race detector see it"
-                        ),
-                    );
-                }
             }
         }
     }
@@ -661,24 +616,7 @@ mod tests {
     fn relaxed_stores_outside_src_trees_are_not_policed() {
         let src = "fn f(a: &AtomicU64) {\n    a.store(1, Ordering::Relaxed);\n}\n";
         assert!(rules("crates/x/tests/litmus.rs", src).is_empty());
-        assert!(rules("vendor/loom/tests/weak.rs", src).is_empty());
-    }
-
-    #[test]
-    fn direct_atomics_in_enforced_crates_are_flagged() {
-        let src = "use std::sync::atomic::AtomicU64;\n";
-        assert_eq!(
-            rules("crates/telemetry/src/evil.rs", src),
-            vec![Rule::AtomicAlias]
-        );
-        // Unenforced crates may talk to std atomics directly.
-        assert!(rules("crates/core/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn the_alias_marker_opts_a_file_out() {
-        let src = "// cirlearn-lint: allow(atomic-alias)\nuse std::sync::atomic::AtomicU64;\nuse loom::sync::atomic::AtomicU64 as L;\n";
-        assert!(rules("crates/telemetry/src/sync.rs", src).is_empty());
+        assert!(rules("vendor/rand/tests/litmus.rs", src).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Line mode (default): `cirlearn-lint [root]` scans `.rs` files under
 //! `{root}/crates`, `{root}/vendor`, and `{root}/tests` with the
-//! per-line concurrency rules, prints each violation as
+//! per-line rules, prints each violation as
 //! `path:line: [rule] message`, and exits nonzero if any were found.
 //!
 //! Graph mode: `cirlearn-lint --graph [root] [--deny] [--roots p,...]

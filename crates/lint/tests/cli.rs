@@ -53,18 +53,9 @@ fn seeded_violations_of_every_rule_exit_nonzero() {
         "crates/x/src/bad_relaxed.rs",
         "fn f(a: &AtomicU64) {\n    a.store(1, Ordering::Relaxed);\n}\n",
     );
-    tree.write(
-        "crates/telemetry/src/bad_alias.rs",
-        "use std::sync::atomic::AtomicU64;\n",
-    );
     let (code, stdout) = run_lint(&tree.0);
     assert_eq!(code, Some(1), "seeded tree must fail the lint:\n{stdout}");
-    for rule in [
-        "unsafe-safety-comment",
-        "static-mut",
-        "relaxed-store",
-        "atomic-alias",
-    ] {
+    for rule in ["unsafe-safety-comment", "static-mut", "relaxed-store"] {
         assert!(
             stdout.contains(&format!("[{rule}]")),
             "missing [{rule}] in output:\n{stdout}"

@@ -3,8 +3,7 @@
 //! This is the test that keeps the allow-lists honest: every `unsafe`
 //! block in the repo carries a written `SAFETY:` argument, every
 //! `Relaxed` store in a `src/` tree carries a `// relaxed-ok:` reason,
-//! nothing uses `static mut`, and the alias-enforced crates never name
-//! an atomic backend directly.
+//! and nothing uses `static mut`.
 //!
 //! The call-graph pins live here too: the hot paths (oracle query
 //! surface, FBDT expansion, packed simulation, pattern sampling)

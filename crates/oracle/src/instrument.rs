@@ -19,7 +19,7 @@ use crate::oracle::Oracle;
 /// attribution context (output scope, FBDT depth) the learner has set
 /// at the time they are served.
 ///
-/// Latency lands in the handle's lock-free histograms: each answered
+/// Latency lands in the handle's histograms: each answered
 /// call's round trip in `oracle.batch_ns`, with its pattern count in
 /// `oracle.batch_size` (one sample per call, so a batch's tail latency
 /// stays visible; a single query is a call of size 1).

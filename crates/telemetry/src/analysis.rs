@@ -9,9 +9,10 @@
 //!   critical path through the span tree,
 //! - [`to_chrome_trace`]: a Chrome trace-event JSON document loadable
 //!   in Perfetto / `chrome://tracing`,
-//! - [`diff`]: a regression comparison of two summaries under a
-//!   relative threshold AND an absolute noise floor, so span-time
-//!   jitter on tiny runs does not flag.
+//! - [`diff`]: a regression comparison of two summaries: any rise in
+//!   an attribution cell's queries flags, while span times flag only
+//!   past a relative threshold AND an absolute noise floor, so
+//!   wall-clock jitter on tiny runs does not.
 //!
 //! Everything here is pure and file-format driven — analyses run on
 //! traces from crashed runs too, where unclosed spans are closed at
@@ -575,16 +576,16 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
     ])
 }
 
-/// Noise-floor configuration for [`diff`]: a change flags only when
-/// it exceeds the relative threshold AND the metric's absolute floor.
+/// Span-time noise floors for [`diff`]: a span's total time flags
+/// only when it exceeds the relative threshold AND the absolute
+/// floor. Query counts are exact and have no floor.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffConfig {
-    /// Relative growth (percent) below which changes are noise.
+    /// Relative growth (percent) below which span-time changes are
+    /// noise.
     pub pct_threshold: f64,
     /// Absolute floor for span-time comparisons (µs).
     pub min_us: u64,
-    /// Absolute floor for query-count comparisons.
-    pub min_queries: u64,
 }
 
 impl Default for DiffConfig {
@@ -592,7 +593,6 @@ impl Default for DiffConfig {
         DiffConfig {
             pct_threshold: 25.0,
             min_us: 50_000,
-            min_queries: 64,
         }
     }
 }
@@ -624,31 +624,25 @@ impl std::fmt::Display for TraceDelta {
 }
 
 /// Compares two trace summaries, returning the regressions in `new`
-/// relative to `old` that clear both the relative threshold and the
-/// per-metric absolute noise floor.
+/// relative to `old`: every attribution cell whose queries rose, and
+/// every span whose total time clears both the relative threshold and
+/// the absolute floor of `cfg`.
 pub fn diff(old: &TraceSummary, new: &TraceSummary, cfg: &DiffConfig) -> Vec<TraceDelta> {
     let factor = 1.0 + cfg.pct_threshold / 100.0;
     let mut deltas = Vec::new();
-    let mut worse = |what: String, old_v: f64, new_v: f64, floor: f64| {
-        if new_v > old_v * factor && new_v - old_v > floor {
-            deltas.push(TraceDelta {
-                what,
-                old: old_v,
-                new: new_v,
-            });
-        }
-    };
 
     let old_spans: BTreeMap<&str, &SpanStat> =
         old.spans.iter().map(|s| (s.path.as_str(), s)).collect();
     for s in &new.spans {
-        let old_total = old_spans.get(s.path.as_str()).map_or(0, |o| o.total_us);
-        worse(
-            format!("span {} total_us", s.path),
-            old_total as f64,
-            s.total_us as f64,
-            cfg.min_us as f64,
-        );
+        let old_us = old_spans.get(s.path.as_str()).map_or(0, |o| o.total_us) as f64;
+        let new_us = s.total_us as f64;
+        if new_us > old_us * factor && new_us - old_us > cfg.min_us as f64 {
+            deltas.push(TraceDelta {
+                what: format!("span {} total_us", s.path),
+                old: old_us,
+                new: new_us,
+            });
+        }
     }
 
     let old_attr: BTreeMap<(&str, Option<u64>), u64> = old
@@ -659,16 +653,16 @@ pub fn diff(old: &TraceSummary, new: &TraceSummary, cfg: &DiffConfig) -> Vec<Tra
     for a in &new.attribution {
         let key = (a.stage.as_str(), a.output);
         let old_q = old_attr.get(&key).copied().unwrap_or(0);
-        let label = match a.output {
-            Some(o) => format!("attr {}[{}] queries", a.stage, o),
-            None => format!("attr {} queries", a.stage),
-        };
-        worse(
-            label,
-            old_q as f64,
-            a.queries as f64,
-            cfg.min_queries as f64,
-        );
+        if a.queries > old_q {
+            deltas.push(TraceDelta {
+                what: match a.output {
+                    Some(o) => format!("attr {}[{}] queries", a.stage, o),
+                    None => format!("attr {} queries", a.stage),
+                },
+                old: old_q as f64,
+                new: a.queries as f64,
+            });
+        }
     }
     deltas
 }
@@ -857,7 +851,7 @@ mod tests {
         // Identical runs: no regressions.
         assert!(diff(&old, &old, &DiffConfig::default()).is_empty());
 
-        // Inflate fbdt's queries far past floor and threshold.
+        // Inflate fbdt's queries.
         let text = sample_trace().replace(
             r#""output":0,"queries":200"#,
             r#""output":0,"queries":2000"#,
@@ -875,14 +869,14 @@ mod tests {
         );
         assert!(deltas[0].what.contains("fbdt[0]"));
 
-        // Small absolute growth stays under the floor.
+        // Queries are exact: a small rise flags too, and a fall does not.
         let text =
             sample_trace().replace(r#""output":0,"queries":200"#, r#""output":0,"queries":260"#);
         let new = summarize(&parse_trace(&text).expect("parses"));
-        assert!(
-            diff(&old, &new, &cfg).is_empty(),
-            "under the 64-query floor"
-        );
+        let deltas = diff(&old, &new, &cfg);
+        assert_eq!(deltas.len(), 1, "any query rise flags: {deltas:?}");
+        assert_eq!((deltas[0].old, deltas[0].new), (200.0, 260.0));
+        assert!(diff(&new, &old, &cfg).is_empty(), "a fall is no regression");
     }
 
     #[test]

@@ -8,25 +8,10 @@
 //! structure a fixed 496-slot array: no allocation per sample and no
 //! rebinning.
 //!
-//! Recording is lock-free: buckets are relaxed atomics, so a shared
-//! `Arc<Histogram>` can be hammered from a hot loop without taking the
-//! telemetry mutex per sample. Quantile reads are taken from a relaxed
-//! snapshot and are approximate under concurrent writes — exact once
-//! the writers are done, which is when reports are taken.
-//!
-//! # Publication discipline
-//!
-//! Readers may run concurrently with writers, so the writer updates
-//! `min`/`max`/buckets/`sum` **before** bumping `count` — relaxed
-//! read-modify-writes published by a `Release` `count` increment — and
-//! readers gate on an `Acquire` load of `count` first. A reader that
-//! observes `count > 0` therefore synchronizes with the writers behind
-//! those samples and never sees the `u64::MAX` min sentinel of an
-//! empty histogram. The discipline is model-checked under the
-//! weak-memory loom shim (`crates/telemetry/tests/loom_histogram.rs`,
-//! built with `--cfg loom`) and exercised under the happens-before
-//! race detector (`--cfg race`): the atomics come from [`crate::sync`],
-//! so the exact production code path runs under all three backends.
+//! Buckets and totals are [`Cell`]s: recording through `&self` is a
+//! handful of plain adds, and the histogram is `!Sync`, so it is read
+//! and written from the one thread that owns its
+//! [`Telemetry`](crate::Telemetry) handle.
 //!
 //! # Examples
 //!
@@ -44,10 +29,10 @@
 //! assert!((437..=563).contains(&p50), "p50 estimate {p50}");
 //! ```
 
+use std::cell::Cell;
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per base-2 octave (8 → ≤ 12.5% bucket width).
 pub const SUB_BUCKETS: u64 = 8;
@@ -86,46 +71,31 @@ pub fn bucket_lower_bound(index: usize) -> u64 {
     (SUB_BUCKETS + sub) << octave
 }
 
-/// A log-bucketed histogram, generic over its bucket count so
-/// the concurrency tests can run the exact production code path with a
-/// small `N` that keeps the model-checked schedule space tractable. The
-/// atomic type comes from [`crate::sync`] (std / loom / tsan, chosen at
-/// compile time). Use the [`Histogram`] alias everywhere outside
-/// concurrency tests.
-///
-/// With `N < NUM_BUCKETS`, values past the last bucket clamp into it;
-/// `N` must not exceed [`NUM_BUCKETS`].
+/// A log-bucketed histogram of `u64` samples (see the module docs).
 #[derive(Debug)]
-pub struct RawHistogram<const N: usize = NUM_BUCKETS> {
-    buckets: Box<[AtomicU64; N]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+pub struct Histogram {
+    buckets: Box<[Cell<u64>; NUM_BUCKETS]>,
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
 }
 
-/// The production histogram: the full bucket range over the backend
-/// atomics selected by [`crate::sync`].
-pub type Histogram = RawHistogram<NUM_BUCKETS>;
-
-impl<const N: usize> Default for RawHistogram<N> {
+impl Default for Histogram {
     fn default() -> Self {
-        RawHistogram::new()
+        Histogram::new()
     }
 }
 
-impl<const N: usize> RawHistogram<N> {
+impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        // panic-ok: compile-time-constant guard, once per histogram
-        // construction.
-        assert!(N > 0 && N <= NUM_BUCKETS, "bucket count {N} out of range");
-        RawHistogram {
-            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+        Histogram {
+            buckets: Box::new(std::array::from_fn(|_| Cell::new(0))),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            min: Cell::new(u64::MAX),
+            max: Cell::new(0),
         }
     }
 
@@ -139,22 +109,14 @@ impl<const N: usize> RawHistogram<N> {
         if n == 0 {
             return;
         }
-        // Publication order: extrema and buckets first, `count` last with
-        // Release. Readers gate on an Acquire load of `count`, so once
-        // they see these samples in the count they synchronize with this
-        // writer and min/max are already past the empty-histogram
-        // sentinels.
-        // relaxed-ok: published by the Release `count` increment below.
-        self.min.fetch_min(value, Ordering::Relaxed);
-        // relaxed-ok: published by the Release `count` increment below.
-        self.max.fetch_max(value, Ordering::Relaxed);
-        // relaxed-ok: published by the Release `count` increment below.
-        // panic-ok: the `.min(N - 1)` clamps the bucket in bounds.
-        self.buckets[bucket_of(value).min(N - 1)].fetch_add(n, Ordering::Relaxed);
-        // relaxed-ok: published by the Release `count` increment below.
+        self.min.set(self.min.get().min(value));
+        self.max.set(self.max.get().max(value));
+        // panic-ok: `bucket_of` is below `NUM_BUCKETS` for every value.
+        let bucket = &self.buckets[bucket_of(value)];
+        bucket.set(bucket.get() + n);
         self.sum
-            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Release);
+            .set(self.sum.get().wrapping_add(value.saturating_mul(n)));
+        self.count.set(self.count.get() + n);
     }
 
     /// Records a duration as nanoseconds (saturating at `u64::MAX`,
@@ -163,39 +125,29 @@ impl<const N: usize> RawHistogram<N> {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Number of recorded samples. The Acquire load is the reader side
-    /// of the publication discipline: it synchronizes with every
-    /// Release increment whose samples it observes.
+    /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
+        self.count.get()
     }
 
-    /// Sum of all samples (saturating).
+    /// Sum of all samples (each sample's `value * n` saturates; the
+    /// total wraps).
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum.get()
     }
 
     /// Smallest recorded sample (0 when empty).
     pub fn min(&self) -> u64 {
-        // Check `count` before touching `min`: the writer publishes count
-        // last with Release, so a nonzero Acquire-loaded count guarantees
-        // the sentinel was replaced *and* that replacement is visible.
-        // (Reading `min` first raced: the writer could complete between
-        // the two loads and the stale u64::MAX sentinel leaked out.)
         if self.count() == 0 {
-            return 0;
-        }
-        let v = self.min.load(Ordering::Relaxed);
-        if v == u64::MAX {
             0
         } else {
-            v
+            self.min.get()
         }
     }
 
     /// Largest recorded sample (exact, not bucketed; 0 when empty).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.max.get()
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`), reported as the lower bound
@@ -216,12 +168,9 @@ impl<const N: usize> RawHistogram<N> {
         }
         let mut seen = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+            seen += b.get();
             if seen >= rank {
-                // Cap at the exact max: the top bucket's lower bound
-                // can never exceed the largest sample, but intermediate
-                // buckets under concurrent writes could.
-                return bucket_lower_bound(i).min(self.max());
+                return bucket_lower_bound(i);
             }
         }
         self.max()
@@ -420,15 +369,14 @@ mod tests {
     }
 
     #[test]
-    fn small_raw_histogram_clamps_into_its_top_bucket() {
-        // The loom tests use a tiny bucket count; values past the last
-        // bucket must clamp, not index out of range.
-        let h: RawHistogram<4> = RawHistogram::new();
+    fn extreme_values_land_in_the_top_bucket() {
+        let h = Histogram::new();
         h.record(2);
-        h.record(1_000_000);
+        h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 2);
-        assert_eq!(h.max(), 1_000_000);
-        assert_eq!(h.quantile(1.0), 1_000_000);
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.quantile(0.5), 2);
+        assert_eq!(h.quantile(1.0), u64::MAX);
     }
 }

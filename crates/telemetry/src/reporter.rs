@@ -56,7 +56,7 @@ impl std::str::FromStr for Level {
 /// Implementations decide formatting and destination; the pipeline
 /// only calls [`Reporter::event`]. `stage` is the `/`-joined span path
 /// active when the event fired (empty outside any span).
-pub trait Reporter: Send {
+pub trait Reporter {
     /// Handles one event.
     fn event(&mut self, level: Level, stage: &str, message: &str);
 }

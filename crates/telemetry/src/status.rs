@@ -229,7 +229,7 @@ fn render_bar(done: u64, total: u64) -> String {
     bar
 }
 
-#[cfg(all(test, not(any(loom, race))))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

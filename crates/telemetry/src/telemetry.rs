@@ -1,8 +1,10 @@
 //! The [`Telemetry`] handle: stage-scoped spans, monotonic counters,
 //! latency histograms, trace emission and events.
 
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::histogram::Histogram;
@@ -14,9 +16,7 @@ use crate::report::{
 };
 use crate::reporter::{Level, Reporter};
 use crate::status::StatusSnapshot;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex, MutexGuard};
-use crate::trace::{current_tid, format_line, TraceWriter};
+use crate::trace::{format_line, TraceWriter};
 
 struct ActiveSpan {
     id: u64,
@@ -59,7 +59,7 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Writes a status payload produced under the telemetry lock (see
+/// Writes a status payload built by the recorder (see
 /// [`Inner::maybe_emit_metrics`]). Best-effort: a full disk or an
 /// unlinked directory must not take the run down.
 fn write_status(payload: Option<(PathBuf, String)>) {
@@ -74,8 +74,8 @@ const FLIGHT_LOG_BYTES: usize = 32 * 1024;
 /// The always-on flight recorder: the most recent trace lines, whole
 /// and oldest first, at most [`FLIGHT_LOG_BYTES`] in total.
 ///
-/// It lives in [`Inner`], so every append and every dump copy happens
-/// under the telemetry lock. It records the very lines the trace
+/// It lives in [`Inner`], beside the trace stream. It records the very
+/// lines the trace
 /// stream gets, stamped with the run clock, so a dump and a trace of
 /// the same run share one timeline.
 #[derive(Default)]
@@ -113,25 +113,25 @@ impl FlightLog {
 }
 
 /// Everything behind an enabled handle: the fixed metric tables,
-/// recorded lock-free from any thread, beside the locked recorder.
+/// recorded with plain adds, beside the borrowed recorder.
 struct Shared {
     /// When the handle was created: the run's clock.
     start: Instant,
     /// Counter values, indexed by [`Counter`].
-    counters: [AtomicU64; Counter::COUNT],
+    counters: [Cell<u64>; Counter::COUNT],
     /// Histograms, indexed by [`Hist`].
     histograms: [Histogram; Hist::COUNT],
     /// Nanoseconds of answered oracle calls (the ledger's, unreported).
-    query_ns: AtomicU64,
+    query_ns: Cell<u64>,
     /// When the next `metrics` snapshot is due, in ns since `start`.
-    snapshot_due: AtomicU64,
-    inner: Mutex<Inner>,
+    snapshot_due: Cell<u64>,
+    inner: RefCell<Inner>,
 }
 
 impl Shared {
     fn counter(&self, counter: Counter) -> u64 {
         // panic-ok: a `Counter` discriminant is below `Counter::COUNT`.
-        self.counters[counter as usize].load(Ordering::Relaxed)
+        self.counters[counter as usize].get()
     }
 
     /// Every counter's current value, indexed by [`Counter`].
@@ -141,8 +141,8 @@ impl Shared {
 
     fn add(&self, counter: Counter, delta: u64) {
         // panic-ok: a `Counter` discriminant is below `Counter::COUNT`.
-        // relaxed-ok: a monotonic total; the add publishes nothing else.
-        self.counters[counter as usize].fetch_add(delta, Ordering::Relaxed);
+        let cell = &self.counters[counter as usize];
+        cell.set(cell.get() + delta);
     }
 }
 
@@ -190,11 +190,11 @@ impl Inner {
     /// Moves the queries and query nanoseconds recorded since the last
     /// settle into the current context's ledger cell (and depth bucket).
     /// Called before the context changes and before the ledger is read;
-    /// the recording thread changes context only between oracle
-    /// batches, so every batch lands in the cell it was recorded under.
+    /// the pipeline changes context only between oracle batches, so
+    /// every batch lands in the cell it was recorded under.
     fn settle(&mut self, shared: &Shared) {
         let queries = shared.counter(Counter::OracleQueries);
-        let query_ns = shared.query_ns.load(Ordering::Relaxed);
+        let query_ns = shared.query_ns.get();
         let dq = queries.saturating_sub(self.settled.0);
         let dns = query_ns.saturating_sub(self.settled.1);
         self.settled = (queries, query_ns);
@@ -248,9 +248,8 @@ impl Inner {
     /// `force`d. Publishes the next due time for the batch path.
     ///
     /// Returns the status-channel payload to write, if a `--status`
-    /// path is set and the throttle fired. The *caller* must write it
-    /// after releasing the telemetry mutex: the atomic rewrite fsyncs,
-    /// and that must never happen under the lock.
+    /// path is set and the throttle fired; the caller writes it with
+    /// [`write_status`].
     fn maybe_emit_metrics(&mut self, shared: &Shared, force: bool) -> Option<(PathBuf, String)> {
         let now = Instant::now();
         let dt = now.duration_since(self.metrics_last);
@@ -265,10 +264,9 @@ impl Inner {
         };
         self.metrics_last = now;
         self.metrics_last_queries = queries;
-        let due = nanos(now.duration_since(shared.start) + METRICS_INTERVAL);
-        // relaxed-ok: a hint for the batch path, which re-checks the
-        // throttle under the lock before emitting anything.
-        shared.snapshot_due.store(due, Ordering::Relaxed);
+        shared
+            .snapshot_due
+            .set(nanos(now.duration_since(shared.start) + METRICS_INTERVAL));
         if self.trace.is_none() && self.flight.is_none() && self.status_path.is_none() {
             return None;
         }
@@ -278,7 +276,7 @@ impl Inner {
     }
 
     /// Builds the `--status` channel payload (path + serialized
-    /// snapshot) for the caller to `write_atomic` outside the lock.
+    /// snapshot) for the caller to write with [`write_status`].
     fn status_payload(&mut self, shared: &Shared, done: bool) -> Option<(PathBuf, String)> {
         let path = self.status_path.clone()?;
         let snapshot = self.status_snapshot(shared, done).to_json().to_pretty();
@@ -335,7 +333,7 @@ impl Inner {
         }
         let stage = stage.unwrap_or_else(|| path(&self.stack));
         let t_us = micros(shared.start.elapsed());
-        let line = format_line(t_us, current_tid(), kind, stage, fields);
+        let line = format_line(t_us, kind, stage, fields);
         if let Some(trace) = &mut self.trace {
             trace.write_line(kind, &line);
         }
@@ -404,6 +402,23 @@ impl Inner {
 /// pipeline needs it; [`Telemetry::disabled`] is a zero-cost no-op
 /// handle for callers that do not observe the run.
 ///
+/// The handle belongs to one thread: clones share an `Rc`, counters
+/// and histograms are `Cell`s, and the recorder is a `RefCell`, so
+/// recording is a plain add and `Telemetry` is neither `Send` nor
+/// `Sync`. The compiler rejects a second writer:
+///
+/// ```compile_fail,E0277
+/// use cirlearn_telemetry::Telemetry;
+///
+/// let telemetry = Telemetry::recording();
+/// let clone = telemetry.clone();
+/// std::thread::spawn(move || clone.trace("elsewhere", &[]));
+/// ```
+///
+/// Nothing records into the handle while its recorder is borrowed:
+/// reporters and trace sinks never call back into the `Telemetry`
+/// that drives them. A re-entrant call would panic on the borrow.
+///
 /// # Examples
 ///
 /// ```
@@ -419,7 +434,7 @@ impl Inner {
 /// ```
 #[derive(Clone)]
 pub struct Telemetry {
-    shared: Option<Arc<Shared>>,
+    shared: Option<Rc<Shared>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -442,11 +457,11 @@ impl Telemetry {
         let start = Instant::now();
         let shared = Shared {
             start,
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            counters: std::array::from_fn(|_| Cell::new(0)),
             histograms: std::array::from_fn(|_| Histogram::new()),
-            query_ns: AtomicU64::new(0),
-            snapshot_due: AtomicU64::new(nanos(METRICS_INTERVAL)),
-            inner: Mutex::new(Inner {
+            query_ns: Cell::new(0),
+            snapshot_due: Cell::new(nanos(METRICS_INTERVAL)),
+            inner: RefCell::new(Inner {
                 reporter,
                 next_span_id: 0,
                 stack: Vec::new(),
@@ -471,7 +486,7 @@ impl Telemetry {
             }),
         };
         Telemetry {
-            shared: Some(Arc::new(shared)),
+            shared: Some(Rc::new(shared)),
         }
     }
 
@@ -486,21 +501,19 @@ impl Telemetry {
         self.shared.is_some()
     }
 
-    /// Applies `f` to the locked recorder; a no-op when disabled.
+    /// Applies `f` to the recorder; a no-op when disabled.
     fn update<R>(&self, f: impl FnOnce(&mut Inner) -> R) {
-        if let Some((_, mut inner)) = self.lock() {
+        if let Some((_, mut inner)) = self.recorder() {
             f(&mut inner);
         }
     }
 
-    fn lock(&self) -> Option<(&Shared, MutexGuard<'_, Inner>)> {
+    /// Borrows the recorder: spans, events, the ledger and the sinks.
+    /// Counters, histograms and oracle batches record beside it, so the
+    /// per-batch path borrows it only when a snapshot is due.
+    fn recorder(&self) -> Option<(&Shared, RefMut<'_, Inner>)> {
         let shared = self.shared.as_deref()?;
-        // blocking-ok: guards spans, events, the ledger and the sinks;
-        // counters, histograms and oracle batches record lock-free, so
-        // the per-batch path takes it only when a snapshot is due. The
-        // learner records from one thread, so it is never contended.
-        let inner = shared.inner.lock().unwrap_or_else(|p| p.into_inner());
-        Some((shared, inner))
+        Some((shared, shared.inner.borrow_mut()))
     }
 
     /// Enters a stage span; the returned guard closes it on drop.
@@ -510,7 +523,7 @@ impl Telemetry {
     /// top-level span's name keys its attribution-ledger cells.
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &'static str) -> Span {
-        let Some((shared, mut guard)) = self.lock() else {
+        let Some((shared, mut guard)) = self.recorder() else {
             return Span {
                 telemetry: Telemetry::disabled(),
                 id: 0,
@@ -566,24 +579,19 @@ impl Telemetry {
     /// Counts `n` oracle queries that together took `total_ns`; the
     /// active ledger cell (and FBDT depth bucket) takes them when the
     /// context next changes or the ledger is read. Called at the source
-    /// by `InstrumentedOracle`; takes the lock only when a periodic
-    /// `metrics` snapshot is due.
+    /// by `InstrumentedOracle`; borrows the recorder only when a
+    /// periodic `metrics` snapshot is due.
     pub fn record_oracle_queries(&self, n: u64, total_ns: u64) {
         let Some(shared) = self.shared.as_deref().filter(|_| n > 0) else {
             return;
         };
-        // relaxed-ok: a monotonic total, settled into the ledger under
-        // the lock on the recording thread.
-        shared.query_ns.fetch_add(total_ns, Ordering::Relaxed);
+        shared.query_ns.set(shared.query_ns.get() + total_ns);
         shared.add(Counter::OracleQueries, n);
-        // relaxed-ok: a hint; the throttle is re-checked under the lock.
-        if nanos(shared.start.elapsed()) < shared.snapshot_due.load(Ordering::Relaxed) {
+        if nanos(shared.start.elapsed()) < shared.snapshot_due.get() {
             return;
         }
-        // blocking-ok: `Telemetry::lock` — taken only when a throttled
-        // snapshot is due, at most once per metrics interval.
         let status = self
-            .lock()
+            .recorder()
             .and_then(|(shared, mut inner)| inner.maybe_emit_metrics(shared, false));
         write_status(status);
     }
@@ -593,7 +601,7 @@ impl Telemetry {
     /// it. Scopes nest — the guard restores the previous output.
     #[must_use = "the output scope ends when the guard drops"]
     pub fn output_scope(&self, output: usize) -> OutputScope {
-        let prev = self.lock().and_then(|(shared, mut inner)| {
+        let prev = self.recorder().and_then(|(shared, mut inner)| {
             inner.settle(shared);
             inner.context_output.replace(output as u64)
         });
@@ -607,9 +615,7 @@ impl Telemetry {
     /// queries issued while expanding a node are tagged with its
     /// depth.
     pub fn set_fbdt_depth(&self, depth: Option<u64>) {
-        // blocking-ok: `Telemetry::lock` — uncontended telemetry
-        // mutex, justified at its definition.
-        if let Some((shared, mut inner)) = self.lock() {
+        if let Some((shared, mut inner)) = self.recorder() {
             inner.settle(shared);
             inner.context_depth = depth;
         }
@@ -660,7 +666,7 @@ impl Telemetry {
     /// throttle) so `cirlearn top` followers see the run finish.
     pub fn finalize_status(&self) {
         let payload = self
-            .lock()
+            .recorder()
             .and_then(|(shared, mut inner)| inner.status_payload(shared, true));
         write_status(payload);
     }
@@ -681,9 +687,7 @@ impl Telemetry {
         // behind the dump that accompanies it.
         self.flush_trace();
         let (path, dump) = {
-            // blocking-ok: flight dump path (crash/debug), not the
-            // per-query path.
-            let (shared, mut inner) = self.lock()?;
+            let (shared, mut inner) = self.recorder()?;
             inner.settle(shared);
             let flight = inner.flight.as_ref()?;
             let dump_path = inner.flight_dump_path.clone()?;
@@ -691,9 +695,9 @@ impl Telemetry {
             // The trailer is stamped with the run clock but never
             // recorded into the log: it must sit after the recorded
             // lines, which all predate it, so timestamps stay monotone.
-            let (t_us, tid) = (micros(shared.start.elapsed()), current_tid());
+            let t_us = micros(shared.start.elapsed());
             let line = |kind: &str, stage: &str, fields: &[(&'static str, Json)]| {
-                format_line(t_us, tid, kind, stage, fields)
+                format_line(t_us, kind, stage, fields)
             };
             let mut dump = flight.contents();
             dump.push_str(&line(
@@ -710,8 +714,6 @@ impl Telemetry {
             }
             (dump_path, dump)
         };
-        // The atomic write happens outside the lock: the fsync pair
-        // can be slow and must never stall recording.
         crate::persist::write_atomic(&path, dump).ok()?;
         self.incr(Counter::FlightDumps);
         Some(path)
@@ -722,7 +724,7 @@ impl Telemetry {
     /// or a status path is attached.
     pub fn emit_metrics_snapshot(&self) {
         let status = self
-            .lock()
+            .recorder()
             .and_then(|(shared, mut inner)| inner.maybe_emit_metrics(shared, true));
         write_status(status);
     }
@@ -734,7 +736,7 @@ impl Telemetry {
     /// right before writing the report, and the panic drop-guard calls
     /// it before the `aborted` marker.
     pub fn trace_attribution(&self) {
-        let Some((shared, mut inner)) = self.lock() else {
+        let Some((shared, mut inner)) = self.recorder() else {
             return;
         };
         if inner.trace.is_none() && inner.flight.is_none() {
@@ -762,9 +764,7 @@ impl Telemetry {
     /// regardless of the reporter's level filter, so `Debug`-level
     /// fault events reach the trace without making stderr noisy.
     pub fn event(&self, level: Level, message: &str) {
-        // blocking-ok: `Telemetry::lock` — uncontended telemetry
-        // mutex, justified at its definition.
-        if let Some((shared, mut guard)) = self.lock() {
+        if let Some((shared, mut guard)) = self.recorder() {
             let inner = &mut *guard;
             inner.trace(
                 shared,
@@ -789,18 +789,14 @@ impl Telemetry {
     /// Emits a custom trace event tagged with the current stage —
     /// to the trace stream (if attached) and the flight recorder.
     pub fn trace(&self, kind: &str, fields: &[(&'static str, Json)]) {
-        // blocking-ok: `Telemetry::lock` — uncontended telemetry
-        // mutex, justified at its definition.
-        if let Some((shared, mut inner)) = self.lock() {
+        if let Some((shared, mut inner)) = self.recorder() {
             inner.trace(shared, kind, None, fields);
         }
     }
 
     /// Flushes the attached trace stream, if any.
     pub fn flush_trace(&self) {
-        // blocking-ok: `Telemetry::lock` — uncontended telemetry
-        // mutex, justified at its definition.
-        if let Some((_, mut inner)) = self.lock() {
+        if let Some((_, mut inner)) = self.recorder() {
             if let Some(trace) = &mut inner.trace {
                 trace.flush();
             }
@@ -844,7 +840,7 @@ impl Telemetry {
         verify_elapsed: Duration,
     ) {
         self.record_time(Hist::SynthPassNs, elapsed);
-        if let Some((shared, mut guard)) = self.lock() {
+        if let Some((shared, mut guard)) = self.recorder() {
             let inner = &mut *guard;
             inner.trace(
                 shared,
@@ -893,7 +889,7 @@ impl Telemetry {
     /// Records a budget checkpoint (see `Budget::checkpoint` in the
     /// core crate).
     pub fn checkpoint(&self, stage: &str, at: Duration, remaining: Option<Duration>) {
-        if let Some((shared, mut guard)) = self.lock() {
+        if let Some((shared, mut guard)) = self.recorder() {
             let inner = &mut *guard;
             inner.trace(
                 shared,
@@ -940,7 +936,7 @@ impl Telemetry {
     /// Open spans are not included — close them (drop their guards)
     /// before reporting.
     pub fn report(&self) -> RunReport {
-        let Some((shared, mut inner)) = self.lock() else {
+        let Some((shared, mut inner)) = self.recorder() else {
             return RunReport::default();
         };
         inner.settle(shared);
@@ -985,7 +981,7 @@ pub struct Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((shared, mut inner)) = self.telemetry.lock() {
+        if let Some((shared, mut inner)) = self.telemetry.recorder() {
             inner.exit_span(shared, self.id);
         }
     }
@@ -1001,7 +997,7 @@ pub struct OutputScope {
 
 impl Drop for OutputScope {
     fn drop(&mut self) {
-        if let Some((shared, mut inner)) = self.telemetry.lock() {
+        if let Some((shared, mut inner)) = self.telemetry.recorder() {
             inner.settle(shared);
             inner.context_output = self.prev;
             inner.context_depth = None;
@@ -1009,13 +1005,9 @@ impl Drop for OutputScope {
     }
 }
 
-impl<R: Reporter> Reporter for Arc<Mutex<R>> {
+impl<R: Reporter> Reporter for Rc<RefCell<R>> {
     fn event(&mut self, level: Level, stage: &str, message: &str) {
-        // blocking-ok: test/fan-in adapter — reporter events are
-        // already rate-limited by level upstream.
-        self.lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .event(level, stage, message);
+        self.borrow_mut().event(level, stage, message);
     }
 }
 
@@ -1111,16 +1103,14 @@ mod tests {
 
     #[test]
     fn events_carry_the_active_stage() {
-        let buffer = Arc::new(Mutex::new(BufferReporter::new()));
-        let t = Telemetry::new(Box::new(Arc::clone(&buffer)));
+        let buffer = Rc::new(RefCell::new(BufferReporter::new()));
+        let t = Telemetry::new(Box::new(Rc::clone(&buffer)));
         {
             let _span = t.span("fbdt");
             t.event(Level::Info, "expanding");
         }
         t.event(Level::Warn, "done");
-        let events = buffer
-            .lock()
-            .expect("no other thread touches the buffer in this test");
+        let events = buffer.borrow();
         let info: Vec<_> = events
             .events()
             .iter()
@@ -1449,10 +1439,7 @@ mod tests {
         for line in lines.lines() {
             let parsed = Json::parse(line).expect("every recorded line is valid JSON");
             assert!(parsed.get("t_us").and_then(Json::as_u64).is_some());
-            assert_eq!(
-                parsed.get("tid").and_then(Json::as_u64),
-                Some(current_tid())
-            );
+            assert_eq!(parsed.get("tid").and_then(Json::as_u64), Some(0));
         }
         let node = lines
             .lines()
@@ -1535,8 +1522,8 @@ mod tests {
         );
         assert_eq!(
             parsed.get("tid").and_then(Json::as_u64),
-            Some(current_tid()),
-            "the stamped tid is the recording thread's"
+            Some(0),
+            "one thread records, so every tid is 0"
         );
         assert_eq!(parsed.get("message").and_then(Json::as_str), Some("hi"));
         assert!(parsed.get("t_us").and_then(Json::as_u64).is_some());
@@ -1666,30 +1653,6 @@ mod tests {
             exact,
             "a line of exactly the capacity fits alone"
         );
-    }
-
-    #[test]
-    fn other_threads_record_into_the_one_flight_log() {
-        let t = Telemetry::recording();
-        t.trace("a", &[]);
-        let t2 = t.clone();
-        std::thread::spawn(move || t2.trace("b", &[]))
-            .join()
-            .expect("join");
-        t.trace("c", &[]);
-        let recorded = recorded_lines(&t, "threads");
-        let parsed: Vec<Json> = recorded
-            .lines()
-            .map(|l| Json::parse(l).expect("parses"))
-            .collect();
-        let kinds: Vec<&str> = parsed
-            .iter()
-            .map(|p| p.get("kind").and_then(Json::as_str).expect("kind"))
-            .collect();
-        assert_eq!(kinds, ["a", "b", "c"], "one log, in append order");
-        let tid = |i: usize| parsed[i].get("tid").and_then(Json::as_u64).expect("tid");
-        assert_eq!(tid(0), tid(2));
-        assert_ne!(tid(0), tid(1), "each line keeps its thread's tid");
     }
 
     #[test]

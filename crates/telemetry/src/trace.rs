@@ -2,20 +2,20 @@
 //!
 //! A [`TraceWriter`] receives one JSON object per line so a run can be
 //! replayed, diffed or converted to a flamegraph offline. The
-//! telemetry layer formats each event once, under its lock, and hands
-//! the same line to the trace stream and to the flight recorder, so
-//! the two agree byte for byte. Every line carries:
+//! telemetry layer formats each event once and hands the same line to
+//! the trace stream and to the flight recorder, so the two agree byte
+//! for byte. Every line carries:
 //!
 //! - `t_us` — microseconds since the telemetry handle was created,
-//!   taken from a monotonic clock (never wall time, so lines are
-//!   ordered per thread even across clock adjustments); a stream
-//!   attached mid-run therefore starts at a nonzero stamp,
+//!   taken from a monotonic clock (never wall time, so lines stay
+//!   ordered even across clock adjustments); a stream attached mid-run
+//!   therefore starts at a nonzero stamp,
 //! - `kind` — the event kind (see below),
 //! - `stage` — the `/`-joined span path active when the event fired
 //!   (`""` at top level),
-//! - `tid` — a small stable per-thread id (0 for the first thread that
-//!   ever traced, 1 for the next, ...), so multi-threaded streams can
-//!   be demultiplexed; within one `tid` timestamps are monotone.
+//! - `tid` — always 0: a [`Telemetry`](crate::Telemetry) handle
+//!   records from one thread. The field keeps the envelope readable by
+//!   tools that demultiplex threads, such as the Chrome export.
 //!
 //! Kinds emitted by the pipeline:
 //!
@@ -33,7 +33,7 @@
 //! `span_open`/`span_close` lines are balanced: the telemetry layer
 //! emits a close for every open, including spans force-closed by an
 //! out-of-order guard drop, so offline consumers can rebuild the stage
-//! tree with a simple per-`tid` stack.
+//! tree with a simple stack.
 //!
 //! Unlike [`Reporter`](crate::Reporter) events, the trace stream is
 //! not level-filtered: it records everything, because it exists for
@@ -41,28 +41,14 @@
 
 use std::io::Write;
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use crate::json::{write_string, Json};
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
-
-/// Global allocator of small per-thread trace ids.
-static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // relaxed-ok: allocates a unique id; nothing is published through it.
-    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The calling thread's stable trace id: a small integer assigned on
-/// first use, dense across the threads that ever emitted an event.
-pub fn current_tid() -> u64 {
-    TID.with(|t| *t)
-}
 
 /// Formats one event line (without writing it anywhere).
 pub(crate) fn format_line(
     t_us: u64,
-    tid: u64,
     kind: &str,
     stage: &str,
     fields: &[(&'static str, Json)],
@@ -75,8 +61,7 @@ pub(crate) fn format_line(
     write_string(&mut line, kind);
     line.push_str(",\"stage\":");
     write_string(&mut line, stage);
-    line.push_str(",\"tid\":");
-    Json::Number(tid as f64).write_compact(&mut line);
+    line.push_str(",\"tid\":0");
     for (k, v) in fields {
         line.push(',');
         write_string(&mut line, k);
@@ -89,7 +74,7 @@ pub(crate) fn format_line(
 
 /// The sink of a JSONL trace stream, handed to
 /// [`Telemetry::set_trace`](crate::Telemetry::set_trace), which owns
-/// it and writes every event line into it under the telemetry lock.
+/// it and writes every event line into it.
 ///
 /// High-rate events (FBDT `node` lines, `pass` lines, `metrics`
 /// snapshots) stay in the sink's buffer; structural events — span
@@ -121,7 +106,7 @@ pub(crate) fn format_line(
 /// assert_eq!(kinds.len(), 3); // open, event, close
 /// ```
 pub struct TraceWriter {
-    out: Box<dyn Write + Send>,
+    out: Box<dyn Write>,
     /// Set by the first write error, which is reported once instead of
     /// spamming.
     failed: bool,
@@ -135,7 +120,7 @@ impl std::fmt::Debug for TraceWriter {
 
 impl TraceWriter {
     /// A trace stream over any writer.
-    pub fn to_writer(out: Box<dyn Write + Send>) -> TraceWriter {
+    pub fn to_writer(out: Box<dyn Write>) -> TraceWriter {
         TraceWriter { out, failed: false }
     }
 
@@ -185,25 +170,21 @@ impl TraceWriter {
 /// test that wants to inspect what was written.
 #[derive(Clone, Default)]
 pub struct SharedBuffer {
-    bytes: Arc<Mutex<Vec<u8>>>,
+    bytes: Rc<RefCell<Vec<u8>>>,
 }
 
 impl SharedBuffer {
     /// Takes the accumulated bytes as UTF-8 text (lossy), leaving the
     /// buffer empty.
     pub fn take_string(&self) -> String {
-        let mut bytes = self.bytes.lock().unwrap_or_else(|p| p.into_inner());
-        String::from_utf8_lossy(&std::mem::take(&mut *bytes)).into_owned()
+        let bytes = self.bytes.take();
+        String::from_utf8_lossy(&bytes).into_owned()
     }
 }
 
 impl Write for SharedBuffer {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        // blocking-ok: in-memory test sink; the mutex guards a Vec.
-        self.bytes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .extend_from_slice(buf);
+        self.bytes.borrow_mut().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -237,8 +218,8 @@ mod tests {
             assert!(parsed.get("kind").and_then(Json::as_str).is_some());
             assert!(parsed.get("stage").and_then(Json::as_str).is_some());
             assert!(
-                parsed.get("tid").and_then(Json::as_u64).is_some(),
-                "every event carries a tid: {line}"
+                parsed.get("tid").and_then(Json::as_u64) == Some(0),
+                "every event carries tid 0: {line}"
             );
         }
         assert_eq!(text.lines().count(), 4);
@@ -286,13 +267,5 @@ mod tests {
         telemetry.set_trace(trace);
         telemetry.trace("event", &[]);
         telemetry.flush_trace();
-    }
-
-    #[test]
-    fn tids_are_stable_within_a_thread() {
-        assert_eq!(current_tid(), current_tid());
-        let here = current_tid();
-        let there = std::thread::spawn(current_tid).join().expect("join");
-        assert_ne!(here, there, "each thread gets its own tid");
     }
 }

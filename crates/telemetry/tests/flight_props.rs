@@ -1,5 +1,4 @@
-//! Property tests for the flight recorder's bounded log (tier-1,
-//! default backend).
+//! Property tests for the flight recorder's bounded log.
 //!
 //! Randomized evidence, through the public `Telemetry` API, for the
 //! recorder's bounded-history contract: however line lengths
@@ -8,8 +7,6 @@
 //! append history — oldest events are evicted, never torn, the newest
 //! line always survives, and a line larger than the whole log is
 //! dropped without disturbing the others.
-
-#![cfg(not(any(loom, race)))]
 
 use cirlearn_telemetry::json::Json;
 use cirlearn_telemetry::Telemetry;

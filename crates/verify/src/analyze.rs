@@ -69,6 +69,13 @@ impl Analysis {
 /// On a structurally broken graph only the linter's other findings are
 /// trustworthy, so its dead and duplicate findings are dropped too.
 ///
+/// On a graph read by `Aig::from_aiger_ascii` the constant findings
+/// never fire: the import strashes and constant-folds every AND and
+/// rejects a file with a foldable one, so no AND has a constant fanin
+/// and ternary propagation leaves every node X. Duplicate pairs,
+/// constant fanins and trivial ANDs are likewise absent (see
+/// [`LintViolation`]). These findings serve graphs broken in memory.
+///
 /// # Examples
 ///
 /// ```

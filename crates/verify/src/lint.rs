@@ -65,6 +65,22 @@ impl std::str::FromStr for Severity {
 ///
 /// Node and fanin ids are raw node indices (0 = constant, `1..=i` =
 /// inputs, the rest ANDs), matching [`cirlearn_aig::NodeId::index`].
+///
+/// Some findings can never come from a file. `Aig::from_aiger_ascii`
+/// builds every AND through the structural hash and rejects a file
+/// whose AND folds ("node folds to …; reencode the file"), so a graph
+/// read from AIGER holds no repeated fanin pair, no constant fanin and
+/// no `x∧x` or `x∧¬x`. With no constant fanin, ternary propagation
+/// keeps every AND and every output at X. [`DuplicateFaninPair`],
+/// [`ConstantFanin`], [`TrivialAnd`], [`ConstantNode`] and
+/// [`ConstantOutput`] therefore fire only on graphs broken in memory,
+/// by `Aig::set_fanin_unchecked` or `Aig::set_output_unchecked`.
+///
+/// [`DuplicateFaninPair`]: LintViolation::DuplicateFaninPair
+/// [`ConstantFanin`]: LintViolation::ConstantFanin
+/// [`TrivialAnd`]: LintViolation::TrivialAnd
+/// [`ConstantNode`]: LintViolation::ConstantNode
+/// [`ConstantOutput`]: LintViolation::ConstantOutput
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LintViolation {
     /// An AND fanin refers to a node id outside the graph.
@@ -93,7 +109,8 @@ pub enum LintViolation {
         node: usize,
     },
     /// Two AND nodes share the same ordered fanin pair — a structural-
-    /// hashing miss that wastes a gate.
+    /// hashing miss that wastes a gate. Never found in a graph read
+    /// from a file, which the import strashes.
     DuplicateFaninPair {
         /// The later (redundant) AND node.
         node: usize,
@@ -101,7 +118,8 @@ pub enum LintViolation {
         first: usize,
     },
     /// An AND has a constant fanin, so it reduces to a constant or a
-    /// wire (`x∧0`, `x∧1`).
+    /// wire (`x∧0`, `x∧1`). Never found in a graph read from a file,
+    /// which the import constant-folds.
     ConstantFanin {
         /// The offending AND node.
         node: usize,
@@ -109,7 +127,8 @@ pub enum LintViolation {
         slot: usize,
     },
     /// An AND of a node with itself (`x∧x`) or its complement (`x∧¬x`)
-    /// — always reducible to a wire or constant false.
+    /// — always reducible to a wire or constant false. Never found in
+    /// a graph read from a file, which the import folds.
     TrivialAnd {
         /// The offending AND node.
         node: usize,
@@ -127,7 +146,8 @@ pub enum LintViolation {
         node: usize,
     },
     /// Ternary propagation proved a live AND node constant under all
-    /// input assignments.
+    /// input assignments. Never found in a graph read from a file: with
+    /// no constant fanin, every AND stays X.
     ConstantNode {
         /// The provably constant AND node.
         node: usize,
@@ -136,6 +156,8 @@ pub enum LintViolation {
     },
     /// Ternary propagation proved a primary output constant even though
     /// it is driven by gate logic (a literal constant edge is fine).
+    /// Never found in a graph read from a file, for the same reason as
+    /// [`LintViolation::ConstantNode`].
     ConstantOutput {
         /// The output position.
         output: usize,

@@ -73,16 +73,14 @@ fn every_locked_package_is_in_tree() {
 }
 
 #[test]
-fn the_concurrency_toolkit_stays_in_the_graph() {
-    // The weak-memory model checker, the race detector, the lint
-    // binary and the property-test shim must remain workspace members
-    // — dropping any of them silently disables a CI gate.
+fn the_lint_and_proptest_members_stay_in_the_graph() {
+    // The lint binary and the property-test shim must remain workspace
+    // members — dropping either silently disables a CI gate.
     let lock = lockfile();
-    for member in ["cirlearn-lint", "loom", "tsan", "proptest"] {
+    for member in ["cirlearn-lint", "proptest"] {
         assert!(
             lock.contains(&format!("name = \"{member}\"")),
-            "`{member}` left the dependency graph; the concurrency \
-             toolkit must stay in-tree"
+            "`{member}` left the dependency graph; it must stay in-tree"
         );
     }
 }
