@@ -66,7 +66,7 @@ pub use balance::balance;
 pub use cirlearn_verify::{VerifyConfig, VerifyLevel, Violation};
 pub use collapse::{collapse, CollapseConfig};
 pub use fraig::{fraig, fraig_with_stats, FraigConfig};
-pub use redundancy::{redundancy_removal, RedundancyConfig};
+pub use redundancy::redundancy_removal;
 pub use refactor::{refactor, RefactorConfig};
 pub use rewrite::rewrite;
 pub use script::{optimize, optimize_with, CheckedOutcome, CheckedPass, OptimizeConfig};

@@ -8,43 +8,33 @@
 //! (which turns the AND into a wire) changes any output; the test is a
 //! SAT miter, so accepted removals are exact.
 
-use std::time::{Duration, Instant};
-
 use cirlearn_aig::{Aig, Edge, NodeId};
 use cirlearn_sat::{check_equivalence, Equivalence};
 
-/// Configuration for [`redundancy_removal`].
-#[derive(Debug, Clone)]
-pub struct RedundancyConfig {
-    /// Skip the pass entirely above this many AND nodes (each candidate
-    /// costs one SAT miter).
-    pub max_nodes: usize,
-    /// Upper bound on accepted removals per call (each acceptance
-    /// rebuilds the working circuit).
-    pub max_removals: usize,
-    /// Internal wall-clock budget; the scan stops cleanly when it runs
-    /// out (each candidate costs a SAT miter).
-    pub time_budget: Duration,
-}
-
-impl Default for RedundancyConfig {
-    fn default() -> Self {
-        RedundancyConfig {
-            max_nodes: 1_500,
-            max_removals: 64,
-            time_budget: Duration::from_secs(10),
-        }
-    }
-}
+/// Circuits with more AND nodes than this are returned unchanged: each
+/// candidate costs a whole-circuit rebuild and SAT miter.
+const MAX_NODES: usize = 1_500;
 
 /// Removes SAT-provably redundant AND fanins. The result is always
 /// functionally equivalent and never larger.
+///
+/// One forward scan visits the AND nodes in order. At each position it
+/// tries to replace the AND by its second fanin, then by its first
+/// (the other fanin tied to constant 1), and accepts the first
+/// replacement that shrinks the circuit and passes a SAT equivalence
+/// check. After an acceptance the scan stays at the same position of
+/// the rebuilt circuit; otherwise it moves on. A visit either advances
+/// the position or removes at least one AND, so the pass makes at most
+/// 2 × (ANDs + removals) candidate checks, and never more than
+/// 4 × ANDs. There is no clock and no removal cap: the result is a pure
+/// function of the input. Inputs above 1,500 AND nodes are returned
+/// unchanged (after `cleanup`).
 ///
 /// # Examples
 ///
 /// ```
 /// use cirlearn_aig::Aig;
-/// use cirlearn_synth::{redundancy_removal, RedundancyConfig};
+/// use cirlearn_synth::redundancy_removal;
 ///
 /// // y = a & (a | b): the (a | b) branch is redundant.
 /// let mut aig = Aig::new();
@@ -53,37 +43,30 @@ impl Default for RedundancyConfig {
 /// let or = aig.or(a, b);
 /// let y = aig.and(a, or);
 /// aig.add_output(y, "y");
-/// let r = redundancy_removal(&aig, &RedundancyConfig::default());
+/// let r = redundancy_removal(&aig);
 /// assert_eq!(r.gate_count(), 0); // y == a
 /// ```
-pub fn redundancy_removal(aig: &Aig, config: &RedundancyConfig) -> Aig {
+pub fn redundancy_removal(aig: &Aig) -> Aig {
     let mut current = aig.cleanup();
-    if current.and_count() > config.max_nodes {
+    if current.and_count() > MAX_NODES {
         return current;
     }
-    let deadline = Instant::now() + config.time_budget;
-    let mut removals = 0;
-    'restart: while removals < config.max_removals {
-        let ands: Vec<(NodeId, Edge, Edge)> = current.ands().collect();
-        for (n, a, b) in ands {
-            if Instant::now() >= deadline {
-                return current;
+    let mut ands: Vec<(NodeId, Edge, Edge)> = current.ands().collect();
+    let mut position = 0;
+    while let Some(&(n, a, b)) = ands.get(position) {
+        let smaller = [b, a].into_iter().find_map(|keep| {
+            let candidate = rebuild_with_wire(&current, n, keep);
+            (candidate.gate_count() < current.gate_count()
+                && check_equivalence(&current, &candidate) == Equivalence::Equivalent)
+                .then_some(candidate)
+        });
+        match smaller {
+            Some(candidate) => {
+                current = candidate;
+                ands = current.ands().collect();
             }
-            for (victim, keep) in [(a, b), (b, a)] {
-                let _ = victim;
-                let candidate = rebuild_with_wire(&current, n, keep);
-                if candidate.gate_count() >= current.gate_count() {
-                    continue;
-                }
-                if check_equivalence(&current, &candidate) == Equivalence::Equivalent {
-                    current = candidate;
-                    removals += 1;
-                    // Node ids shifted; restart the scan.
-                    continue 'restart;
-                }
-            }
+            None => position += 1,
         }
-        break;
     }
     current
 }
@@ -128,7 +111,7 @@ mod tests {
         let outer = g.or(b, inner);
         let y = g.and(a, outer);
         g.add_output(y, "y");
-        let r = redundancy_removal(&g, &RedundancyConfig::default());
+        let r = redundancy_removal(&g);
         assert!(check_equivalence(&g, &r).is_equivalent());
         assert!(r.gate_count() <= 2, "got {}", r.gate_count());
     }
@@ -140,22 +123,41 @@ mod tests {
         let b = g.add_input("b");
         let y = g.xor(a, b);
         g.add_output(y, "y");
-        let r = redundancy_removal(&g, &RedundancyConfig::default());
+        let r = redundancy_removal(&g);
         assert!(check_equivalence(&g, &r).is_equivalent());
         assert_eq!(r.gate_count(), 3);
     }
 
+    /// `pairs` outputs `y_i = x_i & (x_i | x_{i+1})`: two ANDs each, and
+    /// one redundant connection each, since `y_i == x_i`.
+    fn redundant_pairs(pairs: usize) -> Aig {
+        let mut g = Aig::new();
+        let x = g.add_inputs("x", pairs + 1);
+        for i in 0..pairs {
+            let or = g.or(x[i], x[i + 1]);
+            let y = g.and(x[i], or);
+            g.add_output(y, format!("y{i}"));
+        }
+        g
+    }
+
+    #[test]
+    fn removes_more_than_sixty_four_in_one_call() {
+        let g = redundant_pairs(70);
+        assert_eq!(g.and_count(), 140);
+        let r = redundancy_removal(&g);
+        assert!(check_equivalence(&g, &r).is_equivalent());
+        assert_eq!(r.gate_count(), 0);
+    }
+
     #[test]
     fn respects_node_guard() {
-        let mut g = Aig::new();
-        let inputs = g.add_inputs("x", 4);
-        let y = g.and_many(&inputs);
-        g.add_output(y, "y");
-        let cfg = RedundancyConfig {
-            max_nodes: 0,
-            ..RedundancyConfig::default()
-        };
-        let r = redundancy_removal(&g, &cfg);
+        // One AND over the guard: the redundant pairs stay untouched.
+        let mut g = redundant_pairs(MAX_NODES / 2);
+        let extra = g.and(g.input_edge(0), g.input_edge(1));
+        g.add_output(extra, "extra");
+        assert_eq!(g.and_count(), MAX_NODES + 1);
+        let r = redundancy_removal(&g);
         assert_eq!(r.gate_count(), g.gate_count());
     }
 
@@ -175,7 +177,7 @@ mod tests {
             }
             let out = *pool.last().expect("nonempty");
             g.add_output(out, "y");
-            let r = redundancy_removal(&g, &RedundancyConfig::default());
+            let r = redundancy_removal(&g);
             assert!(
                 check_equivalence(&g, &r).is_equivalent(),
                 "round {round}: redundancy removal changed the function"

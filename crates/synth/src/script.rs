@@ -8,7 +8,7 @@ use cirlearn_verify::{verify_pass, VerifyConfig, VerifyLevel, Violation};
 
 use crate::{
     balance, collapse, fraig, redundancy_removal, refactor, rewrite, CollapseConfig, FraigConfig,
-    RedundancyConfig, RefactorConfig,
+    RefactorConfig,
 };
 
 /// Configuration for [`optimize`].
@@ -21,7 +21,8 @@ pub struct OptimizeConfig {
     /// Wall-clock budget for the whole script (the paper allots 60 s).
     pub time_budget: Duration,
     /// Maximum number of script rounds (each round = balance, rewrite,
-    /// fraig).
+    /// refactor, fraig; collapse and redundancy removal run in the first
+    /// round only).
     pub max_rounds: usize,
     /// Whether to run the (single) SAT redundancy-removal attempt.
     pub enable_redundancy_removal: bool,
@@ -31,8 +32,6 @@ pub struct OptimizeConfig {
     pub fraig: FraigConfig,
     /// Settings for the refactor pass.
     pub refactor: RefactorConfig,
-    /// Guards for redundancy removal.
-    pub redundancy: RedundancyConfig,
     /// Per-pass verification (off by default, matching the historical
     /// unguarded behavior).
     pub verify: VerifyConfig,
@@ -47,7 +46,6 @@ impl Default for OptimizeConfig {
             collapse: CollapseConfig::default(),
             fraig: FraigConfig::default(),
             refactor: RefactorConfig::default(),
-            redundancy: RedundancyConfig::default(),
             verify: VerifyConfig::default(),
         }
     }
@@ -164,11 +162,13 @@ impl<'a> CheckedPass<'a> {
 /// Runs the optimization script on a circuit and returns the smallest
 /// equivalent circuit found.
 ///
-/// The script alternates [`balance`], [`rewrite`] and [`fraig`] rounds
-/// (the `compress2rs` spirit) and attempts one BDD [`collapse`] — like
-/// the paper's single heavy `collapse` call. Every pass preserves the
-/// functions; the best intermediate (by [`Aig::gate_count`]) is
-/// returned.
+/// The script alternates [`balance`], [`rewrite`], [`refactor`] and
+/// [`fraig`] rounds (the `compress2rs` spirit). In the first round it
+/// also attempts one BDD [`collapse`] — like the paper's single heavy
+/// `collapse` call — and, when
+/// [`OptimizeConfig::enable_redundancy_removal`] is set, one
+/// [`redundancy_removal`] scan. Every pass preserves the functions; the
+/// best intermediate (by [`Aig::gate_count`]) is returned.
 ///
 /// # Examples
 ///
@@ -234,7 +234,7 @@ pub fn optimize_with(aig: &Aig, config: &OptimizeConfig, telemetry: &Telemetry) 
                 }
                 PassKind::Redundancy => {
                     swept = true;
-                    redundancy_removal(before, &config.redundancy)
+                    redundancy_removal(before)
                 }
             });
             let next = outcome.circuit;

@@ -2,7 +2,7 @@
 //!
 //! This module is the engine behind the `cirlearn trace` subcommands:
 //! it parses the event stream a [`TraceWriter`](crate::TraceWriter)
-//! produced, rebuilds the per-thread span forest, and derives
+//! produced, rebuilds the span forest, and derives
 //!
 //! - [`summarize`]: hot-span statistics (total/self time), the
 //!   per-(stage, output) attribution table from `attr` events, and the
@@ -28,10 +28,8 @@ use crate::report::AttributionRecord;
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Microseconds since the recording telemetry handle was created
-    /// (monotone per `tid`).
+    /// (monotone).
     pub t_us: u64,
-    /// Emitting thread's stable trace id (0 for pre-tid streams).
-    pub tid: u64,
     /// Event kind (`span_open`, `node`, `metrics`, `attr`, ...).
     pub kind: String,
     /// `/`-joined span path active when the event fired.
@@ -53,8 +51,8 @@ impl TraceEvent {
 }
 
 /// Parses a JSONL trace stream. Every line must be a JSON object with
-/// the `t_us`/`kind`/`stage` envelope; `tid` defaults to 0 for
-/// streams written before thread ids existed.
+/// the `t_us`/`kind`/`stage` envelope. The writer's `tid` field is the
+/// constant 0 and is not read.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -76,10 +74,8 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
             .and_then(Json::as_str)
             .ok_or_else(|| format!("line {}: missing stage", i + 1))?
             .to_owned();
-        let tid = json.get("tid").and_then(Json::as_u64).unwrap_or(0);
         events.push(TraceEvent {
             t_us,
-            tid,
             kind,
             stage,
             json,
@@ -97,8 +93,6 @@ pub struct SpanNode {
     pub name: String,
     /// Full `/`-joined path.
     pub path: String,
-    /// Thread the span ran on.
-    pub tid: u64,
     /// Open timestamp.
     pub start_us: u64,
     /// Close timestamp (the stream's last timestamp for spans left
@@ -121,13 +115,13 @@ impl SpanNode {
     }
 }
 
-/// Rebuilds the span forest from `span_open`/`span_close` events,
-/// keeping a separate stack per `tid`. Spans still open when the
-/// stream ends (a crashed run) are closed at the final timestamp.
+/// Rebuilds the span forest from `span_open`/`span_close` events on
+/// one stack. Spans still open when the stream ends (a crashed run) are
+/// closed at the final timestamp.
 pub fn span_forest(events: &[TraceEvent]) -> Vec<SpanNode> {
     let last_t = events.iter().map(|e| e.t_us).max().unwrap_or(0);
     let mut forest: Vec<SpanNode> = Vec::new();
-    let mut stacks: BTreeMap<u64, Vec<SpanNode>> = BTreeMap::new();
+    let mut stack: Vec<SpanNode> = Vec::new();
     let attach = |stack: &mut Vec<SpanNode>, forest: &mut Vec<SpanNode>, node: SpanNode| match stack
         .last_mut()
     {
@@ -137,12 +131,10 @@ pub fn span_forest(events: &[TraceEvent]) -> Vec<SpanNode> {
     for ev in events {
         match ev.kind.as_str() {
             "span_open" => {
-                let stack = stacks.entry(ev.tid).or_default();
                 stack.push(SpanNode {
                     id: ev.field_u64("id").unwrap_or(u64::MAX),
                     name: ev.field_str("name").unwrap_or("?").to_owned(),
                     path: ev.stage.clone(),
-                    tid: ev.tid,
                     start_us: ev.t_us,
                     end_us: ev.t_us,
                     children: Vec::new(),
@@ -150,13 +142,12 @@ pub fn span_forest(events: &[TraceEvent]) -> Vec<SpanNode> {
             }
             "span_close" => {
                 let id = ev.field_u64("id").unwrap_or(u64::MAX);
-                let stack = stacks.entry(ev.tid).or_default();
                 // The writer emits balanced closes, but be defensive:
                 // pop (and close) anything above a mismatched id.
                 while let Some(mut node) = stack.pop() {
                     node.end_us = ev.t_us;
                     let matched = node.id == id;
-                    attach(stack, &mut forest, node);
+                    attach(&mut stack, &mut forest, node);
                     if matched {
                         break;
                     }
@@ -165,11 +156,9 @@ pub fn span_forest(events: &[TraceEvent]) -> Vec<SpanNode> {
             _ => {}
         }
     }
-    for (_, mut stack) in stacks {
-        while let Some(mut node) = stack.pop() {
-            node.end_us = last_t;
-            attach(&mut stack, &mut forest, node);
-        }
+    while let Some(mut node) = stack.pop() {
+        node.end_us = last_t;
+        attach(&mut stack, &mut forest, node);
     }
     forest
 }
@@ -261,8 +250,6 @@ pub struct TraceSummary {
     pub events: usize,
     /// Last timestamp in the stream.
     pub duration_us: u64,
-    /// Distinct thread ids observed.
-    pub tids: Vec<u64>,
     /// Event counts per kind.
     pub counts_by_kind: BTreeMap<String, u64>,
     /// Per-path span statistics, hottest (self time) first.
@@ -281,8 +268,7 @@ impl TraceSummary {
     }
 
     /// Wall time not covered by any top-level span — instrumentation
-    /// blind spots. Saturates to zero when top-level spans overlap
-    /// across threads (their totals then exceed the wall clock).
+    /// blind spots (saturating at zero).
     pub fn unattributed_us(&self) -> u64 {
         let covered: u64 = self
             .spans
@@ -300,10 +286,9 @@ impl TraceSummary {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "trace: {} events over {:.3}s across {} thread(s)",
+            "trace: {} events over {:.3}s",
             self.events,
-            self.duration_us as f64 / 1e6,
-            self.tids.len().max(1)
+            self.duration_us as f64 / 1e6
         );
         let kinds: Vec<String> = self
             .counts_by_kind
@@ -397,11 +382,6 @@ pub fn merge_summaries(segments: &[TraceSummary]) -> TraceSummary {
     for seg in segments {
         merged.events += seg.events;
         merged.duration_us += seg.duration_us;
-        for tid in &seg.tids {
-            if !merged.tids.contains(tid) {
-                merged.tids.push(*tid);
-            }
-        }
         for (kind, n) in &seg.counts_by_kind {
             *merged.counts_by_kind.entry(kind.clone()).or_insert(0) += n;
         }
@@ -431,7 +411,6 @@ pub fn merge_summaries(segments: &[TraceSummary]) -> TraceSummary {
             longest = Some(seg);
         }
     }
-    merged.tids.sort_unstable();
     let mut span_stats: Vec<SpanStat> = spans.into_values().collect();
     span_stats.sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.path.cmp(&b.path)));
     merged.spans = span_stats;
@@ -444,18 +423,12 @@ pub fn merge_summaries(segments: &[TraceSummary]) -> TraceSummary {
 pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
     let forest = span_forest(events);
     let mut counts_by_kind: BTreeMap<String, u64> = BTreeMap::new();
-    let mut tids: Vec<u64> = Vec::new();
     for ev in events {
         *counts_by_kind.entry(ev.kind.clone()).or_insert(0) += 1;
-        if !tids.contains(&ev.tid) {
-            tids.push(ev.tid);
-        }
     }
-    tids.sort_unstable();
     TraceSummary {
         events: events.len(),
         duration_us: events.iter().map(|e| e.t_us).max().unwrap_or(0),
-        tids,
         counts_by_kind,
         spans: span_stats(&forest),
         attribution: attribution_rows(events),
@@ -467,37 +440,19 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
 /// "JSON Array Format" with a `traceEvents` wrapper), loadable in
 /// Perfetto and `chrome://tracing`:
 ///
-/// - every `tid` gets a `"ph": "M"` `thread_name` metadata event (so
-///   Perfetto labels the tracks `main` / `cirlearn-N` instead of bare
-///   numbers),
+/// - one `"ph": "M"` `thread_name` metadata event names the one
+///   track (`tid` 0) `main`,
 /// - spans become `"ph": "X"` complete events with `ts`/`dur`,
 /// - `metrics` snapshots become `"ph": "C"` counter tracks,
 /// - every other kind becomes a `"ph": "i"` thread-scoped instant.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
-    let mut trace_events: Vec<Json> = Vec::new();
-    let mut tids: Vec<u64> = Vec::new();
-    for ev in events {
-        if !tids.contains(&ev.tid) {
-            tids.push(ev.tid);
-        }
-    }
-    tids.sort_unstable();
-    for &tid in &tids {
-        // tid 0 is the process's first telemetry thread — the main
-        // thread in every current producer.
-        let name = if tid == 0 {
-            "main".to_owned()
-        } else {
-            format!("cirlearn-{tid}")
-        };
-        trace_events.push(Json::object([
-            ("name", Json::from("thread_name")),
-            ("ph", Json::from("M")),
-            ("pid", Json::from(1u64)),
-            ("tid", Json::from(tid)),
-            ("args", Json::object([("name", Json::from(name))])),
-        ]));
-    }
+    let mut trace_events: Vec<Json> = vec![Json::object([
+        ("name", Json::from("thread_name")),
+        ("ph", Json::from("M")),
+        ("pid", Json::from(1u64)),
+        ("tid", Json::from(0u64)),
+        ("args", Json::object([("name", Json::from("main"))])),
+    ])];
     fn emit_span(node: &SpanNode, out: &mut Vec<Json>) {
         out.push(Json::object([
             ("name", Json::from(node.name.clone())),
@@ -506,7 +461,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
             ("ts", Json::from(node.start_us)),
             ("dur", Json::from(node.elapsed_us())),
             ("pid", Json::from(1u64)),
-            ("tid", Json::from(node.tid)),
+            ("tid", Json::from(0u64)),
             (
                 "args",
                 Json::object([("stage", Json::from(node.path.clone()))]),
@@ -534,7 +489,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
                     ("ph", Json::from("C")),
                     ("ts", Json::from(ev.t_us)),
                     ("pid", Json::from(1u64)),
-                    ("tid", Json::from(ev.tid)),
+                    ("tid", Json::from(0u64)),
                     ("args", Json::Object(args)),
                 ]));
             }
@@ -564,7 +519,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
                     ("s", Json::from("t")),
                     ("ts", Json::from(ev.t_us)),
                     ("pid", Json::from(1u64)),
-                    ("tid", Json::from(ev.tid)),
+                    ("tid", Json::from(0u64)),
                     ("args", Json::Object(args)),
                 ]));
             }
@@ -671,8 +626,8 @@ pub fn diff(old: &TraceSummary, new: &TraceSummary, cfg: &DiffConfig) -> Vec<Tra
 mod tests {
     use super::*;
 
-    /// A synthetic well-formed trace: two top-level spans on tid 0,
-    /// one nested span, node/metrics/attr events.
+    /// A synthetic well-formed trace: two top-level spans, one nested
+    /// span, node/metrics/attr events.
     fn sample_trace() -> String {
         [
             r#"{"t_us":0,"kind":"span_open","stage":"support","tid":0,"id":0,"name":"support"}"#,
@@ -722,7 +677,6 @@ mod tests {
         let summary = summarize(&events);
         assert_eq!(summary.events, 10);
         assert_eq!(summary.duration_us, 331);
-        assert_eq!(summary.tids, vec![0]);
         assert_eq!(summary.counts_by_kind["node"], 1);
 
         // Hottest span by self time is fbdt (140µs self).
@@ -810,38 +764,12 @@ mod tests {
         }
         assert_eq!(complete, 3, "three spans become X events");
         assert_eq!(counters, 1, "one metrics snapshot becomes a counter");
-        assert_eq!(metadata, 1, "one thread_name event per distinct tid");
+        assert_eq!(metadata, 1, "one thread_name event names the one track");
         assert_eq!(
             trace_events[0].get("ph").and_then(Json::as_str),
             Some("M"),
             "metadata leads the stream"
         );
-    }
-
-    #[test]
-    fn chrome_export_names_every_thread() {
-        let mut text = sample_trace();
-        text.push('\n');
-        text.push_str(
-            r#"{"t_us":400,"kind":"node","stage":"fbdt","tid":3,"depth":1,"disposition":"leaf"}"#,
-        );
-        let events = parse_trace(&text).expect("parses");
-        let chrome = to_chrome_trace(&events);
-        let names: Vec<String> = chrome
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("traceEvents")
-            .iter()
-            .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("M"))
-            .map(|ev| {
-                ev.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    .expect("thread name")
-                    .to_owned()
-            })
-            .collect();
-        assert_eq!(names, vec!["main".to_owned(), "cirlearn-3".to_owned()]);
     }
 
     #[test]
@@ -901,13 +829,6 @@ mod tests {
         assert_eq!(merged.counts_by_kind["attr"], 4);
         // One critical path survives (the longest segment's), unspliced.
         assert_eq!(merged.critical_path, seg.critical_path);
-    }
-
-    #[test]
-    fn pre_tid_streams_default_to_tid_zero() {
-        let text = r#"{"t_us":5,"kind":"event","stage":"","level":"info","message":"old"}"#;
-        let events = parse_trace(text).expect("parses");
-        assert_eq!(events[0].tid, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use cirlearn_aig::{Aig, Edge};
 use cirlearn_sat::check_equivalence;
 use cirlearn_synth::{
     balance, collapse, fraig, map::map_gates, optimize, redundancy_removal, refactor, rewrite,
-    CollapseConfig, FraigConfig, OptimizeConfig, RedundancyConfig, RefactorConfig,
+    CollapseConfig, FraigConfig, OptimizeConfig, RefactorConfig,
 };
 
 /// Builds the minterm-by-minterm cover of `maj(x0,x1,x2) XOR x3` over
@@ -60,10 +60,7 @@ fn main() {
             "collapse",
             Box::new(|g| collapse(g, &CollapseConfig::default())),
         ),
-        (
-            "redundancy",
-            Box::new(|g| redundancy_removal(g, &RedundancyConfig::default())),
-        ),
+        ("redundancy", Box::new(redundancy_removal)),
     ];
     for (name, pass) in &passes {
         let next = pass(&current);

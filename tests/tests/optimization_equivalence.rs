@@ -5,7 +5,8 @@
 use cirlearn_aig::{Aig, Edge};
 use cirlearn_sat::check_equivalence;
 use cirlearn_synth::{
-    balance, collapse, fraig, optimize, rewrite, CollapseConfig, FraigConfig, OptimizeConfig,
+    balance, collapse, fraig, optimize, redundancy_removal, refactor, rewrite, CollapseConfig,
+    FraigConfig, OptimizeConfig, RefactorConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +35,7 @@ fn all_passes_preserve_functions_on_random_circuits() {
         let passes: Vec<(&str, Aig)> = vec![
             ("balance", balance(&g)),
             ("rewrite", rewrite(&g)),
+            ("refactor", refactor(&g, &RefactorConfig::default())),
             (
                 "fraig",
                 fraig(
@@ -45,6 +47,7 @@ fn all_passes_preserve_functions_on_random_circuits() {
                 ),
             ),
             ("collapse", collapse(&g, &CollapseConfig::default())),
+            ("redundancy_removal", redundancy_removal(&g)),
             ("optimize", optimize(&g, &OptimizeConfig::default())),
         ];
         for (name, opt) in passes {

@@ -30,16 +30,15 @@ use cirlearn_telemetry::{json::Json, Telemetry, TraceWriter};
 const FIXTURE: &str = include_str!("../data/trace_golden/neq_budgeted.jsonl");
 const REPORT_FIXTURE: &str = include_str!("../data/trace_golden/neq_budgeted.report.json");
 
-/// Fields that carry a clock reading (or, for `tid`, a per-process
-/// thread counter) and so vary from run to run.
-const MASKED: [&str; 7] = [
+/// Fields that carry a clock reading and so vary from run to run.
+/// `tid` is the constant 0 and is compared as is.
+const MASKED: [&str; 6] = [
     "t_us",
     "elapsed_us",
     "verify_us",
     "at_us",
     "remaining_us",
     "query_ns",
-    "tid",
 ];
 
 /// Rewrites one JSONL stream into its clock-free shape: `metrics`

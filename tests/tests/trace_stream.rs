@@ -1,10 +1,7 @@
 //! End-to-end trace stream: run the full learner with a tracing
 //! [`Telemetry`] handle and check that the JSONL event stream is
-//! well-formed — every line parses, carries a thread id, timestamps
-//! are monotone per thread, and span open/close events nest with
-//! per-thread stack discipline.
-
-use std::collections::BTreeMap;
+//! well-formed — every line parses, carries `tid` 0, timestamps are
+//! monotone, and span open/close events nest with stack discipline.
 
 use cirlearn::{Learner, LearnerConfig};
 use cirlearn_oracle::generate;
@@ -24,8 +21,8 @@ fn traced_run() -> (String, u64) {
     cfg.fbdt.exhaustive_threshold = 4;
     let result = Learner::with_telemetry(cfg, telemetry.clone()).learn(&mut oracle);
     assert!(result.queries > 0, "the learner must query the oracle");
-    // Mirror the CLI's finish sequence: drain buffered per-thread
-    // chunks, then append the final attribution ledger.
+    // Mirror the CLI's finish sequence: drain buffered lines, then
+    // append the final attribution ledger.
     telemetry.flush_trace();
     telemetry.trace_attribution();
     telemetry.flush_trace();
@@ -37,22 +34,23 @@ fn trace_lines_parse_with_monotone_timestamps_and_balanced_spans() {
     let (text, _) = traced_run();
     assert!(!text.is_empty(), "a traced run must emit events");
 
-    let mut last_t: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut open_stacks: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut last_t = 0;
+    let mut open_stack: Vec<u64> = Vec::new();
     let mut kinds: Vec<String> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let parsed = Json::parse(line)
             .unwrap_or_else(|e| panic!("trace line {i} is not valid JSON ({e}): {line}"));
 
-        // Every event carries the common envelope, thread id included.
+        // Every event carries the common envelope, `tid` included.
         let t = parsed
             .get("t_us")
             .and_then(Json::as_u64)
             .unwrap_or_else(|| panic!("trace line {i} has no t_us: {line}"));
-        let tid = parsed
-            .get("tid")
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("trace line {i} has no tid: {line}"));
+        assert_eq!(
+            parsed.get("tid").and_then(Json::as_u64),
+            Some(0),
+            "trace line {i} has no tid 0: {line}"
+        );
         let kind = parsed
             .get("kind")
             .and_then(Json::as_str)
@@ -62,28 +60,22 @@ fn trace_lines_parse_with_monotone_timestamps_and_balanced_spans() {
             "trace line {i} has no stage: {line}"
         );
 
-        // Timestamps are monotone µs per emitting thread (per-thread
-        // buffering may interleave threads in the file, but each
-        // thread's own events stay ordered).
-        let last = last_t.entry(tid).or_insert(0);
+        // Timestamps are monotone µs.
         assert!(
-            t >= *last,
-            "line {i}: tid {tid} t_us {t} went backwards from {last}"
+            t >= last_t,
+            "line {i}: t_us {t} went backwards from {last_t}"
         );
-        *last = t;
+        last_t = t;
 
-        // Spans close in LIFO order per thread, each close matching
-        // that thread's last open.
+        // Spans close in LIFO order, each close matching the last open.
         match kind {
             "span_open" => {
                 let id = parsed.get("id").and_then(Json::as_u64).expect("span id");
-                open_stacks.entry(tid).or_default().push(id);
+                open_stack.push(id);
             }
             "span_close" => {
                 let id = parsed.get("id").and_then(Json::as_u64).expect("span id");
-                let top = open_stacks
-                    .entry(tid)
-                    .or_default()
+                let top = open_stack
                     .pop()
                     .unwrap_or_else(|| panic!("line {i}: close without open: {line}"));
                 assert_eq!(top, id, "line {i}: spans closed out of order: {line}");
@@ -92,12 +84,10 @@ fn trace_lines_parse_with_monotone_timestamps_and_balanced_spans() {
         }
         kinds.push(kind.to_owned());
     }
-    for (tid, stack) in &open_stacks {
-        assert!(
-            stack.is_empty(),
-            "tid {tid} left spans open at end of run: {stack:?}"
-        );
-    }
+    assert!(
+        open_stack.is_empty(),
+        "spans left open at end of run: {open_stack:?}"
+    );
 
     // A real learner run exercises spans, FBDT node expansions and the
     // final attribution flush.
