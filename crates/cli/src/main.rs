@@ -6,12 +6,12 @@
 //!                [--budget SECS] [--seed N] [--no-preprocessing] [--paper-scale]
 //!                [--check off|lint|sim|sat]
 //!                [--checkpoint ckpt.clck] [--checkpoint-interval SECS]
-//!                [--resume ckpt.clck] [--deadline SECS]
+//!                [--resume ckpt.clck]
 //!                [--report report.json] [--log-level LEVEL] [--verbose]
 //! cirlearn learn-bb --cmd <program> [--args ARGSTR] --inputs a,b,c --outputs y,z
 //!                [--oracle-timeout SECS] [--oracle-retries N]
 //!                [--oracle-backoff SECS] [--oracle-respawn on|off]
-//!                [--checkpoint ckpt.clck] [--resume ckpt.clck] [--deadline SECS]
+//!                [--checkpoint ckpt.clck] [--resume ckpt.clck]
 //! cirlearn eval <golden.aag> <candidate.aag> [--patterns N] [--seed N]
 //! cirlearn gen <neq|eco|diag|data> <#PI> <#PO> [--seed N] [-o out.aag]
 //! cirlearn blackbox <neq|eco|diag|data> <#PI> <#PO> [--seed N]
@@ -59,13 +59,14 @@
 //! (tmp + fsync + rename); SIGINT/SIGTERM suspend the run into the
 //! same checkpoint and exit 130. `--resume <path>` continues such a
 //! run bit-identically — query and time budgets carry across segments.
-//! `--deadline SECS` bounds the *total* wall clock across all
-//! segments: past it, unfinished FBDT outputs are synthesized from
-//! their already-collected cubes (unstarted ones fall back to majority
-//! constants) and reported in `degraded` rather than aborting. The
-//! `blackbox` subcommand serves a deterministic synthetic benchmark
-//! over the `learn-bb` line protocol, so kill/resume drills need no
-//! external tooling.
+//! `--budget SECS` is the one wall and bounds the *total* wall clock
+//! across all segments; a resumed segment may set a new one. Past it,
+//! the FBDT in flight is synthesized from its already-collected cubes,
+//! outputs not yet started become constants, optimization is skipped,
+//! and the affected outputs are reported in `degraded` rather than
+//! aborting. The `blackbox` subcommand serves a deterministic
+//! synthetic benchmark over the `learn-bb` line protocol, so
+//! kill/resume drills need no external tooling.
 //!
 //! Fault tolerance: `learn-bb` wraps the external process in a
 //! [`cirlearn_oracle::ResilientOracle`] — `--oracle-timeout` arms a
@@ -224,7 +225,7 @@ mod sig {
     }
 
     /// Non-Unix fallback: no handler; flight dumps still happen on
-    /// panic, fault, deadline and suspension.
+    /// panic, fault, the spent wall and suspension.
     pub fn install_dump_flag() -> Arc<AtomicBool> {
         Arc::new(AtomicBool::new(false))
     }
@@ -249,7 +250,7 @@ const USAGE: &str = "usage:
                  [--no-preprocessing] [--paper-scale]
                  [--check off|lint|sim|sat]
                  [--checkpoint ckpt.clck] [--checkpoint-interval SECS]
-                 [--resume ckpt.clck] [--deadline SECS]
+                 [--resume ckpt.clck]
                  [--report report.json] [--trace trace.jsonl]
                  [--log-level LEVEL] [--verbose]
   cirlearn learn-bb --cmd <program> [--args ARGSTR] --inputs a,b,c --outputs y,z
@@ -258,7 +259,7 @@ const USAGE: &str = "usage:
                  [--oracle-timeout SECS] [--oracle-retries N]
                  [--oracle-backoff SECS] [--oracle-respawn on|off]
                  [--checkpoint ckpt.clck] [--checkpoint-interval SECS]
-                 [--resume ckpt.clck] [--deadline SECS]
+                 [--resume ckpt.clck]
                  [--report report.json] [--trace trace.jsonl]
                  [--log-level LEVEL] [--verbose]
   cirlearn eval <golden.aag> <candidate.aag> [--patterns N] [--seed N]
@@ -277,7 +278,7 @@ const USAGE: &str = "usage:
 
   learn/learn-bb also accept [--status status.json] (live progress
   snapshots for `cirlearn top`) and [--flight <path|off>] (where the
-  always-on flight recorder dumps on panic/fault/deadline/SIGUSR1).";
+  always-on flight recorder dumps on panic/fault/wall/SIGUSR1).";
 
 /// Minimal flag parser: returns positional arguments and a lookup for
 /// `--flag value` / `--flag` options.
@@ -330,6 +331,17 @@ impl Opts {
                 .map_err(|_| format!("--{name} expects a number, got {v}")),
         }
     }
+
+    /// A `--name SECS` flag as a duration. A negative, NaN or
+    /// out-of-range value is an error, not a panic.
+    pub(crate) fn seconds(&self, name: &str, default: f64) -> Result<Duration, String> {
+        Duration::try_from_secs_f64(self.number(name, default)?).map_err(|_| {
+            format!(
+                "--{name} expects a non-negative number of seconds, got {}",
+                self.value(name).unwrap_or_default()
+            )
+        })
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -374,19 +386,12 @@ fn run_control_of(opts: &Opts) -> Result<RunControl, String> {
     let mut ctl = RunControl::default();
     if let Some(path) = opts.value("checkpoint") {
         ctl.checkpoint_path = Some(std::path::PathBuf::from(path));
-        ctl.checkpoint_interval =
-            Duration::from_secs_f64(opts.number("checkpoint-interval", 30.0)?);
+        ctl.checkpoint_interval = opts.seconds("checkpoint-interval", 30.0)?;
         ctl.stop = Some(sig::install_stop_flag());
     }
     // SIGUSR1 is observability, not suspension: always armed, so any
     // running `learn`/`learn-bb` can be asked for a flight dump.
     ctl.dump = Some(sig::install_dump_flag());
-    if let Some(secs) = opts.value("deadline") {
-        let secs: f64 = secs
-            .parse()
-            .map_err(|_| format!("--deadline expects seconds, got {secs}"))?;
-        ctl.deadline = Some(Duration::from_secs_f64(secs));
-    }
     // Deterministic suspension for tests and scripts: stop at the Nth
     // safe point instead of on a signal.
     if opts.value("stop-after-safe-points").is_some() {
@@ -422,25 +427,33 @@ fn suspend_exit(
     std::process::exit(130);
 }
 
-/// Runs the learner fresh or — with `--resume <checkpoint>` — from a
-/// suspended state, returning the completed result or exiting through
+/// Loads the `--resume <checkpoint>` state, if one was given.
+fn resume_state_of(opts: &Opts) -> Result<Option<(&str, LearnState)>, String> {
+    opts.value("resume")
+        .map(|rpath| {
+            LearnState::load(rpath)
+                .map(|state| (rpath, state))
+                .map_err(|e| format!("loading checkpoint {rpath}: {e}"))
+        })
+        .transpose()
+}
+
+/// Runs the learner fresh or — from a loaded `--resume` state — from a
+/// suspended run, returning the completed result or exiting through
 /// [`suspend_exit`] on a mid-run suspension.
 fn drive_learner<O: Oracle>(
     learner: &mut Learner,
     oracle: &mut O,
+    resume: Option<(&str, LearnState)>,
     ctl: &RunControl,
     telemetry: &Telemetry,
     opts: &Opts,
     guard: &mut ReportGuard,
 ) -> Result<LearnResult, String> {
-    let outcome = match opts.value("resume") {
-        Some(rpath) => {
-            let state =
-                LearnState::load(rpath).map_err(|e| format!("loading checkpoint {rpath}: {e}"))?;
-            learner
-                .resume(state, oracle, ctl)
-                .map_err(|e| format!("resuming from {rpath}: {e}"))?
-        }
+    let outcome = match resume {
+        Some((rpath, state)) => learner
+            .resume(state, oracle, ctl)
+            .map_err(|e| format!("resuming from {rpath}: {e}"))?,
         None => learner.learn_with(oracle, ctl),
     };
     match outcome {
@@ -610,7 +623,6 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
             "checkpoint",
             "checkpoint-interval",
             "resume",
-            "deadline",
             "stop-after-safe-points",
             "status",
             "flight",
@@ -627,7 +639,7 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
     } else {
         LearnerConfig::fast()
     };
-    config.time_budget = Duration::from_secs_f64(opts.number("budget", 60.0)?);
+    config.time_budget = opts.seconds("budget", 60.0)?;
     config.seed = opts.number("seed", config.seed)?;
     if opts.value("max-queries").is_some() {
         config.max_queries = Some(opts.number("max-queries", 0u64)?);
@@ -656,10 +668,12 @@ fn cmd_learn(args: &[String]) -> Result<(), String> {
         oracle.num_outputs()
     );
     let ctl = run_control_of(&opts)?;
+    let resume = resume_state_of(&opts)?;
     let mut learner = Learner::with_telemetry(config, telemetry.clone());
     let result = drive_learner(
         &mut learner,
         &mut oracle,
+        resume,
         &ctl,
         &telemetry,
         &opts,
@@ -731,7 +745,6 @@ fn cmd_learn_bb(args: &[String]) -> Result<(), String> {
             "checkpoint",
             "checkpoint-interval",
             "resume",
-            "deadline",
             "stop-after-safe-points",
             "status",
             "flight",
@@ -754,13 +767,11 @@ fn cmd_learn_bb(args: &[String]) -> Result<(), String> {
         .map(|a| a.split_whitespace().map(str::to_owned).collect())
         .unwrap_or_default();
     let arg_refs: Vec<&str> = extra_args.iter().map(String::as_str).collect();
+    let resume = resume_state_of(&opts)?;
     let mut inner = cirlearn_oracle::ProcessOracle::spawn(program, &arg_refs, inputs, outputs)
         .map_err(|e| e.to_string())?;
-    if let Some(secs) = opts.value("oracle-timeout") {
-        let secs: f64 = secs
-            .parse()
-            .map_err(|_| format!("--oracle-timeout expects seconds, got {secs}"))?;
-        inner.set_read_timeout(Some(Duration::from_secs_f64(secs)));
+    if opts.value("oracle-timeout").is_some() {
+        inner.set_read_timeout(Some(opts.seconds("oracle-timeout", 0.0)?));
     }
     let respawn = match opts.value("oracle-respawn").unwrap_or("on") {
         "on" => true,
@@ -769,7 +780,7 @@ fn cmd_learn_bb(args: &[String]) -> Result<(), String> {
     };
 
     let mut config = LearnerConfig::fast();
-    config.time_budget = Duration::from_secs_f64(opts.number("budget", 60.0)?);
+    config.time_budget = opts.seconds("budget", 60.0)?;
     config.seed = opts.number("seed", config.seed)?;
     if opts.value("max-queries").is_some() {
         config.max_queries = Some(opts.number("max-queries", 0u64)?);
@@ -789,18 +800,26 @@ fn cmd_learn_bb(args: &[String]) -> Result<(), String> {
 
     let policy = RetryPolicy {
         max_retries: opts.number("oracle-retries", 3u32)?,
-        backoff_base: Duration::from_secs_f64(opts.number("oracle-backoff", 0.05)?),
+        backoff_base: opts.seconds("oracle-backoff", 0.05)?,
         respawn,
         seed: config.seed,
         ..RetryPolicy::default()
     };
     let mut oracle = ResilientOracle::with_telemetry(inner, policy, telemetry.clone());
-    oracle.set_deadline(Some(std::time::Instant::now() + config.time_budget));
+    // No retry is scheduled past the wall; prior segments spent part
+    // of it. A wall too far off to represent sets no deadline.
+    let spent = resume
+        .as_ref()
+        .map_or(Duration::ZERO, |(_, s)| s.elapsed_before);
+    oracle.set_deadline(
+        std::time::Instant::now().checked_add(config.time_budget.saturating_sub(spent)),
+    );
     let ctl = run_control_of(&opts)?;
     let mut learner = Learner::with_telemetry(config, telemetry.clone());
     let result = drive_learner(
         &mut learner,
         &mut oracle,
+        resume,
         &ctl,
         &telemetry,
         &opts,
@@ -916,7 +935,7 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
     };
     let aig = read_aig(input)?;
     let mut cfg = cirlearn_synth::OptimizeConfig {
-        time_budget: Duration::from_secs_f64(opts.number("budget", 60.0)?),
+        time_budget: opts.seconds("budget", 60.0)?,
         ..cirlearn_synth::OptimizeConfig::default()
     };
     if let Some(level) = check_level_of(&opts)? {

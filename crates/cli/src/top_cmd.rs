@@ -8,8 +8,6 @@
 //! the writer replaces the file atomically, so every read sees a
 //! complete snapshot.
 
-use std::time::Duration;
-
 use cirlearn_telemetry::StatusSnapshot;
 
 use crate::Opts;
@@ -20,7 +18,7 @@ pub(crate) fn cmd_top(args: &[String]) -> Result<(), String> {
         return Err("top expects exactly one status file".to_owned());
     };
     let once = opts.present("once");
-    let interval = Duration::from_secs_f64(opts.number("interval", 1.0)?);
+    let interval = opts.seconds("interval", 1.0)?;
     let mut waiting_printed = false;
     loop {
         let snap = match std::fs::read_to_string(path) {

@@ -470,6 +470,52 @@ done
 }
 
 #[test]
+fn resumed_learn_bb_schedules_no_retry_past_the_remaining_wall() {
+    let dir = tempdir();
+    let ckpt = dir.join("wall.clck");
+    let inputs = (0..12)
+        .map(|k| format!("i{k}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    let learn_bb = |blackbox: &str| {
+        let mut cmd = bin();
+        cmd.args(["learn-bb", "--cmd", env!("CARGO_BIN_EXE_cirlearn")])
+            .args(["--args", blackbox, "--inputs", &inputs, "--outputs", "y0"])
+            .args(["--budget", "101", "--flight", "off", "--checkpoint"])
+            .arg(&ckpt);
+        cmd
+    };
+    let out = learn_bb("blackbox eco 12 1 --seed 3")
+        .args(["--stop-after-safe-points", "0"])
+        .output()
+        .expect("run learn-bb");
+    assert_eq!(out.status.code(), Some(130), "suspends at safe point 0");
+    // The first segment spent 100 s of the 101 s wall.
+    let mut state = cirlearn::LearnState::load(&ckpt).expect("checkpoint");
+    state.elapsed_before = std::time::Duration::from_secs(100);
+    state.save(&ckpt).expect("rewrite checkpoint");
+
+    // Every answer of the resumed black box is malformed, and each
+    // retry would first sleep at least 3.75 s (the 5 s backoff cap,
+    // jittered by 25%): past the 1 s left, so none is scheduled.
+    let started = std::time::Instant::now();
+    let out = learn_bb("blackbox eco 12 1 --seed 3 --flake-every 1")
+        .args(["--oracle-retries", "3", "--oracle-backoff", "30"])
+        .arg("--resume")
+        .arg(&ckpt)
+        .output()
+        .expect("run learn-bb");
+    let took = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("degraded"), "{stderr}");
+    assert!(
+        took < std::time::Duration::from_secs(3),
+        "slept {took:?} in retries past the wall: {stderr}"
+    );
+}
+
+#[test]
 fn check_flag_rejects_unknown_levels() {
     let out = bin()
         .args(["learn", "whatever.aag", "--check", "paranoid"])
@@ -478,6 +524,53 @@ fn check_flag_rejects_unknown_levels() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--check"), "{stderr}");
+}
+
+#[test]
+fn seconds_flags_reject_bad_values_without_panicking() {
+    let dir = tempdir();
+    let hidden = dir.join("seconds.aag");
+    let ckpt = dir.join("seconds.clck");
+    let out = bin()
+        .args(["gen", "eco", "8", "1", "--seed", "3", "-o"])
+        .arg(&hidden)
+        .output()
+        .expect("run gen");
+    assert!(out.status.success());
+    let ckpt = ckpt.to_str().expect("utf-8 path");
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("learn", &["--budget", "-1"], "--budget"),
+        ("learn", &["--budget", "1e30"], "--budget"),
+        ("opt", &["--budget", "nan"], "--budget"),
+        (
+            "learn",
+            &["--checkpoint", ckpt, "--checkpoint-interval", "-1"],
+            "--checkpoint-interval",
+        ),
+    ];
+    for (cmd, flags, name) in cases {
+        let out = bin()
+            .arg(cmd)
+            .arg(&hidden)
+            .args(flags)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {name} expects")),
+            "{cmd} {flags:?}: {stderr}"
+        );
+    }
+    // A wall too far off for the clock to represent is no wall.
+    let out = bin()
+        .arg("opt")
+        .arg(&hidden)
+        .args(["--budget", "1e19"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
 }
 
 #[test]

@@ -8,10 +8,10 @@ use cirlearn_telemetry::Telemetry;
 /// anytime behaviour (the contest imposed a hard time limit; the
 /// algorithm early-stops tree construction and still emits a circuit).
 ///
-/// An unlimited budget is a real sentinel ([`Budget::limit`] returns
-/// `None`), not a huge finite duration, so arithmetic on limits can
-/// never overflow and reports can distinguish "plenty left" from
-/// "unconstrained".
+/// An unlimited budget is a real sentinel ([`Budget::remaining_opt`]
+/// returns `None`), not a huge finite duration, so arithmetic on
+/// limits can never overflow and reports can distinguish "plenty left"
+/// from "unconstrained".
 ///
 /// # Examples
 ///
@@ -22,7 +22,7 @@ use cirlearn_telemetry::Telemetry;
 /// let budget = Budget::new(Duration::from_secs(60));
 /// assert!(!budget.exhausted());
 /// assert!(budget.remaining() <= Duration::from_secs(60));
-/// assert!(Budget::unlimited().limit().is_none());
+/// assert!(Budget::unlimited().remaining_opt().is_none());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
@@ -45,11 +45,6 @@ impl Budget {
             start: Instant::now(),
             limit: None,
         }
-    }
-
-    /// The configured limit; `None` for an unlimited budget.
-    pub fn limit(&self) -> Option<Duration> {
-        self.limit
     }
 
     /// Elapsed time since the budget started.
@@ -115,12 +110,11 @@ mod tests {
     fn unlimited_is_a_sentinel() {
         let b = Budget::unlimited();
         assert!(!b.exhausted());
-        assert_eq!(b.limit(), None);
         assert_eq!(b.remaining(), Duration::MAX);
         assert_eq!(b.remaining_opt(), None);
         // Fractions of unlimited stay unlimited rather than becoming a
         // huge finite limit that could overflow downstream arithmetic.
-        assert_eq!(b.fraction_of_remaining(0.01).limit(), None);
+        assert_eq!(b.fraction_of_remaining(0.01).remaining_opt(), None);
     }
 
     #[test]

@@ -134,10 +134,17 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// A fingerprint of the learner configuration, stored in checkpoints
 /// so a resume with different settings is rejected instead of silently
 /// producing a run that matches neither configuration.
+///
+/// [`LearnerConfig::time_budget`] is left out: the wall is cumulative
+/// across segments, and a resumed segment may move it.
 pub fn config_fingerprint(config: &LearnerConfig) -> u64 {
     // `Debug` output covers every field deterministically; hashing the
     // rendered form avoids hand-maintaining a field list that would
     // silently go stale when the config grows.
+    let config = LearnerConfig {
+        time_budget: Duration::ZERO,
+        ..config.clone()
+    };
     fnv1a64(format!("{config:?}").as_bytes())
 }
 
@@ -788,5 +795,8 @@ mod tests {
         let b = config_fingerprint(&LearnerConfig::fast());
         assert_ne!(a, b);
         assert_eq!(a, config_fingerprint(&LearnerConfig::default()));
+        let mut longer = LearnerConfig::default();
+        longer.time_budget *= 2;
+        assert_eq!(a, config_fingerprint(&longer), "the wall may move");
     }
 }

@@ -408,7 +408,7 @@ impl FbdtBuilder {
     /// back to the cover's default polarity, which (by onset/offset
     /// selection) is the output's global majority value — the same
     /// guess a budget-forced leaf would make with zero extra samples.
-    /// Used by deadline degradation to turn a half-built tree into a
+    /// Used when the wall is spent to turn a half-built tree into a
     /// usable cover immediately.
     pub fn finish_now(&mut self) {
         let dropped = self.queue.len();

@@ -164,7 +164,8 @@ pub struct LearnResult {
 }
 
 /// External control of a [`Learner::learn_with`] run: periodic
-/// checkpointing, a cooperative stop flag, and a hard deadline.
+/// checkpointing, a cooperative stop flag, and a flight-dump flag. The
+/// run's one wall is [`LearnerConfig::time_budget`].
 ///
 /// The run honors these at *safe points* — before each output and
 /// between FBDT node expansions — so a suspension always lands on a
@@ -186,12 +187,6 @@ pub struct RunControl {
     /// cleared and the flight recorder is dumped — the run continues
     /// undisturbed.
     pub dump: Option<Arc<AtomicBool>>,
-    /// Hard deadline on *cumulative* run time across all segments.
-    /// Once exceeded, in-flight FBDT construction stops and each
-    /// unfinished output is synthesized from its already-collected
-    /// cubes (falling back to the majority constant), instead of the
-    /// run overshooting or dying.
-    pub deadline: Option<Duration>,
     /// Suspend unconditionally once this many safe points have been
     /// passed (`Some(0)` suspends at the first). A deterministic
     /// suspension trigger for tests — wall-clock intervals are not
@@ -206,7 +201,6 @@ impl Default for RunControl {
             checkpoint_interval: Duration::from_secs(30),
             stop: None,
             dump: None,
-            deadline: None,
             stop_after_safe_points: None,
         }
     }
@@ -260,7 +254,13 @@ pub struct LearnerConfig {
     pub fbdt: FbdtConfig,
     /// Template matching settings.
     pub template: TemplateConfig,
-    /// Total wall-clock budget (the paper ran under 2700 s).
+    /// Total wall-clock budget (the paper ran under 2700 s), the run's
+    /// one wall. It is cumulative across resumed segments and may
+    /// change between them. Each output's FBDT gets an equal share of
+    /// what is left and forces leaves when its share runs out. Once the
+    /// whole wall is spent, the tree in flight is synthesized from the
+    /// cubes it collected, every output not yet started becomes a
+    /// constant, and optimization is skipped.
     pub time_budget: Duration,
     /// Optional total query budget: unlike wall-clock time it is
     /// machine-independent, so budgeted runs reproduce exactly. It
@@ -362,9 +362,10 @@ impl Learner {
     /// Learns a circuit for the black box.
     ///
     /// Always returns a complete circuit with one output per oracle
-    /// output; on budget exhaustion the remaining outputs degrade to
-    /// majority-vote approximations (the paper's early-stop behaviour)
-    /// rather than being dropped.
+    /// output; once the wall ([`LearnerConfig::time_budget`]) is spent,
+    /// the tree in flight is synthesized from the cubes it collected
+    /// and the outputs not yet started degrade to constants (the
+    /// paper's early-stop behaviour) rather than being dropped.
     ///
     /// Queries flow through the oracle's *fallible* path
     /// ([`Oracle::try_query`]). If the oracle dies beyond recovery the
@@ -383,7 +384,7 @@ impl Learner {
     }
 
     /// Learns under external run control: periodic checkpoints, a
-    /// cooperative stop flag, and a hard deadline (see [`RunControl`]).
+    /// cooperative stop flag, and flight dumps (see [`RunControl`]).
     ///
     /// Returns [`LearnOutcome::Suspended`] when a stop was requested at
     /// a safe point; pass the state to [`Learner::resume`] to continue
@@ -412,7 +413,8 @@ impl Learner {
     /// # Errors
     ///
     /// Returns [`CheckpointError::Mismatch`] when the state does not
-    /// belong to this run: different configuration fingerprint,
+    /// belong to this run: different configuration fingerprint (any
+    /// field but `time_budget`, which a segment may move),
     /// different oracle port names, an embedded circuit that fails to
     /// parse, edge codes pointing outside that circuit, or an oracle
     /// stack that rejects its nested state. Nothing is learned and the
@@ -440,7 +442,8 @@ impl Learner {
         if fp != state.config_fingerprint {
             return Err(CheckpointError::Mismatch(format!(
                 "config fingerprint {fp:016x} differs from the checkpoint's {:016x} \
-                 (the configuration must not change between segments)",
+                 (the configuration, apart from the time budget, must not change \
+                 between segments)",
                 state.config_fingerprint
             )));
         }
@@ -572,7 +575,7 @@ struct Run<'a, O: ?Sized> {
     out_elapsed: Vec<Duration>,
     out_queries: Vec<u64>,
     truth_bias: Vec<Option<f64>>,
-    /// Outputs whose FBDT the deadline cut short: they keep their
+    /// Outputs whose FBDT the spent wall cut short: they keep their
     /// partial-cube circuit but are reported as degraded.
     cut_short: Vec<bool>,
     /// Queries and wall clock spent in prior segments.
@@ -584,7 +587,7 @@ struct Run<'a, O: ?Sized> {
     /// Safe points passed in this segment.
     safe_points: u64,
     last_ckpt: Instant,
-    deadline_dumped: bool,
+    wall_dumped: bool,
     /// An in-flight FBDT restored from a checkpoint, waiting for its
     /// output's turn (it always goes first).
     tree: Option<Tree>,
@@ -655,7 +658,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             budget: Budget::new(config.time_budget),
             safe_points: 0,
             last_ckpt: Instant::now(),
-            deadline_dumped: false,
+            wall_dumped: false,
             tree: None,
             oracle,
         }
@@ -675,17 +678,13 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
         self.edges.iter().filter(|e| e.is_some()).count()
     }
 
-    /// Whether the cumulative run time has reached the deadline.
-    fn past_deadline(&self) -> bool {
-        self.ctl.deadline.is_some_and(|d| self.elapsed() >= d)
-    }
-
-    /// [`Run::past_deadline`] for the checks that cut learning short;
-    /// the first that trips dumps the flight recorder.
-    fn deadline_hit(&mut self) -> bool {
-        let hit = self.past_deadline();
-        if hit && !self.deadline_dumped {
-            self.deadline_dumped = true;
+    /// Whether the whole wall is spent. `budget` is what `time_budget`
+    /// left this segment, so the check counts across segments; the
+    /// first check that trips dumps the flight recorder.
+    fn wall_hit(&mut self) -> bool {
+        let hit = self.budget.exhausted();
+        if hit && !self.wall_dumped {
+            self.wall_dumped = true;
             self.telemetry.dump_flight("deadline");
         }
         hit
@@ -924,21 +923,20 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             .set_progress(self.outputs_done() as u64, num_outputs as u64);
         for (k, &o) in remaining.iter().enumerate() {
             self.safe_point(|_| Cursor::NextOutput)?;
-            if self.oracle.failed() || self.budget.exhausted() {
+            if self.oracle.failed() {
                 // Per-output isolation: a dead oracle answers constant
                 // fallbacks instantly, but learning from them would
-                // only launder junk into the circuit — and past the
-                // budget there is no time left to sample honestly.
-                // Leave the edge empty; it degrades to a baseline
-                // constant below.
+                // only launder junk into the circuit. Leave the edge
+                // empty; it degrades to a baseline constant below.
                 continue;
             }
             let resumed = self.tree.as_ref().is_some_and(|t| t.builder.output() == o);
-            if !resumed && self.deadline_hit() {
-                // Degradation ladder, bottom rung: outputs not yet
-                // started get constant 0 below. An in-flight resumed
-                // tree still enters its arm so the cubes it already
-                // collected are synthesized, not discarded.
+            if !resumed && self.wall_hit() {
+                // Past the wall there is no time left to sample
+                // honestly: an output not yet started degrades to a
+                // constant below. A resumed tree still enters its arm,
+                // so the cubes it already collected are synthesized,
+                // not discarded.
                 continue;
             }
             self.learn_output(o, remaining.len() - k)?;
@@ -1050,7 +1048,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
     }
 
     /// Step 4 for an FBDT: one node expansion per safe point until the
-    /// frontier is empty or the deadline cuts the tree short, then the
+    /// frontier is empty or the spent wall cuts the tree short, then the
     /// cover's circuit. `started` and `queries_before` mark where this
     /// segment's work on the output began.
     fn drive_tree(
@@ -1074,7 +1072,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
                 telemetry.set_fbdt_depth(None);
                 return Err(state);
             }
-            if self.deadline_hit() {
+            if self.wall_hit() {
                 tree.builder.finish_now();
                 break true;
             }
@@ -1094,7 +1092,7 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             telemetry.event(
                 Level::Warn,
                 &format!(
-                    "output {o} ({}): deadline hit, synthesized from {} collected cubes",
+                    "output {o} ({}): wall hit, synthesized from {} collected cubes",
                     self.oracle.output_names()[o],
                     cover.sop.cubes().len()
                 ),
@@ -1219,19 +1217,19 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
     }
 
     /// Graceful degradation: any output still without an edge (the
-    /// oracle died, the budget or deadline expired, or its learned
-    /// cover was discarded) falls back to a constant — the majority
-    /// vote of its support-sampling truth ratio, the same baseline a
-    /// budget-forced FBDT leaf uses, or 0 for an output never started
-    /// — so the result is always a complete, valid circuit. Returns the
-    /// degraded outputs: those and the ones the deadline cut short.
+    /// oracle died, the wall was spent, or its learned cover was
+    /// discarded) falls back to a constant — the majority vote of its
+    /// support-sampling truth ratio, the same baseline a budget-forced
+    /// FBDT leaf uses, or 0 for an output never started — so the
+    /// result is always a complete, valid circuit. Returns the degraded
+    /// outputs: those and the ones the spent wall cut short.
     fn degrade(&mut self) -> Vec<usize> {
         let degraded: Vec<usize> = (0..self.edges.len())
             .filter(|&o| self.edges[o].is_none() || self.cut_short[o])
             .collect();
         for &o in &degraded {
             if self.edges[o].is_some() {
-                // Cut short by the deadline: the partial-cube circuit
+                // Cut short by the wall: the partial-cube circuit
                 // stays, but its accuracy was not driven to the leaf
                 // tolerance.
                 continue;
@@ -1254,13 +1252,13 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
         degraded
     }
 
-    /// Step 5: circuit optimization — skipped past the deadline (the
+    /// Step 5: circuit optimization — skipped past the wall (the
     /// degradation ladder trades gates for finishing at all).
     fn optimize(&self, circuit: Aig) -> Aig {
         let telemetry = self.telemetry;
         let circuit = match &self.config.optimize {
-            Some(_) if self.past_deadline() => {
-                telemetry.event(Level::Warn, "deadline exceeded: skipping optimization");
+            Some(_) if self.budget.exhausted() => {
+                telemetry.event(Level::Warn, "wall spent: skipping optimization");
                 circuit
             }
             Some(opt_cfg) => {
@@ -1804,14 +1802,14 @@ mod resume_tests {
 
     #[test]
     fn deadline_degrades_instead_of_overshooting() {
+        // A wall spent before the first output: every output degrades
+        // instead of the run overshooting, under a query cap too.
         let mut oracle = generate::neq_case_with_support(26, 3, 22, 77);
-        let telemetry = Telemetry::recording();
-        let mut learner = Learner::with_telemetry(config(), telemetry.clone());
-        let ctl = RunControl {
-            deadline: Some(Duration::ZERO),
-            ..RunControl::default()
-        };
-        let result = learner.learn_with(&mut oracle, &ctl).expect_completed();
+        let mut cfg = config();
+        cfg.time_budget = Duration::ZERO;
+        let result = Learner::new(cfg)
+            .learn_with(&mut oracle, &RunControl::default())
+            .expect_completed();
         // Complete circuit, every output degraded, nobody panicked.
         assert_eq!(result.circuit.num_outputs(), 3);
         assert_eq!(result.degraded, vec![0, 1, 2]);
@@ -1820,11 +1818,11 @@ mod resume_tests {
     }
 
     #[test]
-    fn deadline_mid_tree_synthesizes_from_collected_cubes() {
-        // Suspend mid-tree, then resume with an already-exceeded
-        // deadline: the in-flight output must be synthesized from its
+    fn wall_mid_tree_synthesizes_from_collected_cubes() {
+        // Suspend mid-tree, then resume with the whole wall already
+        // spent: the in-flight output must be synthesized from its
         // collected cubes (Strategy::Fbdt, reported degraded), not
-        // thrown away.
+        // thrown away, and no further query is issued.
         let mut oracle = generate::neq_case_with_support(26, 1, 22, 97);
         let mut learner = Learner::new(config());
         // Burn enough safe points to be deep inside the FBDT.
@@ -1832,7 +1830,7 @@ mod resume_tests {
             stop_after_safe_points: Some(30),
             ..RunControl::default()
         };
-        let state = learner
+        let mut state = learner
             .learn_with(&mut oracle, &ctl)
             .suspended()
             .expect("deep suspension");
@@ -1840,19 +1838,42 @@ mod resume_tests {
             matches!(state.cursor, Cursor::Fbdt { .. }),
             "30 safe points on one output should land mid-tree"
         );
+        state.elapsed_before = config().time_budget;
+        let queries_used = state.queries_used;
         let telemetry = Telemetry::recording();
         let mut learner = Learner::with_telemetry(config(), telemetry.clone());
-        let ctl = RunControl {
-            deadline: Some(Duration::ZERO),
-            ..RunControl::default()
-        };
         let result = learner
-            .resume(*state, &mut oracle, &ctl)
+            .resume(*state, &mut oracle, &RunControl::default())
             .expect("state validates")
             .expect_completed();
         assert_eq!(result.degraded, vec![0], "cut output reported degraded");
         assert_eq!(result.outputs[0].strategy, Strategy::Fbdt);
         assert_eq!(telemetry.counter(Counter::CkptDeadlinePartialOutputs), 1);
+        assert_eq!(result.queries, queries_used, "no query past the wall");
+    }
+
+    #[test]
+    fn resume_accepts_a_different_time_budget() {
+        // The wall is cumulative and may move between segments: a
+        // resumed segment under another `time_budget` is the same run.
+        let want = reference(97);
+        let mut oracle = generate::neq_case_with_support(26, 2, 22, 97);
+        let ctl = RunControl {
+            stop_after_safe_points: Some(30),
+            ..RunControl::default()
+        };
+        let state = Learner::new(config())
+            .learn_with(&mut oracle, &ctl)
+            .suspended()
+            .expect("suspends mid-run");
+        let mut longer = config();
+        longer.time_budget *= 2;
+        let got = Learner::new(longer)
+            .resume(*state, &mut oracle, &RunControl::default())
+            .expect("a new wall validates")
+            .expect_completed();
+        assert_eq!(fingerprint(&got.circuit), fingerprint(&want.circuit));
+        assert_eq!(got.queries, want.queries);
     }
 
     /// An oracle that dies after `delay` on its first call (the guard
@@ -1890,31 +1911,28 @@ mod resume_tests {
     }
 
     #[test]
-    fn deadline_after_oracle_death_lists_the_output_once() {
-        // Resume mid-tree; the first query outlives the deadline and
-        // kills the oracle, so the output is both cut short by the
-        // deadline and stripped of its untrustworthy cover.
+    fn wall_after_oracle_death_lists_the_output_once() {
+        // Resume mid-tree; the first query outlives the wall and kills
+        // the oracle, so the output is both cut short by the wall and
+        // stripped of its untrustworthy cover.
         let mut oracle = generate::neq_case_with_support(26, 1, 22, 97);
         let mut learner = Learner::new(config());
         let ctl = RunControl {
             stop_after_safe_points: Some(30),
             ..RunControl::default()
         };
-        let state = learner
+        let mut state = learner
             .learn_with(&mut oracle, &ctl)
             .suspended()
             .expect("deep suspension");
         assert!(matches!(state.cursor, Cursor::Fbdt { .. }));
-        let ctl = RunControl {
-            deadline: Some(state.elapsed_before + Duration::from_millis(300)),
-            ..RunControl::default()
-        };
+        state.elapsed_before = config().time_budget - Duration::from_millis(300);
         let mut oracle = DiesSlowly {
             inner: oracle,
             delay: Duration::from_millis(600),
         };
         let result = learner
-            .resume(*state, &mut oracle, &ctl)
+            .resume(*state, &mut oracle, &RunControl::default())
             .expect("state validates")
             .expect_completed();
         assert!(result.faults.oracle_error.is_some());

@@ -24,15 +24,6 @@ pub struct SupportInfo {
     pub queries: u64,
 }
 
-impl SupportInfo {
-    /// Inputs ordered by descending significance (dependency count).
-    pub fn by_significance(&self) -> Vec<usize> {
-        let mut s = self.support.clone();
-        s.sort_by_key(|&i| std::cmp::Reverse(self.dependency[i]));
-        s
-    }
-}
-
 /// Identifies the approximate support `S'` of `output`.
 ///
 /// This is the paper's §IV-C procedure: unconstrained sampling (empty
@@ -80,8 +71,6 @@ mod tests {
         let mut rng = seeded_rng(11);
         let info = identify_support(&mut o, 0, &SamplingConfig::fast(), &mut rng);
         assert_eq!(info.support, vec![2, 7, 9]);
-        let sig = info.by_significance();
-        assert!(sig.contains(&2) && sig.contains(&7) && sig.contains(&9));
         assert!(info.dependency[2] > 0 && info.dependency[9] > 0);
     }
 

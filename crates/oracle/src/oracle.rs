@@ -336,11 +336,6 @@ impl CircuitOracle {
     pub fn reveal(&self) -> &Aig {
         &self.circuit
     }
-
-    /// Resets the query counter.
-    pub fn reset_queries(&mut self) {
-        self.queries = 0;
-    }
 }
 
 impl Oracle for CircuitOracle {
@@ -410,8 +405,6 @@ mod tests {
         assert_eq!(o.queries(), 2);
         o.query_batch(&[z.clone(), z.clone(), z.clone()]);
         assert_eq!(o.queries(), 5);
-        o.reset_queries();
-        assert_eq!(o.queries(), 0);
     }
 
     #[test]

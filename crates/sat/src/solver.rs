@@ -162,11 +162,6 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Returns the number of clauses (problem plus learned).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Returns the number of conflicts encountered so far.
     pub fn num_conflicts(&self) -> u64 {
         self.conflicts
@@ -714,7 +709,7 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_var();
         assert!(s.add_clause(&[a, !a]));
-        assert_eq!(s.num_clauses(), 0);
+        assert!(s.clauses.is_empty());
         assert_eq!(s.solve(), SolveResult::Sat);
     }
 

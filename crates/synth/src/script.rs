@@ -193,7 +193,7 @@ pub fn optimize(aig: &Aig, config: &OptimizeConfig) -> Aig {
 /// Like [`optimize`], but records every applied pass (gate and level
 /// deltas, wall clock) into the given [`Telemetry`] handle.
 pub fn optimize_with(aig: &Aig, config: &OptimizeConfig, telemetry: &Telemetry) -> Aig {
-    let deadline = Instant::now() + config.time_budget;
+    let started = Instant::now();
     let mut current = aig.cleanup();
     let mut best = current.clone();
 
@@ -210,7 +210,7 @@ pub fn optimize_with(aig: &Aig, config: &OptimizeConfig, telemetry: &Telemetry) 
             PassKind::Collapse,
             PassKind::Redundancy,
         ] {
-            if Instant::now() >= deadline {
+            if started.elapsed() >= config.time_budget {
                 return best;
             }
             if pass == PassKind::Collapse && collapsed {

@@ -41,8 +41,8 @@
 //! - **Flight recorder** ([`Telemetry::dump_flight`]): an always-on
 //!   bounded log of the most recent trace lines, kept beside the
 //!   trace stream and dumped atomically as JSONL on panic, fault,
-//!   deadline, suspension or SIGUSR1 — a black box for runs that were
-//!   not started with `--trace`.
+//!   the spent wall, suspension or SIGUSR1 — a black box for runs that
+//!   were not started with `--trace`.
 //! - **Live status** ([`StatusSnapshot`]): the compact run-progress
 //!   snapshot `--status <path>` rewrites atomically every 250ms and
 //!   `cirlearn top` renders.

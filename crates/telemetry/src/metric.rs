@@ -89,9 +89,10 @@ metric_ids! {
     CkptBytes = CKPT_BYTES("ckpt.bytes"),
     /// Runs resumed from a checkpoint (1 per resumed segment).
     CkptResumes = CKPT_RESUMES("ckpt.resumes"),
-    /// Outputs synthesized from partial covers because the deadline
-    /// expired mid-FBDT (deadline-aware degradation, step above the
-    /// majority-constant fallback).
+    /// Outputs synthesized from partial covers because the learner's
+    /// wall (`time_budget`) was spent mid-FBDT (the degradation step
+    /// above the majority-constant fallback). The key keeps its old
+    /// `deadline` name so report readers see no change.
     CkptDeadlinePartialOutputs = CKPT_DEADLINE_PARTIAL_OUTPUTS("ckpt.deadline_partial_outputs"),
     /// Flight-recorder dumps written (by any trigger); a dump whose
     /// write failed is not counted.

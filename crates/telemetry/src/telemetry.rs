@@ -680,7 +680,7 @@ impl Telemetry {
     /// Returns the path written, or `None` when the recorder is off,
     /// no dump path is set, or the write failed; only a written dump
     /// counts under [`Counter::FlightDumps`]. Called on panic
-    /// (drop-guard), fault degradation, deadline expiry, checkpoint
+    /// (drop-guard), fault degradation, the spent wall, checkpoint
     /// suspension and SIGUSR1.
     pub fn dump_flight(&self, reason: &str) -> Option<PathBuf> {
         // Flush the trace stream first so the file on disk is not
