@@ -55,15 +55,6 @@ impl Aig {
         self.add_word(&inverted, &one)
     }
 
-    /// Subtracts `b` from `a` modulo `2^width`.
-    pub fn sub_word(&mut self, a: &[Edge], b: &[Edge]) -> Vec<Edge> {
-        let width = a.len().max(b.len());
-        let b_ext = zero_extend(b, width);
-        let nb = self.neg_word(&b_ext);
-        let a_ext = zero_extend(a, width);
-        self.add_word(&a_ext, &nb)
-    }
-
     /// Multiplies a word by a signed constant, producing a word of
     /// `width` bits (two's-complement wraparound).
     pub fn mul_const_word(&mut self, a: &[Edge], k: i64, width: usize) -> Vec<Edge> {
@@ -146,20 +137,6 @@ impl Aig {
     /// Returns the single-bit unsigned `a ≥ b`.
     pub fn cmp_uge(&mut self, a: &[Edge], b: &[Edge]) -> Edge {
         !self.cmp_ult(a, b)
-    }
-
-    /// Returns `if sel then t else e` bitwise over two words of equal
-    /// width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word widths differ.
-    pub fn mux_word(&mut self, sel: Edge, t: &[Edge], e: &[Edge]) -> Vec<Edge> {
-        assert_eq!(t.len(), e.len(), "mux_word operands must have equal width");
-        t.iter()
-            .zip(e)
-            .map(|(&x, &y)| self.mux(sel, x, y))
-            .collect()
     }
 }
 
@@ -261,17 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn subtractor_exhaustive() {
-        exhaustive2(
-            4,
-            4,
-            |g, a, b| g.sub_word(a, b),
-            |x, y| x.wrapping_sub(y),
-            4,
-        );
-    }
-
-    #[test]
     fn negation() {
         let mut g = Aig::new();
         let a = g.add_inputs("a", 4);
@@ -359,27 +325,6 @@ mod tests {
                 1,
             );
         }
-    }
-
-    #[test]
-    fn mux_word_selects() {
-        let mut g = Aig::new();
-        let s = g.add_input("s");
-        let t = g.add_inputs("t", 2);
-        let e = g.add_inputs("e", 2);
-        let m = g.mux_word(s, &t, &e);
-        for (i, edge) in m.iter().enumerate() {
-            g.add_output(*edge, format!("z{i}"));
-        }
-        // s=1 selects t; s=0 selects e.
-        assert_eq!(
-            g.eval_bits(&[true, true, false, false, true]),
-            vec![true, false]
-        );
-        assert_eq!(
-            g.eval_bits(&[false, true, false, false, true]),
-            vec![false, true]
-        );
     }
 
     #[test]

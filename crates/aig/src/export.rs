@@ -1,49 +1,10 @@
-//! Text exports: Graphviz DOT and ASCII AIGER.
+//! Text exports: structural Verilog and ASCII AIGER.
 
 use std::fmt::Write as _;
 
 use crate::Aig;
 
 impl Aig {
-    /// Renders the graph in Graphviz DOT format.
-    ///
-    /// Inverted edges are drawn dashed; primary inputs are boxes labelled
-    /// with their names; outputs are double circles.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph aig {\n  rankdir=BT;\n");
-        for pos in 0..self.num_inputs() {
-            let node = self.input_edge(pos).node();
-            let _ = writeln!(
-                s,
-                "  n{} [shape=box, label=\"{}\"];",
-                node.index(),
-                self.input_name(pos)
-            );
-        }
-        for (n, a, b) in self.ands() {
-            let _ = writeln!(s, "  n{} [shape=ellipse, label=\"and\"];", n.index());
-            for fanin in [a, b] {
-                let style = if fanin.is_complemented() {
-                    " [style=dashed]"
-                } else {
-                    ""
-                };
-                let _ = writeln!(s, "  n{} -> n{}{};", fanin.node().index(), n.index(), style);
-            }
-        }
-        for (i, (e, name)) in self.outputs().iter().enumerate() {
-            let _ = writeln!(s, "  o{i} [shape=doublecircle, label=\"{name}\"];");
-            let style = if e.is_complemented() {
-                " [style=dashed]"
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "  n{} -> o{i}{};", e.node().index(), style);
-        }
-        s.push_str("}\n");
-        s
-    }
-
     /// Renders the graph as structural gate-level Verilog, one
     /// `assign` per AND node (inverters folded into the expressions).
     ///
@@ -153,16 +114,6 @@ mod tests {
         let y = g.and(a, !b);
         g.add_output(!y, "y");
         g
-    }
-
-    #[test]
-    fn dot_contains_nodes_and_styles() {
-        let dot = tiny().to_dot();
-        assert!(dot.starts_with("digraph aig {"));
-        assert!(dot.contains("label=\"a\""));
-        assert!(dot.contains("label=\"y\""));
-        assert!(dot.contains("[style=dashed]"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

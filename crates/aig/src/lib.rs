@@ -15,7 +15,7 @@
 //! contest's 2-input primitive-gate metric up to polarity absorption.
 //!
 //! The [`build`] module offers word-level constructors (adders,
-//! comparators, scaled sums, muxes) used both by the synthetic benchmark
+//! comparators, scaled sums) used both by the synthetic benchmark
 //! generators and by the learner's template instantiation.
 //!
 //! # Examples

@@ -1,6 +1,6 @@
-//! Structural support and cone extraction.
+//! Structural support of edges and outputs.
 
-use crate::{Aig, Edge, NodeId};
+use crate::{Aig, Edge};
 
 impl Aig {
     /// Returns the primary-input positions in the structural support of
@@ -37,80 +37,6 @@ impl Aig {
     pub fn output_support(&self, position: usize) -> Vec<usize> {
         self.structural_support(self.output_edge(position))
     }
-
-    /// Extracts the logic cone of `edge` as a standalone single-output
-    /// AIG whose primary inputs are exactly the cone's structural
-    /// support, in ascending input-position order.
-    ///
-    /// Returns the cone and the original input positions of its inputs.
-    /// The cone's output is named `cone`.
-    pub fn extract_cone(&self, edge: Edge) -> (Aig, Vec<usize>) {
-        let support = self.structural_support(edge);
-        let mut cone = Aig::new();
-        let mut map: Vec<Option<Edge>> = vec![None; self.node_count()];
-        map[NodeId::CONST.index()] = Some(Edge::FALSE);
-        for &pos in &support {
-            let e = cone.add_input(self.input_name(pos).to_owned());
-            map[self.input_edge(pos).node().index()] = Some(e);
-        }
-        for (n, a, b) in self.ands() {
-            // Only rebuild nodes inside the cone: both fanins mapped.
-            let (ma, mb) = (map[a.node().index()], map[b.node().index()]);
-            if let (Some(ma), Some(mb)) = (ma, mb) {
-                let na = ma.complement_if(a.is_complemented());
-                let nb = mb.complement_if(b.is_complemented());
-                map[n.index()] = Some(cone.and(na, nb));
-            }
-        }
-        let root = map[edge.node().index()]
-            .expect("cone root must be mapped")
-            .complement_if(edge.is_complemented());
-        cone.add_output(root, "cone");
-        (cone.cleanup(), support)
-    }
-}
-
-impl Aig {
-    /// Rebuilds the circuit with primary input `position` replaced by
-    /// an arbitrary function of the *other* inputs, supplied by
-    /// `build_replacement` on the new graph (which has the same input
-    /// set; the replaced input remains present but disconnected).
-    ///
-    /// This is functional composition `F(x₀, …, g(·), …)` — useful for
-    /// case-splitting, re-substituting a delegate input with its
-    /// comparator subcircuit, or injecting stuck-at faults in tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is out of range.
-    #[must_use]
-    pub fn substitute_input(
-        &self,
-        position: usize,
-        build_replacement: impl FnOnce(&mut Aig) -> Edge,
-    ) -> Aig {
-        assert!(
-            position < self.num_inputs(),
-            "input {position} out of range"
-        );
-        let mut out = Aig::with_inputs_like(self);
-        let replacement = build_replacement(&mut out);
-        let mut map: Vec<Edge> = vec![Edge::FALSE; self.node_count()];
-        for (i, m) in map.iter_mut().enumerate().take(self.num_inputs() + 1) {
-            *m = Edge::from_code(i as u32 * 2);
-        }
-        map[self.input_edge(position).node().index()] = replacement;
-        for (n, a, b) in self.ands() {
-            let na = map[a.node().index()].complement_if(a.is_complemented());
-            let nb = map[b.node().index()].complement_if(b.is_complemented());
-            map[n.index()] = out.and(na, nb);
-        }
-        for (e, name) in self.outputs() {
-            let ne = map[e.node().index()].complement_if(e.is_complemented());
-            out.add_output(ne, name.clone());
-        }
-        out.cleanup()
-    }
 }
 
 #[cfg(test)]
@@ -135,105 +61,5 @@ mod tests {
         let f = g.and(a, c);
         g.add_output(f, "f");
         assert_eq!(g.output_support(0), vec![0, 2]);
-    }
-
-    #[test]
-    fn extract_cone_preserves_function() {
-        let mut g = Aig::new();
-        let a = g.add_input("a");
-        let _unused = g.add_input("u");
-        let b = g.add_input("b");
-        let c = g.add_input("c");
-        let ab = g.xor(a, b);
-        let f = g.mux(c, ab, a);
-        let other = g.and(a, b);
-        g.add_output(other, "other");
-        g.add_output(!f, "f");
-
-        let (cone, support) = g.extract_cone(!f);
-        assert_eq!(support, vec![0, 2, 3]);
-        assert_eq!(cone.num_inputs(), 3);
-        assert_eq!(
-            cone.input_names(),
-            &["a".to_owned(), "b".into(), "c".into()]
-        );
-        for m in 0..16u32 {
-            let bits: Vec<bool> = (0..4).map(|i| m >> i & 1 == 1).collect();
-            let full = g.eval_bits(&bits)[1];
-            let cone_bits = [bits[0], bits[2], bits[3]];
-            assert_eq!(cone.eval_bits(&cone_bits), vec![full], "m={m}");
-        }
-    }
-
-    #[test]
-    fn extract_cone_of_constant() {
-        let mut g = Aig::new();
-        let _a = g.add_input("a");
-        let (cone, support) = g.extract_cone(Edge::TRUE);
-        assert!(support.is_empty());
-        assert_eq!(cone.num_inputs(), 0);
-        assert_eq!(cone.eval_bits(&[]), vec![true]);
-    }
-
-    #[test]
-    fn cone_is_compact() {
-        let mut g = Aig::new();
-        let a = g.add_input("a");
-        let b = g.add_input("b");
-        let f = g.and(a, b);
-        let _dangling = g.or(a, b);
-        g.add_output(f, "f");
-        let (cone, _) = g.extract_cone(f);
-        assert_eq!(cone.and_count(), 1);
-    }
-}
-
-#[cfg(test)]
-mod substitute_tests {
-    use super::*;
-
-    #[test]
-    fn substitution_composes_functions() {
-        // F = x0 XOR x1; substitute x0 := x1 & x2, giving (x1&x2) XOR x1.
-        let mut g = Aig::new();
-        let a = g.add_input("x0");
-        let b = g.add_input("x1");
-        let _c = g.add_input("x2");
-        let y = g.xor(a, b);
-        g.add_output(y, "y");
-        let composed = g.substitute_input(0, |out| {
-            let b = out.input_edge(1);
-            let c = out.input_edge(2);
-            out.and(b, c)
-        });
-        for m in 0..8u32 {
-            let bits: Vec<bool> = (0..3).map(|k| m >> k & 1 == 1).collect();
-            let expect = (bits[1] && bits[2]) != bits[1];
-            assert_eq!(composed.eval_bits(&bits), vec![expect], "m={m}");
-        }
-    }
-
-    #[test]
-    fn substitution_with_constant_is_a_cofactor() {
-        let mut g = Aig::new();
-        let a = g.add_input("a");
-        let b = g.add_input("b");
-        let y = g.mux(a, b, !b);
-        g.add_output(y, "y");
-        let pos = g.substitute_input(0, |_| Edge::TRUE);
-        let neg = g.substitute_input(0, |_| Edge::FALSE);
-        for m in 0..4u32 {
-            let bits: Vec<bool> = (0..2).map(|k| m >> k & 1 == 1).collect();
-            assert_eq!(pos.eval_bits(&bits)[0], bits[1]);
-            assert_eq!(neg.eval_bits(&bits)[0], !bits[1]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_position_panics() {
-        let mut g = Aig::new();
-        let _ = g.add_input("a");
-        let _ = g.substitute_input(1, |_| Edge::TRUE);
     }
 }

@@ -1,9 +1,11 @@
 //! Shared harness for regenerating the paper's evaluation.
 //!
-//! The binaries [`table2`](../table2/index.html) and
-//! [`ablation`](../ablation/index.html) use this library to run
-//! learners over the contest suite and print Table II-style rows
-//! (size / accuracy / time per case and per contestant).
+//! The binaries [`table2`](../table2/index.html),
+//! [`ablation`](../ablation/index.html) and
+//! [`bench`](../bench/index.html) use this library to run learners
+//! over the contest suite: the first two print Table II-style rows
+//! (size / accuracy / time per case and per contestant), and `bench`
+//! writes and compares the schema-versioned [`report`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,7 +26,7 @@
 //!       "histograms": {           // name -> HistogramSummary JSON
 //!         "oracle.batch_ns": { "count": ..., "p50": ..., ... }
 //!       },
-//!       "attribution": {          // version 2: per-stage cost ledger
+//!       "attribution": {          // per-stage cost ledger
 //!         "support": { "queries": 9600, "query_ns": 812345, "gates": 0 },
 //!         "fbdt":    { "queries": 2745, "query_ns": 230000, "gates": 180 }
 //!       }
@@ -36,10 +36,7 @@
 //! ```
 //!
 //! Unknown keys are ignored on read so readers tolerate additive
-//! extensions. Version 2 added the per-stage `attribution` section
-//! (summed over outputs from the run report's cost ledger); version-1
-//! documents still parse — the section just comes back empty — while
-//! any other version is rejected.
+//! extensions; a document of any other schema version is rejected.
 
 use std::collections::BTreeMap;
 
@@ -49,11 +46,6 @@ use cirlearn_telemetry::HistogramSummary;
 /// Version stamp written into every BENCH file. Bump on breaking
 /// schema changes; additive fields keep the version.
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
-
-/// Older schema versions [`BenchReport::from_json`] still accepts
-/// (version 2 only added the `attribution` section, so version-1
-/// documents parse unchanged).
-pub const BENCH_COMPAT_VERSIONS: &[u64] = &[1, BENCH_SCHEMA_VERSION];
 
 /// Per-stage cost from the run report's attribution ledger, summed
 /// over outputs (BENCH files track stage-level drift; per-output
@@ -108,7 +100,8 @@ pub struct BenchRecord {
     /// telemetry histogram name (see `cirlearn_telemetry::histograms`).
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Per-stage cost attribution (queries, oracle time, gates built),
-    /// keyed by top-level stage name. Empty for version-1 documents.
+    /// keyed by top-level stage name, summed over outputs from the run
+    /// report's cost ledger.
     pub attribution: BTreeMap<String, StageCost>,
     /// Whether some output's FBDT forced leaves: its query cap, its
     /// node cap or a wall budget ran out, or an impure node had no
@@ -254,9 +247,9 @@ impl BenchReport {
             .get("bench_schema_version")
             .and_then(Json::as_u64)
             .ok_or("missing bench_schema_version")?;
-        if !BENCH_COMPAT_VERSIONS.contains(&version) {
+        if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
-                "bench_schema_version {version} is not one of the supported {BENCH_COMPAT_VERSIONS:?}"
+                "bench_schema_version {version} is not the supported {BENCH_SCHEMA_VERSION}"
             ));
         }
         let suite = json
@@ -533,22 +526,6 @@ mod tests {
         new.records[0].accuracy -= 5.0;
         new.records.remove(1);
         assert_eq!(regressed(&old, &new), ["accuracy", "missing"]);
-    }
-
-    #[test]
-    fn version_1_documents_still_parse_without_attribution() {
-        let mut json = sample_report().to_json();
-        if let Json::Object(pairs) = &mut json {
-            for (k, v) in pairs.iter_mut() {
-                if k == "bench_schema_version" {
-                    *v = Json::Number(1.0);
-                }
-            }
-        }
-        // Strip the v2 section to mimic a genuine v1 file.
-        let text = json.to_pretty();
-        let report = BenchReport::from_text(&text).expect("v1 must stay readable");
-        assert_eq!(report.records.len(), 2);
     }
 
     #[test]

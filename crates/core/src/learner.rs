@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cirlearn_aig::{Aig, Edge};
-use cirlearn_oracle::{InstrumentedOracle, Oracle};
+use cirlearn_oracle::Oracle;
 use cirlearn_synth::{optimize_with, OptimizeConfig};
 use cirlearn_telemetry::json::Json;
 use cirlearn_telemetry::{Counter, Hist, Level, OutputReport, Telemetry};
@@ -561,7 +561,7 @@ struct Run<'a, O: ?Sized> {
     telemetry: &'a Telemetry,
     ctl: &'a RunControl,
     /// The caller's oracle, counted at the source and guarded.
-    oracle: OracleGuard<InstrumentedOracle<&'a mut O>>,
+    oracle: OracleGuard<&'a mut O>,
     /// Input name grouping (step 1); `None` without preprocessing.
     grouping: Option<Grouping>,
     /// The partial circuit: outputs are attached only at the end.
@@ -621,13 +621,10 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
         // Count queries at the source: every query the pipeline issues
         // from here on lands on the `oracle.queries` counter and is
         // attributed to the stage span active when it was served.
-        // The guard outside routes them through the fallible path and
-        // latches the first terminal failure for per-output isolation,
-        // dumping the flight recorder at the moment of the fault.
-        let oracle = OracleGuard::with_telemetry(
-            InstrumentedOracle::new(oracle, telemetry.clone()),
-            telemetry.clone(),
-        );
+        // The guard routes them through the fallible path and latches
+        // the first terminal failure for per-output isolation, dumping
+        // the flight recorder at the moment of the fault.
+        let oracle = OracleGuard::with_telemetry(oracle, telemetry.clone());
         let n = oracle.num_outputs();
         let mut circuit = Aig::new();
         for name in oracle.input_names() {
@@ -1487,7 +1484,7 @@ mod tests {
             "stage query counts must partition the run total"
         );
         assert_eq!(report.counter(counters::ORACLE_QUERIES), result.queries);
-        // The cost ledger is fed by the same source (the instrumented
+        // The cost ledger is fed by the same source (the guarded
         // oracle tags each query with the active top-level stage), so
         // its cells partition the run total exactly, per stage and
         // overall.

@@ -1407,7 +1407,7 @@ trait Frob {
     #[test]
     fn multi_line_signatures_and_generics_parse() {
         let src = "\
-impl<O: Oracle + ?Sized> InstrumentedOracle<O> {
+impl<O: Oracle + ?Sized> OracleGuard<O> {
     pub fn query_batch(
         &mut self,
         inputs: &[u64],
@@ -1418,10 +1418,7 @@ impl<O: Oracle + ?Sized> InstrumentedOracle<O> {
 fn helper(xs: &[u64]) -> Vec<u64> { xs.to_vec() }
 ";
         let a = analyze(src, vec![]);
-        assert_eq!(
-            a.functions[0].qualified(),
-            "InstrumentedOracle::query_batch"
-        );
+        assert_eq!(a.functions[0].qualified(), "OracleGuard::query_batch");
         assert_eq!(a.functions[0].calls.len(), 1);
         assert_eq!(a.functions[0].calls[0].name, "helper");
         // The unqualified call resolves to the free `helper`.
@@ -1677,8 +1674,8 @@ fn c_fn() {}
     #[test]
     fn impl_header_forms_parse() {
         assert_eq!(
-            parse_impl_header(" Oracle for InstrumentedOracle<O> "),
-            (Some("InstrumentedOracle".into()), Some("Oracle".into()))
+            parse_impl_header(" Oracle for OracleGuard<O> "),
+            (Some("OracleGuard".into()), Some("Oracle".into()))
         );
         assert_eq!(
             parse_impl_header("<T: Clone> Wrapper<T> "),

@@ -106,7 +106,7 @@ fn the_hot_paths_certify_with_zero_deny_findings() {
 fn known_hot_chains_stay_resolvable() {
     let a = graph::analyze_tree(workspace_root(), graph::default_roots())
         .expect("analyze the workspace");
-    // The learning pipeline reaches the instrumented oracle: a chain
+    // The learning pipeline reaches the guarded oracle: a chain
     // from the public entry point down to a query root must exist.
     let chain = a
         .path_between("Learner::learn_with", "Oracle::query_batch")
@@ -122,12 +122,13 @@ fn known_hot_chains_stay_resolvable() {
     assert!(a.reaches("Oracle::query_batch", "Oracle::try_query_batch"));
     assert!(a.reaches("CircuitOracle::try_query_batch", "Aig::eval_batch"));
     assert!(a.reaches("FbdtBuilder::step", "pattern_sampling"));
-    // The instrumented wrapper is on the query path and itself hot.
+    // The guard that counts every query is on the query path and
+    // itself hot.
     let idx = a
-        .find("InstrumentedOracle::try_query_batch")
-        .expect("InstrumentedOracle::try_query_batch exists");
+        .find("OracleGuard::try_query_batch")
+        .expect("OracleGuard::try_query_batch exists");
     assert!(
         a.hot[idx].is_some(),
-        "InstrumentedOracle::try_query_batch fell out of the hot set"
+        "OracleGuard::try_query_batch fell out of the hot set"
     );
 }

@@ -325,13 +325,6 @@ impl Assignment {
         (0..self.len).map(move |i| self.get(Var::new(i as u32)))
     }
 
-    /// Returns the variables assigned 1.
-    pub fn one_vars(&self) -> impl Iterator<Item = Var> + '_ {
-        (0..self.len)
-            .map(|i| Var::new(i as u32))
-            .filter(move |&v| self.get(v))
-    }
-
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
@@ -562,14 +555,5 @@ mod tests {
             a.write_vector(&vars, value);
             assert_eq!(a.read_vector(&vars), value);
         }
-    }
-
-    #[test]
-    fn ones_iterator() {
-        let mut a = Assignment::zeros(10);
-        a.set(Var::new(2), true);
-        a.set(Var::new(9), true);
-        let ones: Vec<u32> = a.one_vars().map(Var::index).collect();
-        assert_eq!(ones, vec![2, 9]);
     }
 }

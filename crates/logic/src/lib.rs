@@ -39,7 +39,6 @@ mod cube;
 mod error;
 pub mod isop;
 pub mod npn;
-mod parse;
 mod sop;
 mod truth;
 mod var;
@@ -48,7 +47,6 @@ pub use assignment::Assignment;
 pub use cube::Cube;
 pub use error::{Error, Result};
 pub use npn::NpnTransform;
-pub use parse::ParseBooleanError;
 pub use sop::Sop;
 pub use truth::TruthTable;
 pub use var::{Literal, Var};

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
-use crate::{Cube, Error, Result, Sop, Var};
+use crate::{Error, Result, Sop, Var};
 
 /// Bit masks selecting the positions where variable `i < 6` is 1.
 pub(crate) const VAR_MASKS: [u64; 6] = [
@@ -269,16 +269,6 @@ impl TruthTable {
         out
     }
 
-    /// Returns the cofactor of the function on every literal of `cube`.
-    #[must_use]
-    pub fn cofactor_cube(&self, cube: &Cube) -> Self {
-        let mut tt = self.clone();
-        for lit in cube.literals() {
-            tt = tt.cofactor(lit.var(), lit.polarity());
-        }
-        tt
-    }
-
     /// Returns `true` if the function depends on `var`
     /// (its two cofactors differ).
     ///
@@ -511,18 +501,6 @@ mod tests {
         let x3 = TruthTable::var(5, v(3)).expect("ok");
         let f = x1.clone() | (x3.clone() & !x3);
         assert_eq!(f.support(), vec![v(1)]);
-    }
-
-    #[test]
-    fn cofactor_cube_fixes_all_literals() {
-        let f = TruthTable::from_fn(4, |m| m.count_ones() % 2 == 1); // parity
-        let cube = Cube::from_literals([v(0).positive(), v(3).negative()]).expect("ok");
-        let g = f.cofactor_cube(&cube);
-        // parity with x0=1, x3=0 = !(x1 xor x2)
-        for m in 0..16u64 {
-            let expect = 1 + (m >> 1 & 1) + (m >> 2 & 1);
-            assert_eq!(g.get(m), expect % 2 == 1);
-        }
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl<O: Oracle> FaultyOracle<O> {
         self.crashed
     }
 
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
     /// Serves one batch the way a pipelined transport does: the batch
     /// takes one query slot per pattern, in order. A crash or hang ends
     /// the batch at its slot; a malformed answer fails the batch only

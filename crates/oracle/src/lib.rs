@@ -40,7 +40,6 @@
 pub mod eval;
 mod faulty;
 pub mod generate;
-mod instrument;
 mod oracle;
 mod process;
 mod resilient;
@@ -49,7 +48,6 @@ pub mod suite;
 pub use eval::{evaluate_accuracy, Accuracy, EvalConfig};
 pub use faulty::{FaultKind, FaultSchedule, FaultyOracle, InjectedFaults};
 pub use generate::Category;
-pub use instrument::InstrumentedOracle;
 pub use oracle::{CircuitOracle, Oracle, OracleError};
 pub use process::{ProcessOracle, ProcessOracleError};
 pub use resilient::{FaultStats, ResilientOracle, Respawn, RetryPolicy};

@@ -281,6 +281,40 @@ fn only_row(mut rows: Vec<Vec<bool>>) -> Result<Vec<bool>, OracleError> {
         .ok_or_else(|| OracleError::Malformed("no answer to a single query".into()))
 }
 
+impl<O: Oracle + ?Sized> Oracle for &mut O {
+    fn num_inputs(&self) -> usize {
+        (**self).num_inputs()
+    }
+
+    fn num_outputs(&self) -> usize {
+        (**self).num_outputs()
+    }
+
+    fn input_names(&self) -> &[String] {
+        (**self).input_names()
+    }
+
+    fn output_names(&self) -> &[String] {
+        (**self).output_names()
+    }
+
+    fn try_query_batch(&mut self, inputs: &[Assignment]) -> Result<Vec<Vec<bool>>, OracleError> {
+        (**self).try_query_batch(inputs)
+    }
+
+    fn queries(&self) -> u64 {
+        (**self).queries()
+    }
+
+    fn checkpoint_state(&self) -> Option<Json> {
+        (**self).checkpoint_state()
+    }
+
+    fn restore_state(&mut self, state: &Json) -> Result<(), OracleError> {
+        (**self).restore_state(state)
+    }
+}
+
 /// An oracle wrapping a hidden combinational circuit.
 ///
 /// The circuit is deliberately inaccessible: only the port names and

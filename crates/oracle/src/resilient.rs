@@ -263,11 +263,6 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
         &self.inner
     }
 
-    /// Unwraps back into the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
     fn remaining(&self) -> Option<Duration> {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))

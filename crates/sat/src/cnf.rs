@@ -79,12 +79,6 @@ impl AigCnf {
         }
     }
 
-    /// Permanently asserts that `edge` evaluates to 1.
-    pub fn assert_edge(&mut self, edge: Edge) {
-        let l = self.lit(edge);
-        self.solver.add_clause(&[l]);
-    }
-
     /// Permanently asserts that `a` and `b` are equal, with two binary
     /// clauses.
     pub fn assert_equal(&mut self, a: Edge, b: Edge) {
@@ -468,21 +462,6 @@ mod tests {
         assert_eq!(cnf.solve_with_assumptions(&[s1]), SolveResult::Sat);
         // And the un-assumed solver remains satisfiable.
         assert_eq!(cnf.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn assert_edge_pins_output() {
-        let mut g = Aig::new();
-        let a = g.add_input("a");
-        let b = g.add_input("b");
-        let y = g.and(a, b);
-        g.add_output(y, "y");
-        let mut cnf = AigCnf::new(&g);
-        cnf.assert_edge(y);
-        assert_eq!(cnf.solve(), SolveResult::Sat);
-        let m = cnf.model_inputs();
-        let bits: Vec<bool> = m.iter().collect();
-        assert_eq!(bits, vec![true, true]);
     }
 
     #[test]

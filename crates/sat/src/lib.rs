@@ -38,13 +38,11 @@
 #![warn(missing_docs)]
 
 mod cnf;
-mod dimacs;
 mod solver;
 mod sweep;
 
 pub use cnf::{
     check_equivalence, check_equivalence_with_stats, AigCnf, Counterexample, Equivalence,
 };
-pub use dimacs::ParseDimacsError;
 pub use solver::{Lit, SolveResult, Solver};
 pub use sweep::{Sweep, SweepStats};

@@ -120,9 +120,6 @@ pub struct Solver {
     heap: Vec<u32>,
     heap_pos: Vec<usize>,
     saved_phase: Vec<bool>,
-    /// Number of problem (non-learned) clauses at the front of the
-    /// clause arena.
-    problem_clause_count: usize,
     /// Set when a top-level conflict makes the instance trivially UNSAT.
     unsat: bool,
     conflicts: u64,
@@ -218,22 +215,9 @@ impl Solver {
             }
             _ => {
                 self.attach_clause(clause);
-                self.problem_clause_count = self.clauses.len();
                 true
             }
         }
-    }
-
-    /// Returns the stored problem clauses plus the level-0 facts as
-    /// unit clauses — the input formula up to top-level simplification.
-    /// After incremental use (clauses added between solves) the prefix
-    /// may also include learned clauses; they are implied by the
-    /// problem, so the returned set stays logically equivalent.
-    pub(crate) fn problem_clauses(&self) -> Vec<Vec<Lit>> {
-        let level0_end = self.trail_lim.first().copied().unwrap_or(self.trail.len());
-        let mut out: Vec<Vec<Lit>> = self.trail[..level0_end].iter().map(|&l| vec![l]).collect();
-        out.extend(self.clauses[..self.problem_clause_count].iter().cloned());
-        out
     }
 
     /// Solves the formula.

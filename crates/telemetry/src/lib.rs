@@ -10,7 +10,7 @@
 //!   counters for oracle queries, FBDT expansion, cube collection,
 //!   espresso calls and optimization gate deltas, each a typed id
 //!   with a `Cell` slot in a fixed table. Queries are counted at the source by
-//!   the oracle crate's `InstrumentedOracle`, so the top-level stage
+//!   the learner's `OracleGuard`, so the top-level stage
 //!   breakdown of `oracle.queries` sums to the run's total query count
 //!   by construction. Reports key them by name ([`counters`]).
 //! - **Histograms** ([`Telemetry::record`], [`Hist`]): fixed-size
@@ -30,7 +30,7 @@
 //! - **Cost attribution** ([`Telemetry::output_scope`],
 //!   [`AttributionRecord`]): a per-(stage, output) ledger of oracle
 //!   queries, query nanoseconds and gates built, fed by the span
-//!   context that `InstrumentedOracle` records into, emitted in the
+//!   context that `OracleGuard` records into, emitted in the
 //!   report, the status snapshot and as `attr` trace events, all with
 //!   the one cell type. A batch is two plain adds, settled into the
 //!   ledger when the context changes.

@@ -49,7 +49,7 @@ metric_ids! {
     pub enum Counter;
     /// Counter report keys.
     pub mod counters;
-    /// Oracle queries, counted at the source by `InstrumentedOracle`.
+    /// Oracle queries, counted at the source by the learner's `OracleGuard`.
     OracleQueries = ORACLE_QUERIES("oracle.queries"),
     /// FBDT internal nodes expanded (splits performed).
     FbdtSplits = FBDT_SPLITS("fbdt.splits"),
@@ -107,7 +107,7 @@ metric_ids! {
     pub mod histograms;
     /// Oracle round-trip latency: one sample per answered call (a
     /// single query is a batch of one), recorded at the source by
-    /// `InstrumentedOracle`.
+    /// `OracleGuard`.
     OracleBatchNs = ORACLE_BATCH_NS("oracle.batch_ns"),
     /// Patterns per answered oracle call: one sample per call, next to
     /// [`Hist::OracleBatchNs`].

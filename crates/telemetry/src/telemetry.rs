@@ -579,7 +579,7 @@ impl Telemetry {
     /// Counts `n` oracle queries that together took `total_ns`; the
     /// active ledger cell (and FBDT depth bucket) takes them when the
     /// context next changes or the ledger is read. Called at the source
-    /// by `InstrumentedOracle`; borrows the recorder only when a
+    /// by `OracleGuard`; borrows the recorder only when a
     /// periodic `metrics` snapshot is due.
     pub fn record_oracle_queries(&self, n: u64, total_ns: u64) {
         let Some(shared) = self.shared.as_deref().filter(|_| n > 0) else {

@@ -8,8 +8,8 @@ use cirlearn::template::Predicate;
 use cirlearn::OracleGuard;
 use cirlearn_logic::Assignment;
 use cirlearn_oracle::{
-    generate, CircuitOracle, FaultKind, FaultSchedule, FaultyOracle, InstrumentedOracle, Oracle,
-    OracleError, ResilientOracle, RetryPolicy,
+    generate, CircuitOracle, FaultKind, FaultSchedule, FaultyOracle, Oracle, OracleError,
+    ResilientOracle, RetryPolicy,
 };
 use cirlearn_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -37,16 +37,18 @@ type Case = (&'static str, fn(&mut dyn FnMut(&mut dyn Oracle)));
 
 const CASES: &[Case] = &[
     ("CircuitOracle", |f| f(&mut base())),
-    ("InstrumentedOracle", |f| {
-        f(&mut InstrumentedOracle::new(base(), Telemetry::recording()));
-    }),
     ("FaultyOracle", |f| {
         f(&mut FaultyOracle::new(base(), FaultSchedule::new()));
     }),
     ("ResilientOracle", |f| {
         f(&mut ResilientOracle::new(base(), RetryPolicy::default()));
     }),
-    ("OracleGuard", |f| f(&mut OracleGuard::new(base()))),
+    ("OracleGuard", |f| {
+        f(&mut OracleGuard::with_telemetry(
+            base(),
+            Telemetry::recording(),
+        ));
+    }),
     ("DelegateOracle", |f| {
         let mut inner = base();
         f(&mut DelegateOracle::new(&mut inner, vec![delegate()]));
