@@ -245,39 +245,6 @@ impl Bdd {
         self.ite(f, ng, g)
     }
 
-    /// Restricts variable `var` of `f` to `value` (a cofactor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var ≥ num_vars`.
-    pub fn restrict(&mut self, f: BddRef, var: u32, value: bool) -> BddRef {
-        assert!((var as usize) < self.num_vars, "variable out of range");
-        if f.is_const() || self.var_of(f) > var {
-            return f;
-        }
-        let n = self.nodes[f.index()];
-        if n.var == var {
-            return if value { n.high } else { n.low };
-        }
-        let low = self.restrict(n.low, var, value);
-        let high = self.restrict(n.high, var, value);
-        self.mk(n.var, low, high)
-    }
-
-    /// Existentially quantifies `var` out of `f`.
-    pub fn exists(&mut self, f: BddRef, var: u32) -> BddRef {
-        let f0 = self.restrict(f, var, false);
-        let f1 = self.restrict(f, var, true);
-        self.or(f0, f1)
-    }
-
-    /// Universally quantifies `var` out of `f`.
-    pub fn forall(&mut self, f: BddRef, var: u32) -> BddRef {
-        let f0 = self.restrict(f, var, false);
-        let f1 = self.restrict(f, var, true);
-        self.and(f0, f1)
-    }
-
     /// Evaluates `f` under per-variable values.
     pub fn eval_with<F: FnMut(Var) -> bool>(&self, f: BddRef, mut value_of: F) -> bool {
         let mut cur = f;
@@ -601,21 +568,6 @@ mod tests {
         let mut b = Bdd::new(5);
         let f = b.from_truth_table(&tt);
         assert_eq!(b.to_truth_table(f).expect("small"), tt);
-    }
-
-    #[test]
-    fn restrict_and_quantify() {
-        let mut b = Bdd::new(3);
-        let x0 = b.var(0);
-        let x1 = b.var(1);
-        let f = b.xor(x0, x1);
-        let f0 = b.restrict(f, 0, false);
-        assert_eq!(f0, x1);
-        let f1 = b.restrict(f, 0, true);
-        let nx1 = b.not(x1);
-        assert_eq!(f1, nx1);
-        assert_eq!(b.exists(f, 0), BddRef::TRUE);
-        assert_eq!(b.forall(f, 0), BddRef::FALSE);
     }
 
     #[test]

@@ -1,27 +1,34 @@
-//! Regression-gated benchmark harness.
+//! Regression-gated benchmark harness, and the one runner of the
+//! paper's evaluation.
 //!
-//! Runs the table2 / ablation suites and writes schema-versioned
-//! `BENCH_table2.json` / `BENCH_ablation.json` documents that carry,
-//! per benchmark, the contest metrics (size / accuracy / time /
-//! queries) and the telemetry layer's latency-histogram summaries
-//! (oracle query latency, per-node FBDT cost, per-pass synthesis
-//! cost). A separate `compare` mode diffs two such documents and
-//! exits nonzero on regressions, so the harness slots directly into
-//! CI as a gate.
+//! Runs the table2 / ablation / baselines suites and writes
+//! schema-versioned `BENCH_<suite>.json` documents that carry, per
+//! benchmark, the contest metrics (size / accuracy / time / queries)
+//! and the telemetry layer's latency-histogram summaries (oracle query
+//! latency, per-node FBDT cost, per-pass synthesis cost). A separate
+//! `compare` mode diffs two such documents and exits nonzero on
+//! regressions, so the harness slots directly into CI as a gate, and
+//! `table` prints the paper's Table II and ablation layouts from them.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench run [--suite table2|ablation|all] [--full] [--out DIR] [case ...]
+//! bench run [--suite table2|ablation|baselines|all] [--full] [--out DIR] [case ...]
 //! bench compare <old.json> <new.json>
 //! bench validate <file.json> ...
+//! bench table <file.json> ...
 //! ```
 //!
 //! `run` defaults to the quick scale (a 4M-query cap per case) over
-//! both suites; `--full` uses a 40M-query cap and the paper's
-//! evaluation size. The learner runs under the query cap alone, so a
-//! run's queries, gates and accuracy depend only on the seed and the
-//! scale. Positional case names restrict the table2 suite.
+//! the table2 and ablation suites; `--full` uses a 40M-query cap and
+//! the paper's evaluation size. The learner runs under the query cap
+//! alone, so a run's queries, gates and accuracy depend only on the
+//! seed and the scale. The `baselines` suite runs the two
+//! second-place-style learners of Table II over the table2 cases;
+//! the greedy tree keeps a wall budget (15 s per case, 300 s with
+//! `--full`), so its numbers depend on the machine, and `all` leaves
+//! it out. Positional case names restrict the table2 and baselines
+//! suites.
 //!
 //! `compare` is exact: it prints each regression (any rise in
 //! `queries` or `gates`, any drop in `accuracy`, or a benchmark
@@ -30,16 +37,16 @@
 //!
 //! `validate` parses each file against the BENCH schema and exits
 //! nonzero on the first invalid one.
+//!
+//! `table` joins the records of all its files into the paper's tables
+//! (see [`cirlearn_bench::tables`]).
 
 use std::process::ExitCode;
 
-use std::collections::BTreeMap;
-
 use cirlearn::LearnerConfig;
-use cirlearn_bench::report::{compare, BenchRecord, BenchReport, StageCost};
-use cirlearn_bench::{run_learner_case, Scale};
+use cirlearn_bench::report::{compare, BenchRecord, BenchReport};
+use cirlearn_bench::{run_baseline_case, run_learner_case, tables, Scale, NO_PREPROC};
 use cirlearn_oracle::{contest_suite, Category, ContestCase};
-use cirlearn_telemetry::Telemetry;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,6 +54,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
+        Some("table") => cmd_table(&args[1..]),
         Some(other) => Err(format!("unknown subcommand {other}")),
         None => Err("missing subcommand".to_owned()),
     };
@@ -62,103 +70,55 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  bench run [--suite table2|ablation|all] [--full] [--out DIR] [case ...]
+  bench run [--suite table2|ablation|baselines|all] [--full] [--out DIR] [case ...]
   bench compare <old.json> <new.json>
-  bench validate <file.json> ...";
+  bench validate <file.json> ...
+  bench table <file.json> ...";
 
-/// Runs one learner configuration on one case and converts the row +
-/// telemetry histograms into a [`BenchRecord`].
-fn bench_record(
-    case: &ContestCase,
-    name: String,
-    cfg: LearnerConfig,
-    scale: &Scale,
-) -> BenchRecord {
-    // A fresh silent telemetry per benchmark keeps the histograms
-    // scoped to a single run.
-    let telemetry = Telemetry::recording();
-    let row = run_learner_case(case, cfg, scale, &telemetry);
-    let report = telemetry.report();
-    let histograms = report.histograms;
-    // Collapse the per-(stage, output) ledger to per-stage totals —
-    // BENCH files track stage-level drift across commits; per-output
-    // detail lives in `--report` / trace files.
-    let mut attribution: BTreeMap<String, StageCost> = BTreeMap::new();
-    for a in &report.attribution {
-        let cell = attribution.entry(a.stage.clone()).or_default();
-        cell.queries += a.queries;
-        cell.query_ns += a.query_ns;
-        cell.gates += a.gates;
-    }
+/// Prints one record's contest metrics as progress.
+fn progress(record: BenchRecord) -> BenchRecord {
     eprintln!(
-        "  {name}: size={} accuracy={:.3}% time={:.2}s queries={}",
-        row.size, row.accuracy, row.seconds, row.queries
+        "  {}/{}: size={} accuracy={:.3}% time={:.2}s queries={}",
+        record.name,
+        record.contestant,
+        record.gates,
+        record.accuracy,
+        record.wall_s,
+        record.queries
     );
-    BenchRecord {
-        name,
-        contestant: "ours".to_owned(),
-        wall_s: row.seconds,
-        queries: row.queries,
-        gates: row.size,
-        accuracy: row.accuracy,
-        histograms,
-        attribution,
-        budget_limited: row.budget_limited,
-    }
+    record
 }
 
-fn run_table2(scale: &Scale, scale_name: &str, wanted: &[String]) -> BenchReport {
-    let suite = contest_suite();
-    let cases: Vec<&ContestCase> = suite
+/// Runs one suite and returns its records. Positional case names
+/// (`wanted`) restrict the table2 and baselines suites.
+fn run_suite(suite: &str, scale: &Scale, wanted: &[String]) -> Vec<BenchRecord> {
+    let suite_cases = contest_suite();
+    let cases = suite_cases
         .iter()
-        .filter(|c| wanted.is_empty() || wanted.iter().any(|w| w == c.name))
-        .collect();
-    eprintln!(
-        "bench: table2 suite, {} case(s) at {scale_name} scale",
-        cases.len()
-    );
-    let records = cases
-        .iter()
-        .map(|case| bench_record(case, case.name.to_owned(), LearnerConfig::fast(), scale))
-        .collect();
-    BenchReport {
-        suite: "table2".to_owned(),
-        scale: scale_name.to_owned(),
-        records,
-    }
-}
-
-fn run_ablation(scale: &Scale, scale_name: &str) -> BenchReport {
-    let suite = contest_suite();
-    let cases: Vec<&ContestCase> = suite
-        .iter()
-        .filter(|c| matches!(c.category, Category::Diag | Category::Data))
-        .collect();
-    eprintln!(
-        "bench: ablation suite, {} case(s) x 2 configs at {scale_name} scale",
-        cases.len()
-    );
-    let mut records = Vec::new();
-    for case in cases {
-        records.push(bench_record(
-            case,
-            case.name.to_owned(),
-            LearnerConfig::fast(),
-            scale,
-        ));
-        let mut cfg = LearnerConfig::fast();
-        cfg.preprocessing = false;
-        records.push(bench_record(
-            case,
-            format!("{}/no-preproc", case.name),
-            cfg,
-            scale,
-        ));
-    }
-    BenchReport {
-        suite: "ablation".to_owned(),
-        scale: scale_name.to_owned(),
-        records,
+        .filter(|c| wanted.is_empty() || wanted.iter().any(|w| w == c.name));
+    let ours = |case: &ContestCase, name: String, cfg: LearnerConfig| {
+        progress(run_learner_case(case, name, cfg, scale))
+    };
+    match suite {
+        "table2" => cases
+            .map(|case| ours(case, case.name.to_owned(), LearnerConfig::fast()))
+            .collect(),
+        "ablation" => suite_cases
+            .iter()
+            .filter(|c| matches!(c.category, Category::Diag | Category::Data))
+            .flat_map(|case| {
+                let mut off = LearnerConfig::fast();
+                off.preprocessing = false;
+                [
+                    ours(case, case.name.to_owned(), LearnerConfig::fast()),
+                    ours(case, format!("{}{NO_PREPROC}", case.name), off),
+                ]
+            })
+            .collect(),
+        _ => cases
+            .flat_map(|case| run_baseline_case(case, scale))
+            .map(progress)
+            .collect(),
     }
 }
 
@@ -194,17 +154,28 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     } else {
         (Scale::quick(), "quick")
     };
-    if !matches!(suite.as_str(), "table2" | "ablation" | "all") {
-        return Err(format!("--suite expects table2|ablation|all, got {suite}"));
-    }
-
-    let mut reports = Vec::new();
-    if suite == "table2" || suite == "all" {
-        reports.push(run_table2(&scale, scale_name, &wanted));
-    }
-    if suite == "ablation" || suite == "all" {
-        reports.push(run_ablation(&scale, scale_name));
-    }
+    let suites: &[&str] = match suite.as_str() {
+        "all" => &["table2", "ablation"],
+        "table2" => &["table2"],
+        "ablation" => &["ablation"],
+        "baselines" => &["baselines"],
+        _ => {
+            return Err(format!(
+                "--suite expects table2|ablation|baselines|all, got {suite}"
+            ))
+        }
+    };
+    let reports: Vec<BenchReport> = suites
+        .iter()
+        .map(|&suite| {
+            eprintln!("bench: {suite} suite at {scale_name} scale");
+            BenchReport {
+                suite: suite.to_owned(),
+                scale: scale_name.to_owned(),
+                records: run_suite(suite, &scale, &wanted),
+            }
+        })
+        .collect();
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
     for report in &reports {
         let path = format!("{out_dir}/BENCH_{}.json", report.suite);
@@ -278,5 +249,24 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
             with_histograms
         );
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_table(args: &[String]) -> Result<ExitCode, String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {flag}"));
+    }
+    if args.is_empty() {
+        return Err("table expects one or more BENCH files".to_owned());
+    }
+    let reports = args
+        .iter()
+        .map(|path| load(path))
+        .collect::<Result<Vec<_>, _>>()?;
+    let text = tables(&reports);
+    if text.is_empty() {
+        return Err("no Table II or ablation records in these files".to_owned());
+    }
+    print!("{text}");
     Ok(ExitCode::SUCCESS)
 }

@@ -86,7 +86,8 @@ pub struct BenchRecord {
     /// Benchmark name (e.g. `case_16`, or `case_17/no-preproc` for an
     /// ablated configuration).
     pub name: String,
-    /// Which learner produced the result (e.g. `ours`).
+    /// Which learner produced the result (`ours`, or the baselines
+    /// `2nd-(i)` and `2nd-(ii)`).
     pub contestant: String,
     /// Wall-clock seconds spent learning (excludes evaluation).
     pub wall_s: f64,
@@ -103,9 +104,10 @@ pub struct BenchRecord {
     /// keyed by top-level stage name, summed over outputs from the run
     /// report's cost ledger.
     pub attribution: BTreeMap<String, StageCost>,
-    /// Whether some output's FBDT forced leaves: its query cap, its
-    /// node cap or a wall budget ran out, or an impure node had no
-    /// support variable left to split on. Reported, never gated —
+    /// Whether some output's FBDT forced leaves because its query cap,
+    /// its node cap or a wall budget ran out. An impure node with no
+    /// support variable left to split on is missed support, not
+    /// budget, and does not set it. Reported, never gated —
     /// under a query cap a forced leaf falls at the same node on every
     /// run. The workload benchmark also writes this field.
     /// Absent in older documents (parses as `false`).
@@ -213,9 +215,10 @@ impl BenchRecord {
 /// benchmark executed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Which suite produced the report (`table2` or `ablation`).
+    /// Which suite produced the report (`table2`, `ablation` or
+    /// `baselines`).
     pub suite: String,
-    /// Effort scale the suite ran at (`smoke`, `quick` or `full`).
+    /// Effort scale the suite ran at (`quick` or `full`).
     pub scale: String,
     /// Per-benchmark results, in execution order.
     pub records: Vec<BenchRecord>,

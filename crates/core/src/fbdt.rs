@@ -286,11 +286,6 @@ impl FbdtBuilder {
         &self.stats
     }
 
-    /// Whether the frontier is exhausted (every region is a leaf).
-    pub fn is_done(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Expands one tree node: samples the next frontier cube and
     /// declares it a leaf or splits it. Returns `false` when the
     /// frontier was already empty (nothing left to do).
@@ -348,9 +343,8 @@ impl FbdtBuilder {
                 || self
                     .config
                     .max_queries
-                    .is_some_and(|cap| self.stats.queries >= cap)
-                || free.is_empty();
-            let split = if out_of_budget {
+                    .is_some_and(|cap| self.stats.queries >= cap);
+            let split = if out_of_budget || free.is_empty() {
                 None
             } else {
                 node.most_significant(&free)
@@ -371,15 +365,22 @@ impl FbdtBuilder {
                     disposition = "split";
                 }
                 None => {
-                    // Forced leaf: majority vote (Algorithm 2, timeout arm).
+                    // Majority leaf. Forced when a budget ran out
+                    // (Algorithm 2, timeout arm); otherwise the impure
+                    // node has no free or significant support variable
+                    // left, which is missed support, not budget.
                     if node.truth_ratio > 0.5 {
                         self.onset.push(cube);
                     } else {
                         self.offset.push(cube);
                     }
                     self.stats.leaves += 1;
-                    self.stats.forced_leaves += 1;
-                    disposition = "forced_leaf";
+                    if out_of_budget {
+                        self.stats.forced_leaves += 1;
+                        disposition = "forced_leaf";
+                    } else {
+                        disposition = "no_split_leaf";
+                    }
                 }
             }
         }
@@ -675,6 +676,28 @@ mod tests {
     }
 
     #[test]
+    fn missed_support_leaf_is_not_a_forced_leaf() {
+        // XOR of inputs 0 and 1 learned over the support {0}: both
+        // children of the root split stay impure with no variable left
+        // to split on. They become majority leaves, but no budget ran
+        // out, so none of them counts as forced.
+        let mut o = oracle_of(|g, i| g.xor(i[0], i[1]), 4);
+        let mut rng = seeded_rng(26);
+        let (_, stats) = build_fbdt(
+            &mut o,
+            0,
+            &[0],
+            0.5,
+            &FbdtConfig::fast(),
+            &Budget::unlimited(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
+        assert_eq!((stats.splits, stats.leaves), (1, 2));
+        assert_eq!(stats.forced_leaves, 0);
+    }
+
+    #[test]
     fn exhaustive_learns_exactly_and_picks_smaller_polarity() {
         // 1-heavy function: offset cover is smaller.
         let mut o = oracle_of(|g, i| g.or_many(&i[..4]), 6);
@@ -773,11 +796,14 @@ mod tests {
             &mut rng,
             &Telemetry::disabled(),
         );
+        let before = builder.stats().clone();
+        let frontier = builder.snapshot().frontier.len();
+        assert!(frontier > 0, "the root split");
         builder.finish_now();
-        assert!(builder.is_done());
-        let frontier_dropped = builder.stats().forced_leaves;
+        // Every frontier node became a forced leaf.
         let (cover, stats) = builder.finish();
-        assert_eq!(stats.forced_leaves, frontier_dropped);
+        assert_eq!(stats.forced_leaves, before.forced_leaves + frontier);
+        assert_eq!(stats.leaves, before.leaves + frontier);
         // Dropped regions default to the majority (1 for an OR), so the
         // all-ones input must evaluate true.
         assert!(cover.eval_with(|_| true));

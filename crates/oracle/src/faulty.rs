@@ -148,11 +148,6 @@ impl<O: Oracle> FaultyOracle<O> {
         self.injected
     }
 
-    /// Whether the oracle is currently crashed (awaiting respawn).
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Serves one batch the way a pipelined transport does: the batch
     /// takes one query slot per pattern, in order. A crash or hang ends
     /// the batch at its slot; a malformed answer fails the batch only
@@ -321,10 +316,8 @@ mod tests {
         let z = Assignment::zeros(8);
         assert!(o.try_query(&z).is_ok());
         assert!(matches!(o.try_query(&z), Err(OracleError::Died(_))));
-        assert!(o.is_crashed());
         assert!(matches!(o.try_query(&z), Err(OracleError::Died(_))));
         o.respawn().expect("circuit oracle respawn is a no-op");
-        assert!(!o.is_crashed());
         assert!(o.try_query(&z).is_ok());
         assert_eq!(o.injected().crashes, 1);
     }

@@ -346,11 +346,6 @@ impl ProcessOracle {
         self.read_timeout
     }
 
-    /// Whether the child process is still running.
-    pub fn is_alive(&mut self) -> bool {
-        matches!(self.transport.child.try_wait(), Ok(None))
-    }
-
     /// Kills the current child (reaping it) and starts a fresh one with
     /// the same program and arguments.
     ///
@@ -726,7 +721,7 @@ mod tests {
         }
         // Respawn brings a fresh incarnation of the same program.
         o.respawn_process().expect("respawn");
-        assert!(o.is_alive());
+        assert!(matches!(o.transport.child.try_wait(), Ok(None)));
         assert_eq!(
             o.try_query(&Assignment::zeros(1)).expect("fresh child"),
             vec![false]
@@ -758,7 +753,7 @@ mod tests {
         )
         .expect("sh is available");
         let pid = o.transport.child.id();
-        assert!(o.is_alive());
+        assert!(matches!(o.transport.child.try_wait(), Ok(None)));
         drop(o);
         // After drop the PID must no longer be one of our children; a
         // kill(0) probe from a different process object is racy, so

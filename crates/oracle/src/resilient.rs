@@ -258,11 +258,6 @@ impl<O: Oracle + Respawn> ResilientOracle<O> {
         self.dead
     }
 
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
     fn remaining(&self) -> Option<Duration> {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
@@ -604,7 +599,7 @@ mod tests {
             .expect("faults are retried through");
         assert_eq!(answers, generate::eco_case(8, 2, 5).query_batch(&batch));
         // Only the retry that succeeded reached the circuit.
-        assert_eq!(o.inner().queries(), batch.len() as u64);
+        assert_eq!(o.inner.queries(), batch.len() as u64);
         assert_eq!(o.fault_stats().retries, 1);
         assert_eq!(o.fault_stats().respawns, 1);
         assert!(!o.is_dead());
@@ -625,7 +620,7 @@ mod tests {
         let batch = batch_with_a_repeat();
         let answers = o.try_query_batch(&batch).expect("retried through");
         assert_eq!(answers, generate::eco_case(8, 2, 5).query_batch(&batch));
-        assert_eq!(o.inner().queries(), batch.len() as u64);
+        assert_eq!(o.inner.queries(), batch.len() as u64);
         assert_eq!(o.fault_stats().retries, 1);
         assert_eq!(o.fault_stats().respawns, 0);
     }
@@ -718,7 +713,7 @@ mod tests {
         let mut restored = ResilientOracle::new(inner2, fast_policy());
         restored.restore_state(&state).expect("state round-trips");
         assert_eq!(restored.fault_seq, o.fault_seq);
-        assert_eq!(restored.inner().injected(), o.inner().injected());
+        assert_eq!(restored.inner.injected(), o.inner.injected());
         // Dead flag is intentionally not persisted: a resumed run gets a
         // fresh chance on the transport.
         assert!(!restored.is_dead());

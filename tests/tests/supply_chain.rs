@@ -101,3 +101,92 @@ fn deny_policy_is_checked_in_and_strict() {
         );
     }
 }
+
+/// The `.rs` files under `dir`, recursively, skipping build output.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `ident` occurs in `text` as a whole identifier.
+fn mentions(text: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(ident).any(|(at, _)| {
+        !text[..at].chars().next_back().is_some_and(is_ident)
+            && !text[at + ident.len()..]
+                .chars()
+                .next()
+                .is_some_and(is_ident)
+    })
+}
+
+#[test]
+fn every_declared_dependency_is_used() {
+    // A dependency no source names only slows the build and widens the
+    // supply chain. For each workspace member, every entry of
+    // `[dependencies]` and `[dev-dependencies]` must appear, as a Rust
+    // identifier, in the member's own sources or in the targets its
+    // manifest points at by `path` (the core crate's examples live in
+    // the root `examples/`).
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut members = vec![root.join("tests")];
+    for group in ["crates", "vendor"] {
+        let dir = root.join(group);
+        let entries =
+            std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()));
+        members.extend(entries.flatten().map(|e| e.path()));
+    }
+    let mut unused = Vec::new();
+    for member in members {
+        let Ok(manifest) = std::fs::read_to_string(member.join("Cargo.toml")) else {
+            continue;
+        };
+        let mut files = Vec::new();
+        rust_files(&member, &mut files);
+        let mut section = "";
+        let mut deps = Vec::new();
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if let Some(path) = line
+                .strip_prefix("path = \"")
+                .and_then(|p| p.strip_suffix('"'))
+            {
+                files.push(member.join(path));
+            } else if matches!(section, "[dependencies]" | "[dev-dependencies]")
+                && !line.is_empty()
+                && !line.starts_with('#')
+            {
+                let name = line.split(['.', '=', ' ']).next().unwrap_or_default();
+                deps.push(name.replace('-', "_"));
+            }
+        }
+        let sources: String = files
+            .iter()
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .collect();
+        for dep in deps {
+            if !mentions(&sources, &dep) {
+                let name = member.strip_prefix(&root).unwrap_or(&member);
+                unused.push(format!("{} -> {dep}", name.display()));
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "declared dependencies that no source uses (drop them from the \
+         manifest):\n{}",
+        unused.join("\n")
+    );
+}

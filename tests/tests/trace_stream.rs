@@ -114,7 +114,14 @@ fn node_events_report_their_disposition_and_cost() {
             .and_then(Json::as_str)
             .expect("node events carry a disposition");
         assert!(
-            ["leaf_one", "leaf_zero", "split", "forced_leaf"].contains(&disposition),
+            [
+                "leaf_one",
+                "leaf_zero",
+                "split",
+                "forced_leaf",
+                "no_split_leaf"
+            ]
+            .contains(&disposition),
             "unexpected disposition {disposition}"
         );
         assert!(parsed.get("elapsed_us").and_then(Json::as_u64).is_some());
