@@ -136,18 +136,19 @@ fn ablation_exploration(runs: &mut Vec<Json>) {
 /// 2. Onset/offset selection on a 1-heavy function.
 fn ablation_onset_offset(runs: &mut Vec<Json>) {
     println!("== onset/offset selection (paper §IV-D trick 2) ==");
-    // A dense function: OR of 8 literals (truth ratio ~ 99.6%) — the
-    // offset is a single cube while the onset needs hundreds.
+    // A dense function: OR of 6 literals (truth ratio 63/64 ~ 98.4%,
+    // outside the FBDT's leaf threshold) — the offset is a single cube
+    // while the onset needs one cube per literal.
     let mut g = Aig::new();
     let inputs = g.add_inputs("x", 16);
-    let y = g.or_many(&inputs[..8]);
+    let y = g.or_many(&inputs[..6]);
     g.add_output(y, "y");
     let mut oracle = CircuitOracle::new(g);
 
     let mut run = |selection: bool| {
         let telemetry = Telemetry::recording();
         telemetry.set_meta("ablation", "onset_offset");
-        telemetry.set_meta("case", "or8 of 16");
+        telemetry.set_meta("case", "or6 of 16");
         telemetry.set_meta("onset_offset_selection", selection);
         let mut rng = seeded_rng(2);
         let info = identify_support(&mut oracle, 0, &SamplingConfig::fast(), &mut rng);

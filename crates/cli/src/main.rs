@@ -17,7 +17,6 @@
 //! cirlearn blackbox <neq|eco|diag|data> <#PI> <#PO> [--seed N]
 //!                [--support K] [--flake-every N]
 //! cirlearn opt <input.aag> [-o out.aag] [--budget SECS] [--check off|lint|sim|sat]
-//! cirlearn lint <input.aag> [...] [--allow-dangling]
 //! cirlearn analyze <input.aag> [...] [--deny info|warning|error]
 //!                [--report out.json] [--fanout-threshold N]
 //! cirlearn stats <input.aag>
@@ -36,18 +35,15 @@
 //! validated (`lint` = structural linting of the result, `sim` = 256
 //! random-pattern differential simulation, `sat` = full SAT equivalence
 //! check); a failing pass is rejected and reported with a minimized
-//! counterexample witness. `lint` runs the strict structural linter
-//! over standalone AIGER files and exits nonzero on any violation
-//! (`--allow-dangling` tolerates unreferenced AND nodes, which foreign
-//! exporters sometimes leave behind; files written by this CLI are
-//! compacted and pass the strict check). `analyze` goes further than
-//! `lint`: on top of the structural checks it runs
-//! [`cirlearn_verify::analyze`] — ternary constant propagation,
-//! high-fanout detection and structural metrics —
-//! prints a severity-ordered findings table, optionally writes a JSON
-//! report, and exits nonzero when any finding reaches the `--deny`
-//! severity (default `warning`), making it a drop-in CI quality gate
-//! for exported circuits.
+//! counterexample witness. `analyze` checks standalone AIGER files: it
+//! runs [`cirlearn_verify::analyze`] — the strict structural lint
+//! (dangling ANDs included), high-fanout detection and structural
+//! metrics — prints a severity-ordered findings table, optionally
+//! writes a JSON report, and exits nonzero when any finding reaches the
+//! `--deny` severity (default `warning`), making it a drop-in CI
+//! quality gate for exported circuits. `--deny error` tolerates the
+//! unreferenced AND nodes foreign exporters sometimes leave behind;
+//! files written by this CLI are compacted and pass the default gate.
 //!
 //! Output: a reader that closes stdout early (`cirlearn stats x.aag |
 //! head -1`) is not an error. The rest of stdout is dropped, and the
@@ -83,7 +79,7 @@
 //! with per-stage wall clock, oracle-query and latency-histogram
 //! breakdowns; `--trace <path>` streams JSONL trace events (span
 //! open/close, FBDT node expansions, synthesis passes, oracle faults,
-//! budget checkpoints) to a file as the run progresses. Both survive
+//! checkpoint writes) to a file as the run progresses. Both survive
 //! crashes: a drop guard dumps the flight recorder, then flushes the
 //! trace stream and a partial `--report` (with
 //! `"aborted": "true"` in its meta) when the run panics instead of
@@ -267,7 +263,6 @@ const USAGE: &str = "usage:
   cirlearn blackbox <neq|eco|diag|data> <#PI> <#PO> [--seed N]
                  [--support K] [--flake-every N]
   cirlearn opt <input.aag> [-o out.aag] [--budget SECS] [--check LEVEL]
-  cirlearn lint <input.aag> [...] [--allow-dangling]
   cirlearn analyze <input.aag> [...] [--deny info|warning|error]
                  [--report out.json] [--fanout-threshold N]
   cirlearn stats <input.aag>
@@ -355,7 +350,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "eval" => cmd_eval(rest),
         "gen" => cmd_gen(rest),
         "opt" => cmd_opt(rest),
-        "lint" => cmd_lint(rest),
         "analyze" => cmd_analyze(rest),
         "stats" => cmd_stats(rest),
         "trace" => trace_cmd::cmd_trace(rest),
@@ -952,47 +946,9 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the strict structural linter over one or more AIGER files
-/// (`--allow-dangling` downgrades unreferenced-AND violations).
-///
-/// Prints one line per violation (`file: violation`) and fails (nonzero
-/// exit) if any file has violations, so it slots directly into CI.
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[])?;
-    if opts.positional.is_empty() {
-        return Err("lint expects one or more input files".to_owned());
-    }
-    let linter = cirlearn_verify::Linter::new().allow_dangling(opts.present("allow-dangling"));
-    let mut dirty = 0usize;
-    for path in &opts.positional {
-        let aig = read_aig(path)?;
-        let violations = linter.lint(&aig);
-        if violations.is_empty() {
-            eprintln!(
-                "{path}: clean ({} inputs, {} outputs, {} gates)",
-                aig.num_inputs(),
-                aig.num_outputs(),
-                aig.gate_count()
-            );
-        } else {
-            dirty += 1;
-            for v in &violations {
-                outln!("{path}: {v}")?;
-            }
-        }
-    }
-    if dirty > 0 {
-        return Err(format!(
-            "{dirty} of {} file(s) failed lint",
-            opts.positional.len()
-        ));
-    }
-    Ok(())
-}
-
 /// Runs [`cirlearn_verify::analyze`] over one or more AIGER files:
-/// the strict structural lint plus ternary constant propagation,
-/// high-fanout detection and structural metrics.
+/// the strict structural lint plus high-fanout detection and
+/// structural metrics.
 ///
 /// Prints a severity-ordered findings table per file, writes a combined
 /// JSON report when `--report <path>` is given, and fails (nonzero
@@ -1062,7 +1018,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 /// A finding as `analyze` words it. Dead and duplicate ANDs read as
-/// facts about the node here; `lint` words them as violations.
+/// facts about the node here, not as the violations `Display` words.
 fn finding_message(finding: &cirlearn_verify::LintViolation) -> String {
     use cirlearn_verify::LintViolation;
     match *finding {
@@ -1079,18 +1035,12 @@ fn finding_message(finding: &cirlearn_verify::LintViolation) -> String {
 /// The `--report` JSON form of one finding.
 fn finding_json(finding: &cirlearn_verify::LintViolation) -> cirlearn_telemetry::json::Json {
     use cirlearn_telemetry::json::Json;
-    let mut fields = vec![
+    Json::object([
         ("analysis", Json::from(finding.analysis())),
         ("severity", Json::from(finding.severity().as_str())),
         ("message", Json::from(finding_message(finding).as_str())),
-    ];
-    if let Some(node) = finding.node() {
-        fields.push(("node", Json::from(node as u64)));
-    }
-    if let cirlearn_verify::LintViolation::ConstantOutput { output, .. } = *finding {
-        fields.push(("output", Json::from(output as u64)));
-    }
-    Json::object(fields)
+        ("node", Json::from(finding.node() as u64)),
+    ])
 }
 
 /// The `--report` JSON form of the structural metrics.
@@ -1128,13 +1078,12 @@ fn analysis_table(analysis: &cirlearn_verify::Analysis) -> String {
             "severity", "analysis", "node"
         );
         for f in &analysis.findings {
-            let node = f.node().map_or_else(|| "-".to_owned(), |n| n.to_string());
             let _ = writeln!(
                 out,
                 "  {:<8} {:<8} {:>6}  {}",
                 f.severity(),
                 f.analysis(),
-                node,
+                f.node(),
                 finding_message(f)
             );
         }

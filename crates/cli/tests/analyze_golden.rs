@@ -1,4 +1,4 @@
-//! Golden output of `cirlearn analyze` and `cirlearn lint`.
+//! Golden output of `cirlearn analyze`.
 //!
 //! Every run below is recorded in `data/analyze/golden.txt`: the
 //! command line, the exit code, stdout, stderr up to the usage block,
@@ -119,21 +119,13 @@ fn analyze_and_lint_match_the_golden() {
     record(&mut out, &scratch, &["analyze", "--deny", "fatal", DEAD]);
     record(&mut out, &scratch, &["analyze", DUPLICATE]);
     record(&mut out, &scratch, &["analyze", CONSTANT]);
-    record(&mut out, &scratch, &with_files(&["lint"]));
-    record(
-        &mut out,
-        &scratch,
-        &with_files(&["lint", "--allow-dangling"]),
-    );
-    record(&mut out, &scratch, &["lint", DUPLICATE]);
-    record(&mut out, &scratch, &["lint", CONSTANT]);
 
     std::fs::remove_dir_all(&scratch).ok();
     if out != GOLDEN {
         let actual = std::env::temp_dir().join("cirlearn-analyze-golden.actual.txt");
         std::fs::write(&actual, &out).expect("write actual output");
         panic!(
-            "analyze/lint output differs from data/analyze/golden.txt; actual written to {}",
+            "analyze output differs from data/analyze/golden.txt; actual written to {}",
             actual.display()
         );
     }

@@ -258,32 +258,40 @@ fn lint_accepts_clean_files_and_rejects_dangling_nodes() {
         .expect("run gen");
     assert!(out.status.success());
 
-    let out = bin().arg("lint").arg(&clean).output().expect("run lint");
+    let out = bin()
+        .arg("analyze")
+        .arg(&clean)
+        .output()
+        .expect("run analyze");
     assert!(
         out.status.success(),
-        "lint rejected a generated circuit: {}{}",
+        "analyze rejected a generated circuit: {}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("clean"));
 
     // Hand-written file whose single AND never feeds an output: parses
-    // fine, but the strict linter must flag it.
+    // fine, but the default gate must flag it.
     std::fs::write(&dangling, "aag 3 2 0 1 1\n2\n4\n2\n6 2 4\n").expect("write aag");
-    let out = bin().arg("lint").arg(&dangling).output().expect("run lint");
-    assert!(!out.status.success(), "dangling AND must fail lint");
+    let out = bin()
+        .arg("analyze")
+        .arg(&dangling)
+        .output()
+        .expect("run analyze");
+    assert!(!out.status.success(), "dangling AND must fail analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("unreachable from every output"), "{stdout}");
 
-    // The escape hatch tolerates exactly that class of violation.
+    // `--deny error` tolerates exactly that class of finding.
     let out = bin()
-        .args(["lint", "--allow-dangling"])
+        .args(["analyze", "--deny", "error"])
         .arg(&dangling)
         .output()
-        .expect("run lint");
+        .expect("run analyze");
     assert!(
         out.status.success(),
-        "--allow-dangling must accept the file: {}",
+        "--deny error must accept the file: {}",
         String::from_utf8_lossy(&out.stdout)
     );
 
@@ -457,11 +465,15 @@ done
         "transient faults must be absorbed, not degraded: {text}"
     );
 
-    // The learned circuit is still strict-lint clean.
-    let out = bin().arg("lint").arg(&learned).output().expect("run lint");
+    // The learned circuit still passes the default analyze gate.
+    let out = bin()
+        .arg("analyze")
+        .arg(&learned)
+        .output()
+        .expect("run analyze");
     assert!(
         out.status.success(),
-        "chaos-learned circuit failed lint: {}{}",
+        "chaos-learned circuit failed analyze: {}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );

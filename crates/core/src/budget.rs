@@ -2,16 +2,13 @@
 
 use std::time::{Duration, Instant};
 
-use cirlearn_telemetry::Telemetry;
-
-/// A wall-clock budget with checkpoints, used to reproduce the paper's
-/// anytime behaviour (the contest imposed a hard time limit; the
-/// algorithm early-stops tree construction and still emits a circuit).
+/// A wall-clock budget, used to reproduce the paper's anytime behaviour
+/// (the contest imposed a hard time limit; the algorithm early-stops
+/// tree construction and still emits a circuit).
 ///
-/// An unlimited budget is a real sentinel ([`Budget::remaining_opt`]
-/// returns `None`), not a huge finite duration, so arithmetic on
-/// limits can never overflow and reports can distinguish "plenty left"
-/// from "unconstrained".
+/// An unlimited budget is a real sentinel, not a huge finite duration,
+/// so arithmetic on limits can never overflow: a fraction of it stays
+/// unlimited, and [`Budget::remaining`] reports [`Duration::MAX`].
 ///
 /// # Examples
 ///
@@ -22,7 +19,7 @@ use cirlearn_telemetry::Telemetry;
 /// let budget = Budget::new(Duration::from_secs(60));
 /// assert!(!budget.exhausted());
 /// assert!(budget.remaining() <= Duration::from_secs(60));
-/// assert!(Budget::unlimited().remaining_opt().is_none());
+/// assert_eq!(Budget::unlimited().remaining(), Duration::MAX);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
@@ -61,13 +58,6 @@ impl Budget {
         }
     }
 
-    /// Time left, or `None` for an unlimited budget — the form budget
-    /// checkpoints record.
-    pub fn remaining_opt(&self) -> Option<Duration> {
-        self.limit
-            .map(|limit| limit.saturating_sub(self.start.elapsed()))
-    }
-
     /// Whether the budget has run out (never, when unlimited).
     pub fn exhausted(&self) -> bool {
         match self.limit {
@@ -86,12 +76,6 @@ impl Budget {
             None => Budget::unlimited(),
         }
     }
-
-    /// Records a named checkpoint (elapsed and remaining time) into the
-    /// telemetry stream, so stage deadlines show up in run reports.
-    pub fn checkpoint(&self, telemetry: &Telemetry, stage: &str) {
-        telemetry.checkpoint(stage, self.elapsed(), self.remaining_opt());
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +87,6 @@ mod tests {
         let b = Budget::new(Duration::ZERO);
         assert!(b.exhausted());
         assert_eq!(b.remaining(), Duration::ZERO);
-        assert_eq!(b.remaining_opt(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -111,10 +94,9 @@ mod tests {
         let b = Budget::unlimited();
         assert!(!b.exhausted());
         assert_eq!(b.remaining(), Duration::MAX);
-        assert_eq!(b.remaining_opt(), None);
         // Fractions of unlimited stay unlimited rather than becoming a
         // huge finite limit that could overflow downstream arithmetic.
-        assert_eq!(b.fraction_of_remaining(0.01).remaining_opt(), None);
+        assert_eq!(b.fraction_of_remaining(0.01).remaining(), Duration::MAX);
     }
 
     #[test]
@@ -132,18 +114,5 @@ mod tests {
         let e1 = b.elapsed();
         let e2 = b.elapsed();
         assert!(e2 >= e1);
-    }
-
-    #[test]
-    fn checkpoints_record_stage_and_remaining() {
-        let t = Telemetry::recording();
-        Budget::new(Duration::from_secs(3600)).checkpoint(&t, "support");
-        Budget::unlimited().checkpoint(&t, "fbdt");
-        let report = t.report();
-        assert_eq!(report.checkpoints.len(), 2);
-        assert_eq!(report.checkpoints[0].stage, "support");
-        assert!(report.checkpoints[0].remaining.is_some());
-        assert_eq!(report.checkpoints[1].stage, "fbdt");
-        assert_eq!(report.checkpoints[1].remaining, None);
     }
 }

@@ -928,4 +928,48 @@ mod exploration_tests {
             assert_eq!(cover.eval_with(|v| bits[v.index() as usize]), want, "m={m}");
         }
     }
+
+    #[test]
+    fn offset_selection_shrinks_a_one_heavy_cover() {
+        use cirlearn_aig::Aig;
+        let mut g = Aig::new();
+        let inputs = g.add_inputs("x", 6);
+        let y = g.or_many(&inputs); // truth ratio 63/64
+        g.add_output(y, "y");
+        let mut o = CircuitOracle::new(g);
+        let mut learn = |selection: bool| {
+            let cfg = FbdtConfig {
+                onset_offset_selection: selection,
+                ..FbdtConfig::fast()
+            };
+            let (cover, _) = build_fbdt(
+                &mut o,
+                0,
+                &[0, 1, 2, 3, 4, 5],
+                63.0 / 64.0,
+                &cfg,
+                &Budget::unlimited(),
+                &mut seeded_rng(73),
+                &Telemetry::disabled(),
+            );
+            cover
+        };
+        let with = learn(true);
+        let without = learn(false);
+        assert!(with.complemented);
+        assert!(!without.complemented);
+        assert!(
+            with.sop.cubes().len() < without.sop.cubes().len(),
+            "offset {} cubes vs onset {}",
+            with.sop.cubes().len(),
+            without.sop.cubes().len()
+        );
+        for m in 0..64u64 {
+            let bits: Vec<bool> = (0..6).map(|k| m >> k & 1 == 1).collect();
+            let want = o.reveal().eval_bits(&bits)[0];
+            for cover in [&with, &without] {
+                assert_eq!(cover.eval_with(|v| bits[v.index() as usize]), want, "m={m}");
+            }
+        }
+    }
 }

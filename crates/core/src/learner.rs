@@ -800,7 +800,6 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             let _span = telemetry.span("templates");
             self.match_templates(&out_grouping);
         }
-        self.budget.checkpoint(telemetry, "templates");
         if self.oracle.failed() {
             // The fault hit during the shared template stage: any match
             // may have validated against fallback answers, so none can
@@ -897,7 +896,6 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             self.telemetry.dump_flight("suspend");
             return LearnOutcome::Suspended(state);
         }
-        self.budget.checkpoint(self.telemetry, "learning");
         let degraded = self.degrade();
         LearnOutcome::Completed(Box::new(self.result(degraded)))
     }
@@ -1275,7 +1273,6 @@ impl<'a, O: Oracle + ?Sized> Run<'a, O> {
             }
             None => circuit,
         };
-        self.budget.checkpoint(telemetry, "optimize");
         telemetry.set_aig_nodes(circuit.gate_count() as u64);
         telemetry.emit_metrics_snapshot();
         circuit

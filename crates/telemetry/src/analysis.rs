@@ -51,8 +51,7 @@ impl TraceEvent {
 }
 
 /// Parses a JSONL trace stream. Every line must be a JSON object with
-/// the `t_us`/`kind`/`stage` envelope. The writer's `tid` field is the
-/// constant 0 and is not read.
+/// the `t_us`/`kind`/`stage` envelope.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -497,9 +496,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
                 let name = match kind {
                     "event" => ev.field_str("message").unwrap_or(kind).to_owned(),
                     "pass" => format!("pass:{}", ev.field_str("pass").unwrap_or("?")),
-                    "checkpoint" => {
-                        format!("checkpoint:{}", ev.field_str("label").unwrap_or("?"))
-                    }
                     other => other.to_owned(),
                 };
                 // Carry the kind-specific payload through minus the
@@ -507,7 +503,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
                 let args: Vec<(String, Json)> = match &ev.json {
                     Json::Object(pairs) => pairs
                         .iter()
-                        .filter(|(k, _)| !matches!(k.as_str(), "t_us" | "kind" | "stage" | "tid"))
+                        .filter(|(k, _)| !matches!(k.as_str(), "t_us" | "kind" | "stage"))
                         .cloned()
                         .collect(),
                     _ => Vec::new(),
@@ -630,16 +626,16 @@ mod tests {
     /// span, node/metrics/attr events.
     fn sample_trace() -> String {
         [
-            r#"{"t_us":0,"kind":"span_open","stage":"support","tid":0,"id":0,"name":"support"}"#,
-            r#"{"t_us":100,"kind":"span_close","stage":"support","tid":0,"id":0,"name":"support","elapsed_us":100}"#,
-            r#"{"t_us":110,"kind":"span_open","stage":"fbdt","tid":0,"id":1,"name":"fbdt"}"#,
-            r#"{"t_us":120,"kind":"node","stage":"fbdt","tid":0,"depth":2,"disposition":"split","elapsed_us":4}"#,
-            r#"{"t_us":130,"kind":"span_open","stage":"fbdt/cover","tid":0,"id":2,"name":"cover"}"#,
-            r#"{"t_us":190,"kind":"span_close","stage":"fbdt/cover","tid":0,"id":2,"name":"cover","elapsed_us":60}"#,
-            r#"{"t_us":310,"kind":"span_close","stage":"fbdt","tid":0,"id":1,"name":"fbdt","elapsed_us":200}"#,
-            r#"{"t_us":320,"kind":"metrics","stage":"","tid":0,"queries":500,"queries_per_s":1000,"aig_nodes":32}"#,
-            r#"{"t_us":330,"kind":"attr","stage":"support","tid":0,"output":null,"queries":300,"query_ns":600000,"gates":0}"#,
-            r#"{"t_us":331,"kind":"attr","stage":"fbdt","tid":0,"output":0,"queries":200,"query_ns":400000,"gates":12}"#,
+            r#"{"t_us":0,"kind":"span_open","stage":"support","id":0,"name":"support"}"#,
+            r#"{"t_us":100,"kind":"span_close","stage":"support","id":0,"name":"support","elapsed_us":100}"#,
+            r#"{"t_us":110,"kind":"span_open","stage":"fbdt","id":1,"name":"fbdt"}"#,
+            r#"{"t_us":120,"kind":"node","stage":"fbdt","depth":2,"disposition":"split","elapsed_us":4}"#,
+            r#"{"t_us":130,"kind":"span_open","stage":"fbdt/cover","id":2,"name":"cover"}"#,
+            r#"{"t_us":190,"kind":"span_close","stage":"fbdt/cover","id":2,"name":"cover","elapsed_us":60}"#,
+            r#"{"t_us":310,"kind":"span_close","stage":"fbdt","id":1,"name":"fbdt","elapsed_us":200}"#,
+            r#"{"t_us":320,"kind":"metrics","stage":"","queries":500,"queries_per_s":1000,"aig_nodes":32}"#,
+            r#"{"t_us":330,"kind":"attr","stage":"support","output":null,"queries":300,"query_ns":600000,"gates":0}"#,
+            r#"{"t_us":331,"kind":"attr","stage":"fbdt","output":0,"queries":200,"query_ns":400000,"gates":12}"#,
         ]
         .join("\n")
     }
@@ -661,8 +657,8 @@ mod tests {
     #[test]
     fn unclosed_spans_close_at_the_last_timestamp() {
         let text = [
-            r#"{"t_us":0,"kind":"span_open","stage":"fbdt","tid":0,"id":0,"name":"fbdt"}"#,
-            r#"{"t_us":50,"kind":"node","stage":"fbdt","tid":0,"depth":1}"#,
+            r#"{"t_us":0,"kind":"span_open","stage":"fbdt","id":0,"name":"fbdt"}"#,
+            r#"{"t_us":50,"kind":"node","stage":"fbdt","depth":1}"#,
         ]
         .join("\n");
         let events = parse_trace(&text).expect("parses");
@@ -703,8 +699,8 @@ mod tests {
     #[test]
     fn repeated_attr_events_keep_the_last_value() {
         let text = [
-            r#"{"t_us":0,"kind":"attr","stage":"fbdt","tid":0,"output":0,"queries":10,"query_ns":1,"gates":0}"#,
-            r#"{"t_us":9,"kind":"attr","stage":"fbdt","tid":0,"output":0,"queries":25,"query_ns":2,"gates":3}"#,
+            r#"{"t_us":0,"kind":"attr","stage":"fbdt","output":0,"queries":10,"query_ns":1,"gates":0}"#,
+            r#"{"t_us":9,"kind":"attr","stage":"fbdt","output":0,"queries":25,"query_ns":2,"gates":3}"#,
         ]
         .join("\n");
         let events = parse_trace(&text).expect("parses");

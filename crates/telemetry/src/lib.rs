@@ -17,7 +17,7 @@
 //!   log-bucketed latency distributions (p50/p90/p99/max) for oracle
 //!   round-trips, FBDT node expansion and synth passes.
 //! - **Traces** ([`TraceWriter`]): a JSONL event stream (span
-//!   open/close, node expansions, passes, checkpoints, events) for
+//!   open/close, node expansions, passes, events) for
 //!   offline replay and flamegraphs. Each event is formatted once,
 //!   stamped with microseconds since the handle was created, and the
 //!   same line feeds the trace stream and the flight recorder.
@@ -25,8 +25,7 @@
 //!   sinks; [`StderrReporter`] replaces the old `--verbose` output.
 //! - **Run reports** ([`RunReport`]): machine-readable JSON snapshots
 //!   (`--report <path>` in the CLI) with per-stage wall clock, counter
-//!   breakdowns, per-pass AIG deltas, budget checkpoints and
-//!   per-output records.
+//!   breakdowns, per-pass AIG deltas and per-output records.
 //! - **Cost attribution** ([`Telemetry::output_scope`],
 //!   [`AttributionRecord`]): a per-(stage, output) ledger of oracle
 //!   queries, query nanoseconds and gates built, fed by the span
@@ -73,8 +72,8 @@ pub use crate::histogram::{Histogram, HistogramSummary};
 pub use crate::metric::{counters, histograms, Counter, Hist};
 pub use crate::persist::write_atomic;
 pub use crate::report::{
-    AttributionRecord, CheckpointReport, FaultsReport, OutputReport, PassReport, RunReport,
-    StageReport, SCHEMA_VERSION,
+    AttributionRecord, FaultsReport, OutputReport, PassReport, RunReport, StageReport,
+    SCHEMA_VERSION,
 };
 pub use crate::reporter::{BufferReporter, Level, NullReporter, Reporter, StderrReporter};
 pub use crate::status::{StatusSnapshot, STATUS_SCHEMA_VERSION};

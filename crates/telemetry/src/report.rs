@@ -2,16 +2,15 @@
 //!
 //! A [`RunReport`] is a snapshot of everything a [`crate::Telemetry`]
 //! collected: per-stage wall clock and counter attribution, global
-//! counters, optimization pass deltas, budget checkpoints and
-//! per-output results. It serializes to JSON (schema below), so bench
+//! counters, optimization pass deltas and per-output results. It serializes to JSON (schema below), so bench
 //! harnesses and scripts can read reports without this crate's
 //! in-memory types.
 //!
-//! JSON schema (version 1):
+//! JSON schema (version 2):
 //!
 //! ```text
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "meta":        { "<key>": "<value>", ... },
 //!   "elapsed_s":   <f64>,
 //!   "counters":    { "<counter>": <u64>, ... },
@@ -27,8 +26,6 @@
 //!                 "gates_after": <u64>, "levels_before": <u64>,
 //!                 "levels_after": <u64>, "elapsed_s": <f64>,
 //!                 "verify_s": <f64> } ],
-//!   "checkpoints": [ { "stage": "support", "at_s": <f64>,
-//!                      "remaining_s": <f64> | null } ],
 //!   "outputs": [ { "output": <u64>, "name": "y0",
 //!                  "strategy": "fbdt", "support": <u64>,
 //!                  "forced_leaves": <u64>, "queries": <u64>,
@@ -54,7 +51,7 @@ use crate::histogram::HistogramSummary;
 use crate::json::Json;
 
 /// Current schema version written by [`RunReport::to_json`].
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Aggregated statistics of one stage (one span path).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -91,17 +88,6 @@ pub struct PassReport {
     /// Wall clock spent verifying the pass result (zero when
     /// verification is off).
     pub verify_elapsed: Duration,
-}
-
-/// One budget checkpoint observation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointReport {
-    /// Stage label passed to the checkpoint.
-    pub stage: String,
-    /// Elapsed budget time at the checkpoint.
-    pub at: Duration,
-    /// Remaining budget; `None` for unlimited budgets.
-    pub remaining: Option<Duration>,
 }
 
 /// Per-output learning record.
@@ -241,8 +227,6 @@ pub struct RunReport {
     pub stages: Vec<StageReport>,
     /// Optimization pass deltas, in execution order.
     pub passes: Vec<PassReport>,
-    /// Budget checkpoints, in execution order.
-    pub checkpoints: Vec<CheckpointReport>,
     /// Per-output records, in output order.
     pub outputs: Vec<OutputReport>,
     /// Fault-tolerance summary (all zeros for fault-free runs).
@@ -355,27 +339,6 @@ impl RunReport {
                                 ("levels_after", Json::from(p.levels_after)),
                                 ("elapsed_s", Json::from(p.elapsed.as_secs_f64())),
                                 ("verify_s", Json::from(p.verify_elapsed.as_secs_f64())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "checkpoints",
-                Json::Array(
-                    self.checkpoints
-                        .iter()
-                        .map(|c| {
-                            Json::object([
-                                ("stage", Json::from(c.stage.clone())),
-                                ("at_s", Json::from(c.at.as_secs_f64())),
-                                (
-                                    "remaining_s",
-                                    match c.remaining {
-                                        Some(r) => Json::from(r.as_secs_f64()),
-                                        None => Json::Null,
-                                    },
-                                ),
                             ])
                         })
                         .collect(),
@@ -502,18 +465,6 @@ mod tests {
                 elapsed: Duration::from_millis(20),
                 verify_elapsed: Duration::from_millis(4),
             }],
-            checkpoints: vec![
-                CheckpointReport {
-                    stage: "support".to_owned(),
-                    at: Duration::from_millis(400),
-                    remaining: Some(Duration::from_millis(2300)),
-                },
-                CheckpointReport {
-                    stage: "fbdt".to_owned(),
-                    at: Duration::from_millis(1100),
-                    remaining: None,
-                },
-            ],
             outputs: vec![OutputReport {
                 output: 0,
                 name: "y0".to_owned(),

@@ -11,8 +11,7 @@ use crate::histogram::Histogram;
 use crate::json::Json;
 use crate::metric::{Counter, Hist};
 use crate::report::{
-    AttributionRecord, CheckpointReport, FaultsReport, OutputReport, PassReport, RunReport,
-    StageReport,
+    AttributionRecord, FaultsReport, OutputReport, PassReport, RunReport, StageReport,
 };
 use crate::reporter::{Level, Reporter};
 use crate::status::StatusSnapshot;
@@ -153,7 +152,6 @@ struct Inner {
     trace: Option<TraceWriter>,
     stages: BTreeMap<String, StageReport>,
     passes: Vec<PassReport>,
-    checkpoints: Vec<CheckpointReport>,
     outputs: Vec<OutputReport>,
     meta: BTreeMap<String, String>,
     /// Attribution context: the output index the pipeline is currently
@@ -468,7 +466,6 @@ impl Telemetry {
                 trace: None,
                 stages: BTreeMap::new(),
                 passes: Vec::new(),
-                checkpoints: Vec::new(),
                 outputs: Vec::new(),
                 meta: BTreeMap::new(),
                 context_output: None,
@@ -780,7 +777,7 @@ impl Telemetry {
     }
 
     /// Attaches a JSONL trace stream, which the handle then owns;
-    /// subsequent spans, passes, checkpoints and events are mirrored
+    /// subsequent spans, passes and events are mirrored
     /// onto it, stamped with the handle's clock.
     pub fn set_trace(&self, trace: TraceWriter) {
         self.update(|inner| inner.trace = Some(trace));
@@ -886,46 +883,6 @@ impl Telemetry {
         );
     }
 
-    /// Records a budget checkpoint (see `Budget::checkpoint` in the
-    /// core crate).
-    pub fn checkpoint(&self, stage: &str, at: Duration, remaining: Option<Duration>) {
-        if let Some((shared, mut guard)) = self.recorder() {
-            let inner = &mut *guard;
-            inner.trace(
-                shared,
-                "checkpoint",
-                None,
-                &[
-                    ("label", Json::from(stage)),
-                    ("at_us", Json::from(micros(at))),
-                    (
-                        "remaining_us",
-                        remaining.map_or(Json::Null, |r| Json::from(micros(r))),
-                    ),
-                ],
-            );
-            let message = match remaining {
-                Some(r) => format!(
-                    "checkpoint {stage}: {:.3}s elapsed, {:.3}s remaining",
-                    at.as_secs_f64(),
-                    r.as_secs_f64()
-                ),
-                None => format!(
-                    "checkpoint {stage}: {:.3}s elapsed, unlimited budget",
-                    at.as_secs_f64()
-                ),
-            };
-            inner
-                .reporter
-                .event(Level::Debug, path(&inner.stack), &message);
-            inner.checkpoints.push(CheckpointReport {
-                stage: stage.to_owned(),
-                at,
-                remaining,
-            });
-        }
-    }
-
     /// Records the per-output results (replacing any prior set).
     pub fn set_outputs(&self, outputs: Vec<OutputReport>) {
         self.update(|inner| inner.outputs = outputs);
@@ -965,7 +922,6 @@ impl Telemetry {
                 .collect(),
             stages: inner.stages.values().cloned().collect(),
             passes: inner.passes.clone(),
-            checkpoints: inner.checkpoints.clone(),
             outputs: inner.outputs.clone(),
             attribution: inner.ledger.values().cloned().collect(),
         }
@@ -1128,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn passes_and_checkpoints_are_recorded_in_order() {
+    fn passes_are_recorded_in_order() {
         let t = Telemetry::recording();
         t.record_pass(
             "rewrite",
@@ -1150,14 +1106,11 @@ mod tests {
             Duration::from_millis(2),
             Duration::ZERO,
         );
-        t.checkpoint("support", Duration::from_secs(1), None);
         let report = t.report();
         assert_eq!(report.passes.len(), 2);
         assert_eq!(report.passes[0].pass, "rewrite");
         assert_eq!(report.counter(counters::OPT_PASSES), 2);
         assert_eq!(report.counter(counters::OPT_GATES_SAVED), 20);
-        assert_eq!(report.checkpoints.len(), 1);
-        assert_eq!(report.checkpoints[0].remaining, None);
     }
 
     #[test]
@@ -1241,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_stream_sees_spans_passes_checkpoints_and_events() {
+    fn trace_stream_sees_spans_passes_and_events() {
         use crate::trace::TraceWriter;
         let (trace, sink) = TraceWriter::to_shared_buffer();
         let t = Telemetry::recording();
@@ -1262,7 +1215,6 @@ mod tests {
             Duration::from_millis(1),
             Duration::ZERO,
         );
-        t.checkpoint("optimize", Duration::from_secs(1), None);
         t.flush_trace();
         let text = sink.take_string();
         let mut opens = 0i64;
@@ -1278,14 +1230,7 @@ mod tests {
             }
         }
         assert_eq!(opens, 0, "span open/close balanced");
-        for expected in [
-            "span_open",
-            "span_close",
-            "node",
-            "event",
-            "pass",
-            "checkpoint",
-        ] {
+        for expected in ["span_open", "span_close", "node", "event", "pass"] {
             assert!(kinds.iter().any(|k| k == expected), "missing {expected}");
         }
         // The node event carries the stage path of the enclosing spans.
@@ -1439,7 +1384,7 @@ mod tests {
         for line in lines.lines() {
             let parsed = Json::parse(line).expect("every recorded line is valid JSON");
             assert!(parsed.get("t_us").and_then(Json::as_u64).is_some());
-            assert_eq!(parsed.get("tid").and_then(Json::as_u64), Some(0));
+            assert_eq!(parsed.get("tid"), None);
         }
         let node = lines
             .lines()
@@ -1467,7 +1412,7 @@ mod tests {
         assert_eq!(t.counter(Counter::FlightDumps), 1);
         let text = std::fs::read_to_string(&path).expect("dump exists");
         let mut kinds = Vec::new();
-        let mut last_t_us_by_tid: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut last_t_us = 0;
         for line in text.lines() {
             let parsed = Json::parse(line).expect("dump line parses");
             kinds.push(
@@ -1477,11 +1422,10 @@ mod tests {
                     .expect("kind")
                     .to_owned(),
             );
-            let tid = parsed.get("tid").and_then(Json::as_u64).expect("tid");
+            assert_eq!(parsed.get("tid"), None, "one stream, no tid: {line}");
             let t_us = parsed.get("t_us").and_then(Json::as_u64).expect("t_us");
-            let prev = last_t_us_by_tid.entry(tid).or_insert(0);
-            assert!(t_us >= *prev, "per-tid timestamps are monotone: {line}");
-            *prev = t_us;
+            assert!(t_us >= last_t_us, "timestamps are monotone: {line}");
+            last_t_us = t_us;
         }
         let flight_pos = kinds
             .iter()
@@ -1521,9 +1465,9 @@ mod tests {
             Some("learn/fbdt")
         );
         assert_eq!(
-            parsed.get("tid").and_then(Json::as_u64),
-            Some(0),
-            "one thread records, so every tid is 0"
+            parsed.get("tid"),
+            None,
+            "one thread records, so the envelope has no tid"
         );
         assert_eq!(parsed.get("message").and_then(Json::as_str), Some("hi"));
         assert!(parsed.get("t_us").and_then(Json::as_u64).is_some());

@@ -12,10 +12,11 @@
 //!   therefore starts at a nonzero stamp,
 //! - `kind` — the event kind (see below),
 //! - `stage` — the `/`-joined span path active when the event fired
-//!   (`""` at top level),
-//! - `tid` — always 0: a [`Telemetry`](crate::Telemetry) handle
-//!   records from one thread. The field keeps the envelope readable by
-//!   tools that demultiplex threads, such as the Chrome export.
+//!   (`""` at top level).
+//!
+//! A [`Telemetry`](crate::Telemetry) handle records from one thread, so
+//! the stream is one sequence with no thread id; the Chrome export adds
+//! the `tid` its format needs.
 //!
 //! Kinds emitted by the pipeline:
 //!
@@ -25,7 +26,6 @@
 //! | `span_close` | `id`, `name`, `elapsed_us`                               |
 //! | `node`       | `output`, `depth`, `queries`, `elapsed_us`, `kind2`      |
 //! | `pass`       | `pass`, `round`, `gates_before`, `gates_after`, ...      |
-//! | `checkpoint` | `label`, `at_us`, `remaining_us`                         |
 //! | `event`      | `level`, `message`                                       |
 //! | `metrics`    | `queries`, `queries_per_s`, `aig_nodes`, `peak_rss_kb`   |
 //! | `attr`       | `output`, `queries`, `query_ns`, `gates`                 |
@@ -61,7 +61,6 @@ pub(crate) fn format_line(
     write_string(&mut line, kind);
     line.push_str(",\"stage\":");
     write_string(&mut line, stage);
-    line.push_str(",\"tid\":0");
     for (k, v) in fields {
         line.push(',');
         write_string(&mut line, k);
@@ -78,7 +77,7 @@ pub(crate) fn format_line(
 ///
 /// High-rate events (FBDT `node` lines, `pass` lines, `metrics`
 /// snapshots) stay in the sink's buffer; structural events — span
-/// open/close, faults, checkpoints — flush it, as does
+/// open/close, faults, events — flush it, as does
 /// [`Telemetry::flush_trace`](crate::Telemetry::flush_trace). File
 /// streams wrap a `BufWriter`, so the hot path costs a formatted line
 /// and a memcpy instead of a syscall per event, while a crashed run
@@ -207,7 +206,7 @@ mod tests {
             let _span = telemetry.span("learn");
             telemetry.trace("event", &[("message", Json::from("hi"))]);
         }
-        telemetry.trace("checkpoint", &[("remaining_us", Json::Null)]);
+        telemetry.trace("attr", &[("output", Json::Null)]);
         let text = sink.take_string();
         let mut prev_t = 0;
         for line in text.lines() {
@@ -218,8 +217,8 @@ mod tests {
             assert!(parsed.get("kind").and_then(Json::as_str).is_some());
             assert!(parsed.get("stage").and_then(Json::as_str).is_some());
             assert!(
-                parsed.get("tid").and_then(Json::as_u64) == Some(0),
-                "every event carries tid 0: {line}"
+                parsed.get("tid").is_none(),
+                "no event carries a tid: {line}"
             );
         }
         assert_eq!(text.lines().count(), 4);

@@ -1,6 +1,6 @@
 //! Static analysis: the strict linter's findings, plus what one walk
-//! over a well-formed graph proves — ternary constants, high fanout,
-//! levels, dead ANDs and output cone sizes.
+//! over a well-formed graph measures — high fanout, levels, dead ANDs
+//! and output cone sizes.
 //!
 //! Every finding is a [`LintViolation`] on the shared [`Severity`]
 //! scale. The dead-node and duplicate-pair findings are the linter's
@@ -11,11 +11,10 @@ use std::cmp::Reverse;
 use cirlearn_aig::Aig;
 
 use crate::lint::{lint, reachable, LintViolation, Severity};
-use crate::ternary::{ternary_eval, Ternary};
 
 /// The checks in the order their findings are listed when severity and
 /// node tie (see [`LintViolation::analysis`]).
-const ANALYSES: [&str; 5] = ["lint", "dead", "dup", "ternary", "metrics"];
+const ANALYSES: [&str; 4] = ["lint", "dead", "dup", "metrics"];
 
 /// A structural snapshot of one AIG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,19 +61,17 @@ impl Analysis {
 }
 
 /// Analyzes one graph: strict lint first, then — if the graph is
-/// structurally safe to walk — ternary constants, metrics and a
+/// structurally safe to walk — metrics and a
 /// [`LintViolation::HighFanout`] for every node with at least
 /// `fanout_threshold` references (0 disables that check).
 ///
 /// On a structurally broken graph only the linter's other findings are
 /// trustworthy, so its dead and duplicate findings are dropped too.
 ///
-/// On a graph read by `Aig::from_aiger_ascii` the constant findings
-/// never fire: the import strashes and constant-folds every AND and
-/// rejects a file with a foldable one, so no AND has a constant fanin
-/// and ternary propagation leaves every node X. Duplicate pairs,
-/// constant fanins and trivial ANDs are likewise absent (see
-/// [`LintViolation`]). These findings serve graphs broken in memory.
+/// On a graph read by `Aig::from_aiger_ascii` duplicate pairs,
+/// constant fanins and trivial ANDs never fire: the import strashes
+/// and constant-folds every AND (see [`LintViolation`]). These findings
+/// serve graphs broken in memory.
 ///
 /// # Examples
 ///
@@ -113,12 +110,11 @@ pub fn analyze(aig: &Aig, fanout_threshold: usize) -> Analysis {
     Analysis { findings, metrics }
 }
 
-/// One walk over a well-formed graph: forward for ternary values,
-/// fanout and levels, backward for reachability. Pushes the constant
-/// and high-fanout findings and returns the metrics.
+/// One walk over a well-formed graph: forward for fanout and levels,
+/// backward for reachability. Pushes the high-fanout findings and
+/// returns the metrics.
 fn walk(aig: &Aig, fanout_threshold: usize, findings: &mut Vec<LintViolation>) -> Metrics {
     let n = aig.node_count();
-    let values = ternary_eval(aig, &vec![Ternary::X; aig.num_inputs()]);
     let mut fanout = vec![0usize; n];
     let mut level = vec![0usize; n];
     for (node, a, b) in aig.ands() {
@@ -132,27 +128,7 @@ fn walk(aig: &Aig, fanout_threshold: usize, findings: &mut Vec<LintViolation>) -
     }
     let live = reachable(aig);
 
-    // Dead constant nodes are already dead findings; outputs wired
-    // literally to the constant node are intentional (a learned
-    // constant function).
-    let mut live_ands = 0;
-    for (node, _, _) in aig.ands().filter(|(node, _, _)| live[node.index()]) {
-        live_ands += 1;
-        if let Some(value) = values[node.index()].const_value() {
-            findings.push(LintViolation::ConstantNode {
-                node: node.index(),
-                value,
-            });
-        }
-    }
-    for (output, (edge, _)) in aig.outputs().iter().enumerate() {
-        if edge.is_const() {
-            continue;
-        }
-        if let Some(value) = Ternary::of_edge(&values, *edge).const_value() {
-            findings.push(LintViolation::ConstantOutput { output, value });
-        }
-    }
+    let live_ands = aig.ands().filter(|(node, _, _)| live[node.index()]).count();
     if fanout_threshold > 0 {
         findings.extend(
             fanout
@@ -297,9 +273,7 @@ mod tests {
                 .collect()
         };
         let findings = hot(3);
-        assert!(findings
-            .iter()
-            .any(|f| f.node() == Some(hub.node().index())));
+        assert!(findings.iter().any(|f| f.node() == hub.node().index()));
         assert!(findings.iter().all(|f| f.severity() == Severity::Info));
         assert!(hot(100).is_empty());
         assert!(hot(0).is_empty(), "0 disables the check");

@@ -9,7 +9,8 @@ use cirlearn_sat::{check_equivalence, Equivalence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{LintViolation, Linter, Witness};
+use crate::lint::lint_structure;
+use crate::{LintViolation, Witness};
 
 /// How hard [`verify_pass`] works to validate an optimization step.
 ///
@@ -184,7 +185,7 @@ pub fn verify_pass(before: &Aig, after: &Aig, config: &VerifyConfig) -> Result<(
             after: after.num_outputs(),
         });
     }
-    let lints = Linter::new().allow_dangling(true).lint(after);
+    let lints = lint_structure(after);
     if !lints.is_empty() {
         return Err(Violation::Lint(lints));
     }

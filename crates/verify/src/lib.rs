@@ -5,21 +5,22 @@
 //! is built to deliver. This crate makes soundness checkable *inside*
 //! the pipeline instead of only in out-of-band tests:
 //!
-//! * [`Linter`] / [`lint`] — a pure static pass over an
+//! * [`lint`] — a pure static pass over an
 //!   [`Aig`](cirlearn_aig::Aig) that checks every structural invariant
 //!   (topological order, canonical structural hashing, no
-//!   constant-reducible gates, valid references) and returns typed
-//!   [`LintViolation`]s with node ids instead of panicking,
+//!   constant-reducible gates, valid references, no dangling ANDs) and
+//!   returns typed [`LintViolation`]s with node ids instead of
+//!   panicking,
 //! * [`verify_pass`] — a differential check between a circuit and its
 //!   optimized successor at a configurable [`VerifyLevel`]: structural
-//!   lint only, 64-bit parallel random simulation, or a full SAT
-//!   equivalence check,
+//!   lint only (dangling ANDs allowed), 64-bit parallel random
+//!   simulation, or a full SAT equivalence check,
 //! * [`Witness`] — a concrete counterexample (input assignment plus
 //!   differing output index), minimized by greedy bit-flipping and
 //!   re-checkable by simulation via [`Witness::distinguishes`],
 //! * [`analyze`] — the strict linter plus one walk over the graph:
-//!   [`Ternary`] constant propagation, high fanout, dead ANDs and
-//!   structural [`Metrics`], every finding on one [`Severity`] scale.
+//!   high fanout, dead ANDs and structural [`Metrics`], every finding
+//!   on one [`Severity`] scale. `cirlearn analyze` runs it on files.
 //!
 //! # Examples
 //!
@@ -50,11 +51,9 @@
 mod analyze;
 mod check;
 mod lint;
-mod ternary;
 mod witness;
 
 pub use analyze::{analyze, Analysis, Metrics};
 pub use check::{verify_pass, ParseVerifyLevelError, VerifyConfig, VerifyLevel, Violation};
-pub use lint::{lint, LintViolation, Linter, Severity};
-pub use ternary::{ternary_eval, Ternary};
+pub use lint::{lint, LintViolation, Severity};
 pub use witness::Witness;

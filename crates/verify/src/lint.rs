@@ -20,7 +20,7 @@ pub enum Severity {
     /// Observational: a fact worth surfacing, not a defect.
     Info,
     /// The circuit computes the right thing wastefully (dead nodes,
-    /// duplicates, provable constants) — a missed optimization.
+    /// duplicates, foldable ANDs) — a missed optimization.
     Warning,
     /// The graph violates a structural invariant and is unsafe to
     /// simulate or encode.
@@ -59,9 +59,8 @@ impl std::str::FromStr for Severity {
     }
 }
 
-/// One finding about an AIG: a structural defect found by the
-/// [`Linter`], or one of the three facts only [`analyze`](crate::analyze)
-/// reports (provable constants and high fanout).
+/// One finding about an AIG: a defect found by [`lint`], or the
+/// high-fanout fact only [`analyze`](crate::analyze) reports.
 ///
 /// Node and fanin ids are raw node indices (0 = constant, `1..=i` =
 /// inputs, the rest ANDs), matching [`cirlearn_aig::NodeId::index`].
@@ -70,17 +69,13 @@ impl std::str::FromStr for Severity {
 /// builds every AND through the structural hash and rejects a file
 /// whose AND folds ("node folds to …; reencode the file"), so a graph
 /// read from AIGER holds no repeated fanin pair, no constant fanin and
-/// no `x∧x` or `x∧¬x`. With no constant fanin, ternary propagation
-/// keeps every AND and every output at X. [`DuplicateFaninPair`],
-/// [`ConstantFanin`], [`TrivialAnd`], [`ConstantNode`] and
-/// [`ConstantOutput`] therefore fire only on graphs broken in memory,
-/// by `Aig::set_fanin_unchecked` or `Aig::set_output_unchecked`.
+/// no `x∧x` or `x∧¬x`. [`DuplicateFaninPair`], [`ConstantFanin`] and
+/// [`TrivialAnd`] therefore fire only on graphs built or broken in
+/// memory: a faulty optimization pass, or `Aig::set_fanin_unchecked`.
 ///
 /// [`DuplicateFaninPair`]: LintViolation::DuplicateFaninPair
 /// [`ConstantFanin`]: LintViolation::ConstantFanin
 /// [`TrivialAnd`]: LintViolation::TrivialAnd
-/// [`ConstantNode`]: LintViolation::ConstantNode
-/// [`ConstantOutput`]: LintViolation::ConstantOutput
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LintViolation {
     /// An AND fanin refers to a node id outside the graph.
@@ -145,25 +140,6 @@ pub enum LintViolation {
         /// The out-of-range node id the output points at.
         node: usize,
     },
-    /// Ternary propagation proved a live AND node constant under all
-    /// input assignments. Never found in a graph read from a file: with
-    /// no constant fanin, every AND stays X.
-    ConstantNode {
-        /// The provably constant AND node.
-        node: usize,
-        /// The constant value it always evaluates to.
-        value: bool,
-    },
-    /// Ternary propagation proved a primary output constant even though
-    /// it is driven by gate logic (a literal constant edge is fine).
-    /// Never found in a graph read from a file, for the same reason as
-    /// [`LintViolation::ConstantNode`].
-    ConstantOutput {
-        /// The output position.
-        output: usize,
-        /// The constant value the output always takes.
-        value: bool,
-    },
     /// A node's fanout is at or above the analysis's fanout threshold
     /// — fine functionally, but a depth/congestion hotspot.
     HighFanout {
@@ -175,9 +151,9 @@ pub enum LintViolation {
 }
 
 impl LintViolation {
-    /// Returns the id of the node the finding anchors to (`None` for a
-    /// constant output, which anchors to an output position).
-    pub fn node(&self) -> Option<usize> {
+    /// Returns the id of the node the finding anchors to (for an
+    /// out-of-range output, the node id it points at).
+    pub fn node(&self) -> usize {
         match *self {
             LintViolation::FaninOutOfRange { node, .. }
             | LintViolation::NonTopologicalFanin { node, .. }
@@ -187,9 +163,7 @@ impl LintViolation {
             | LintViolation::TrivialAnd { node }
             | LintViolation::DanglingAnd { node }
             | LintViolation::OutputOutOfRange { node, .. }
-            | LintViolation::ConstantNode { node, .. }
-            | LintViolation::HighFanout { node, .. } => Some(node),
-            LintViolation::ConstantOutput { .. } => None,
+            | LintViolation::HighFanout { node, .. } => node,
         }
     }
 
@@ -205,13 +179,12 @@ impl LintViolation {
     }
 
     /// The short name of the check that reports the finding in
-    /// [`analyze`](crate::analyze): `dead`, `dup`, `ternary`, `metrics`,
-    /// or `lint` for the rest.
+    /// [`analyze`](crate::analyze): `dead`, `dup`, `metrics`, or `lint`
+    /// for the rest.
     pub fn analysis(&self) -> &'static str {
         match self {
             LintViolation::DanglingAnd { .. } => "dead",
             LintViolation::DuplicateFaninPair { .. } => "dup",
-            LintViolation::ConstantNode { .. } | LintViolation::ConstantOutput { .. } => "ternary",
             LintViolation::HighFanout { .. } => "metrics",
             _ => "lint",
         }
@@ -268,16 +241,6 @@ impl fmt::Display for LintViolation {
             LintViolation::OutputOutOfRange { output, node } => {
                 write!(f, "output {output}: points outside the graph (node {node})")
             }
-            LintViolation::ConstantNode { node, value } => {
-                write!(f, "node {node}: provably constant {}", *value as u8)
-            }
-            LintViolation::ConstantOutput { output, value } => {
-                write!(
-                    f,
-                    "output {output}: gate logic provably constant {}",
-                    *value as u8
-                )
-            }
             LintViolation::HighFanout { node, fanout } => {
                 write!(
                     f,
@@ -288,116 +251,99 @@ impl fmt::Display for LintViolation {
     }
 }
 
-/// The structural AIG linter.
+/// Checks every structural invariant of `aig`, dangling ANDs included,
+/// returning all violations found (empty means clean). Never panics.
 ///
 /// # Examples
 ///
 /// ```
 /// use cirlearn_aig::Aig;
-/// use cirlearn_verify::Linter;
+/// use cirlearn_verify::lint;
 ///
 /// let mut g = Aig::new();
 /// let a = g.add_input("a");
 /// let b = g.add_input("b");
 /// let y = g.and(a, b);
 /// g.add_output(y, "y");
-/// assert!(Linter::new().lint(&g).is_empty());
+/// assert!(lint(&g).is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Linter {
-    allow_dangling: bool,
+pub fn lint(aig: &Aig) -> Vec<LintViolation> {
+    let mut violations = lint_structure(aig);
+    let live = reachable(aig);
+    violations.extend(
+        aig.ands()
+            .filter(|(node, _, _)| !live[node.index()])
+            .map(|(node, _, _)| LintViolation::DanglingAnd { node: node.index() }),
+    );
+    violations
 }
 
-impl Linter {
-    /// Creates a strict linter (dangling ANDs are violations).
-    pub fn new() -> Self {
-        Linter::default()
-    }
+/// The structural half of [`lint`]: every check but the reachability
+/// sweep, so dangling ANDs pass. Optimization passes legitimately
+/// strand nodes mid-pipeline (reachable gate count is the metric), so
+/// [`verify_pass`](crate::verify_pass) lints its results with this.
+pub(crate) fn lint_structure(aig: &Aig) -> Vec<LintViolation> {
+    let mut violations = Vec::new();
+    let node_count = aig.node_count();
+    let mut seen_pairs: HashMap<(u32, u32), usize> = HashMap::new();
 
-    /// Whether to tolerate AND nodes unreachable from the outputs.
-    ///
-    /// Optimization passes legitimately strand nodes mid-pipeline
-    /// (reachability, not node count, is the quality metric), so the
-    /// checked-pass harness lints with `allow_dangling(true)`; the
-    /// standalone `cirlearn lint` command stays strict.
-    pub fn allow_dangling(mut self, yes: bool) -> Self {
-        self.allow_dangling = yes;
-        self
-    }
-
-    /// Checks every structural invariant of `aig`, returning all
-    /// violations found (empty means clean). Never panics.
-    pub fn lint(&self, aig: &Aig) -> Vec<LintViolation> {
-        let mut violations = Vec::new();
-        let node_count = aig.node_count();
-        let mut seen_pairs: HashMap<(u32, u32), usize> = HashMap::new();
-
-        for (node, a, b) in aig.ands() {
-            let id = node.index();
-            let mut structurally_sound = true;
-            for (slot, e) in [a, b].into_iter().enumerate() {
-                let fanin = e.node().index();
-                if fanin >= node_count {
-                    violations.push(LintViolation::FaninOutOfRange {
-                        node: id,
-                        slot,
-                        fanin,
-                    });
-                    structurally_sound = false;
-                } else if fanin >= id {
-                    violations.push(LintViolation::NonTopologicalFanin {
-                        node: id,
-                        slot,
-                        fanin,
-                    });
-                    structurally_sound = false;
-                }
-            }
-            if a.code() > b.code() {
-                violations.push(LintViolation::UnorderedFanins { node: id });
-            }
-            if a == b || a == !b {
-                violations.push(LintViolation::TrivialAnd { node: id });
-            } else {
-                for (slot, e) in [a, b].into_iter().enumerate() {
-                    if e.node() == NodeId::CONST {
-                        violations.push(LintViolation::ConstantFanin { node: id, slot });
-                    }
-                }
-            }
-            if structurally_sound {
-                let key = if a.code() <= b.code() {
-                    (a.code(), b.code())
-                } else {
-                    (b.code(), a.code())
-                };
-                if let Some(&first) = seen_pairs.get(&key) {
-                    violations.push(LintViolation::DuplicateFaninPair { node: id, first });
-                } else {
-                    seen_pairs.insert(key, id);
-                }
-            }
-        }
-
-        for (position, (e, _)) in aig.outputs().iter().enumerate() {
-            if e.node().index() >= node_count {
-                violations.push(LintViolation::OutputOutOfRange {
-                    output: position,
-                    node: e.node().index(),
+    for (node, a, b) in aig.ands() {
+        let id = node.index();
+        let mut structurally_sound = true;
+        for (slot, e) in [a, b].into_iter().enumerate() {
+            let fanin = e.node().index();
+            if fanin >= node_count {
+                violations.push(LintViolation::FaninOutOfRange {
+                    node: id,
+                    slot,
+                    fanin,
                 });
+                structurally_sound = false;
+            } else if fanin >= id {
+                violations.push(LintViolation::NonTopologicalFanin {
+                    node: id,
+                    slot,
+                    fanin,
+                });
+                structurally_sound = false;
             }
         }
-
-        if !self.allow_dangling {
-            let live = reachable(aig);
-            violations.extend(
-                aig.ands()
-                    .filter(|(node, _, _)| !live[node.index()])
-                    .map(|(node, _, _)| LintViolation::DanglingAnd { node: node.index() }),
-            );
+        if a.code() > b.code() {
+            violations.push(LintViolation::UnorderedFanins { node: id });
         }
-        violations
+        if a == b || a == !b {
+            violations.push(LintViolation::TrivialAnd { node: id });
+        } else {
+            for (slot, e) in [a, b].into_iter().enumerate() {
+                if e.node() == NodeId::CONST {
+                    violations.push(LintViolation::ConstantFanin { node: id, slot });
+                }
+            }
+        }
+        if structurally_sound {
+            let key = if a.code() <= b.code() {
+                (a.code(), b.code())
+            } else {
+                (b.code(), a.code())
+            };
+            if let Some(&first) = seen_pairs.get(&key) {
+                violations.push(LintViolation::DuplicateFaninPair { node: id, first });
+            } else {
+                seen_pairs.insert(key, id);
+            }
+        }
     }
+
+    for (position, (e, _)) in aig.outputs().iter().enumerate() {
+        if e.node().index() >= node_count {
+            violations.push(LintViolation::OutputOutOfRange {
+                output: position,
+                node: e.node().index(),
+            });
+        }
+    }
+
+    violations
 }
 
 /// Which nodes lie in the cone of at least one primary output, indexed
@@ -426,11 +372,6 @@ pub(crate) fn reachable(aig: &Aig) -> Vec<bool> {
         }
     }
     reachable
-}
-
-/// Lints with the strict default configuration.
-pub fn lint(aig: &Aig) -> Vec<LintViolation> {
-    Linter::new().lint(aig)
 }
 
 #[cfg(test)]
@@ -463,7 +404,7 @@ mod tests {
         let strict = lint(&g);
         assert_eq!(strict.len(), 1);
         assert!(matches!(strict[0], LintViolation::DanglingAnd { .. }));
-        assert!(Linter::new().allow_dangling(true).lint(&g).is_empty());
+        assert!(lint_structure(&g).is_empty());
     }
 
     #[test]
@@ -620,7 +561,7 @@ mod tests {
         let v = lint(&g);
         let text = v[0].to_string();
         assert!(text.contains(&node.index().to_string()), "{text}");
-        assert_eq!(v[0].node(), Some(node.index()));
+        assert_eq!(v[0].node(), node.index());
     }
 
     #[test]

@@ -73,19 +73,20 @@ fn injected_duplicate_pair_is_caught_by_the_dup_analysis() {
 }
 
 #[test]
-fn injected_constant_fanin_is_caught_by_ternary_propagation() {
+fn injected_constant_fanin_is_caught_by_the_lint_analysis() {
     let mut aig = healthy();
     let (first, _, _) = aig.ands().next().unwrap();
     aig.set_fanin_unchecked(first, 0, Edge::FALSE);
     let findings = findings_of(&aig);
     assert!(
-        findings.iter().any(|f| f.analysis() == "ternary"
+        findings.iter().any(|f| f.analysis() == "lint"
+            && f.severity() == Severity::Warning
             && *f
-                == LintViolation::ConstantNode {
+                == LintViolation::ConstantFanin {
                     node: first.index(),
-                    value: false
+                    slot: 0
                 }),
-        "ternary analysis missed the injected constant: {findings:?}"
+        "lint analysis missed the injected constant fanin: {findings:?}"
     );
 }
 

@@ -31,15 +31,7 @@ const FIXTURE: &str = include_str!("../data/trace_golden/neq_budgeted.jsonl");
 const REPORT_FIXTURE: &str = include_str!("../data/trace_golden/neq_budgeted.report.json");
 
 /// Fields that carry a clock reading and so vary from run to run.
-/// `tid` is the constant 0 and is compared as is.
-const MASKED: [&str; 6] = [
-    "t_us",
-    "elapsed_us",
-    "verify_us",
-    "at_us",
-    "remaining_us",
-    "query_ns",
-];
+const MASKED: [&str; 4] = ["t_us", "elapsed_us", "verify_us", "query_ns"];
 
 /// Rewrites one JSONL stream into its clock-free shape: `metrics`
 /// lines (throttled by wall time) are dropped, and every non-null
@@ -71,13 +63,11 @@ fn mask(text: &str) -> String {
 }
 
 /// Report fields that carry a clock reading: wall times of the run,
-/// its stages, outputs and passes, checkpoint stamps, histogram
-/// statistics other than `count`, and attributed query nanoseconds.
-const REPORT_MASKED: [&str; 11] = [
+/// its stages, outputs and passes, histogram statistics other than
+/// `count`, and attributed query nanoseconds.
+const REPORT_MASKED: [&str; 9] = [
     "elapsed_s",
     "verify_s",
-    "at_s",
-    "remaining_s",
     "sum",
     "min",
     "max",

@@ -41,15 +41,15 @@ fn trace_lines_parse_with_monotone_timestamps_and_balanced_spans() {
         let parsed = Json::parse(line)
             .unwrap_or_else(|e| panic!("trace line {i} is not valid JSON ({e}): {line}"));
 
-        // Every event carries the common envelope, `tid` included.
+        // Every event carries the common envelope, which has no `tid`.
         let t = parsed
             .get("t_us")
             .and_then(Json::as_u64)
             .unwrap_or_else(|| panic!("trace line {i} has no t_us: {line}"));
         assert_eq!(
-            parsed.get("tid").and_then(Json::as_u64),
-            Some(0),
-            "trace line {i} has no tid 0: {line}"
+            parsed.get("tid"),
+            None,
+            "trace line {i} carries a tid: {line}"
         );
         let kind = parsed
             .get("kind")
